@@ -85,11 +85,14 @@ def parse_lattice(data) -> Lattice:
     if (not isinstance(names, list)
             or not all(isinstance(n, str) for n in names)):
         raise FormatError('"names" must be a list of strings')
+    if not isinstance(data["covers"], list):
+        raise FormatError('"covers" must be a list of [lower, upper] pairs')
     known = set(names)
     covers = []
     for pair in data["covers"]:
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise FormatError(f"cover {pair!r} is not a [lower, upper] pair")
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(isinstance(n, str) for n in pair)):
+            raise FormatError(f"cover {pair!r} is not a [lower, upper] pair of names")
         lo, hi = pair
         for name in (lo, hi):
             if name not in known:
@@ -173,12 +176,8 @@ def parse_rule(data, lat: Lattice):
             table = [_element(lat, v) for v in data["table"]]
             return ExplicitRule(spaces, table)
         if kind == "tree":
-            n = int(data["n"])
             values = [_element(lat, v) for v in data["corners"]]
-            if len(values) != 2 ** n:
-                raise FormatError(
-                    f"tree rule needs {2 ** n} corners for n={n}, got {len(values)}")
-            return build_canonical_median_tree(values, n)
+            return build_canonical_median_tree(values, int(data["n"]))
     except FormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -440,12 +439,9 @@ def _build_parser():
     p_verify.add_argument("--n", type=int, default=None)
     p_verify.add_argument("--samples", type=int, default=200)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--cap", type=int, default=10 ** 8)
     p_verify.add_argument("--workers", type=int, default=1,
                           help="accepted for compatibility; sweeps run "
                                "serially and results are worker-independent")
-    p_verify.add_argument("--semantics", default="truthful",
-                          choices=("truthful", "literal"))
     p_verify.add_argument("--json", metavar="PATH")
     return parser
 

@@ -1,15 +1,16 @@
-"""Finite bounded distributive lattices with fully tabulated order, join and meet.
+"""Finite bounded distributive lattices in the Birkhoff encoding.
 
-Elements are dense integer ids into a name list.  The order is kept as one
-bitmask per element (``up[a]`` holds every b with a <= b), so comparisons,
-joins, meets, medians and betweenness are O(1) table lookups after
-construction.  Every constructor validates the full axiom set and raises a
-witness-carrying error on the first violation.
+Elements are dense integer ids into a name list.  Each element is also coded
+as the bitmask of the join-irreducibles below it; by Birkhoff's
+representation theorem these codes are the down-sets of the join-irreducibles,
+so join, meet, medians and betweenness are set operations on codes.  The order
+is kept as one up-set and one down-set bitmask per element.  Every
+constructor validates the poset, bounds and distributivity in one O(m*|J|)
+pass over the codes (|J| join-irreducibles) and raises a witness-carrying
+error on a violation.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .errors import (
     InvalidSizeError,
@@ -22,11 +23,6 @@ from .errors import (
 
 DEFAULT_SIZE_CAP = 4096
 
-# Above this many elements the distributivity check switches from the direct
-# triple scan (which reports the lexicographically first failing triple) to
-# the join-prime criterion, whose witness is derived rather than first.
-_DIRECT_TRIPLE_LIMIT = 64
-
 
 def _bits(mask):
     while mask:
@@ -36,7 +32,13 @@ def _bits(mask):
 
 
 class Valuation:
-    """Integer valuation: v(x v y) = v(x) + v(y) - v(x ^ y), strictly increasing."""
+    """Integer valuation: v(x v y) = v(x) + v(y) - v(x ^ y), strictly increasing.
+
+    On a distributive lattice these are exactly the valuations
+    v(x) = v(bottom) + sum of w_j over the join-irreducibles j <= x, with every
+    weight w_j = v(j) - v(lower cover of j) positive, so the check costs
+    O(m*|J|).  Only when it fails are the pairs scanned for the first witness.
+    """
 
     __slots__ = ("lattice", "values")
 
@@ -44,15 +46,21 @@ class Valuation:
         values = tuple(int(v) for v in values)
         if len(values) != lattice.m:
             raise InvalidSizeError("valuation must assign a value to every element")
-        for a in range(lattice.m):
-            for b in range(lattice.m):
-                j, m = lattice.join(a, b), lattice.meet(a, b)
-                if values[j] + values[m] != values[a] + values[b]:
-                    raise NotALatticeError(
-                        "valuation identity fails", witness=(a, b))
-                if lattice.lt(a, b) and not values[a] < values[b]:
-                    raise NotALatticeError(
-                        "valuation is not strictly increasing", witness=(a, b))
+        weights = [values[j] - values[lattice.lower_covers(j)[0]]
+                   for j in lattice._irreducibles]
+        base = values[lattice.bottom]
+        if not (all(w > 0 for w in weights) and all(
+                values[x] == base + sum(weights[k] for k in _bits(code))
+                for x, code in enumerate(lattice._code))):
+            for a in range(lattice.m):
+                for b in range(lattice.m):
+                    j, m = lattice.join(a, b), lattice.meet(a, b)
+                    if values[j] + values[m] != values[a] + values[b]:
+                        raise NotALatticeError(
+                            "valuation identity fails", witness=(a, b))
+                    if lattice.lt(a, b) and not values[a] < values[b]:
+                        raise NotALatticeError(
+                            "valuation is not strictly increasing", witness=(a, b))
         self.lattice = lattice
         self.values = values
 
@@ -66,11 +74,19 @@ class Valuation:
 
 
 class Lattice:
-    """A validated finite bounded distributive lattice."""
+    """A validated finite bounded distributive lattice.
+
+    Element x is encoded as ``_code[x]``, the bitmask of the join-irreducibles
+    below it (bit k is the k-th join-irreducible in id order), and ``_decode``
+    maps each code back to its element.  By Birkhoff's theorem the codes are
+    exactly the down-sets of the join-irreducibles, so join is ``|`` and meet
+    is ``&`` on codes.  The order itself is kept as up-set and down-set
+    bitmasks over element ids.
+    """
 
     __slots__ = ("names", "m", "covers", "bottom", "top", "atoms",
                  "join_irreducibles", "_index", "_up", "_down",
-                 "_join", "_meet")
+                 "_irreducibles", "_code", "_decode")
 
     def __init__(self, names, covers, size_cap: int = DEFAULT_SIZE_CAP):
         names = list(names)
@@ -98,15 +114,10 @@ class Lattice:
         self.covers = tuple(cover_ids)
 
         self._up = self._close(cover_ids)
-        self._down = [0] * self.m
-        for a in range(self.m):
-            for b in _bits(self._up[a]):
-                self._down[b] |= 1 << a
+        self._down = self._close([(b, a) for a, b in cover_ids])
         self._reject_redundant_covers()
         self._find_bounds()
-        self._build_tables()
-        self._check_distributive()
-        self._find_irreducibles()
+        self._encode()
 
     # -- construction internals -------------------------------------------
 
@@ -152,84 +163,80 @@ class Lattice:
         self.bottom = bottoms[0]
         self.top = tops[0]
 
-    def _build_tables(self):
-        m, up, down = self.m, self._up, self._down
-        join = [0] * (m * m)
-        meet = [0] * (m * m)
-        for a in range(m):
-            row = a * m
-            for b in range(m):
+    def _scan_irreducibles(self):
+        """Elements with exactly one lower cover, in id order."""
+        lower = [0] * self.m
+        for _, b in self.covers:
+            lower[b] += 1
+        return [x for x in range(self.m) if lower[x] == 1]
+
+    def _encode(self):
+        """Code every element and prove the codes form the down-set lattice.
+
+        The poset is a distributive lattice iff the code map is injective and,
+        for every x and join-irreducible j not below x whose lower
+        join-irreducibles all are, ``code[x] | bit(j)`` is the code of some
+        y > x: the codes are then exactly the down-sets of the
+        join-irreducibles, ordered by inclusion.  O(m*|J|) dict lookups.
+        """
+        irreducibles = self._scan_irreducibles()
+        code = [0] * self.m
+        for k, j in enumerate(irreducibles):
+            for x in _bits(self._up[j]):
+                code[x] |= 1 << k
+        decode = {c: x for x, c in enumerate(code)}
+        if len(decode) != self.m:
+            # every element of a lattice is the join of the join-irreducibles
+            # below it, so two equal codes mean a missing bound
+            self._raise_missing_bound()
+        self._irreducibles = tuple(irreducibles)
+        self._code = code
+        self._decode = decode
+        lower = [code[j] & ~(1 << k) for k, j in enumerate(irreducibles)]
+        for x, c in enumerate(code):
+            for k, j in enumerate(irreducibles):
+                grown = c | 1 << k
+                if grown == c or lower[k] & ~c:
+                    continue
+                y = decode.get(grown)
+                if y is None or not self._up[x] >> y & 1:
+                    self._raise_missing_bound()
+                    self._raise_not_distributive(x, j)
+        self.join_irreducibles = frozenset(irreducibles)
+        self.atoms = frozenset(
+            x for x in irreducibles
+            if self._down[x] == (1 << x) | (1 << self.bottom))
+
+    def _raise_missing_bound(self):
+        """Error path: raise at the first pair without a least upper bound or
+        a greatest lower bound, if there is one."""
+        up, down = self._up, self._down
+        for a in range(self.m):
+            for b in range(self.m):
                 uppers = up[a] & up[b]
-                for u in _bits(uppers):
-                    if uppers & ~up[u] == 0:
-                        join[row + b] = u
-                        break
-                else:
+                if not any(uppers & ~up[u] == 0 for u in _bits(uppers)):
                     raise NotALatticeError(
                         f"({self.names[a]}, {self.names[b]}) has no least upper bound",
                         witness=(a, b))
                 lowers = down[a] & down[b]
-                glb = None
-                for u in _bits(lowers):
-                    if lowers & ~down[u] == 0:
-                        glb = u
-                if glb is None:
+                if not any(lowers & ~down[u] == 0 for u in _bits(lowers)):
                     raise NotALatticeError(
                         f"({self.names[a]}, {self.names[b]}) has no greatest lower bound",
                         witness=(a, b))
-                meet[row + b] = glb
-        self._join = join
-        self._meet = meet
 
-    def _check_distributive(self):
-        m, join, meet = self.m, self._join, self._meet
-        if m <= _DIRECT_TRIPLE_LIMIT:
-            rng = range(m)
-            for a in rng:
-                for b in rng:
-                    for c in rng:
-                        bc = join[b * m + c]
-                        lhs = meet[a * m + bc]
-                        rhs = join[meet[a * m + b] * m + meet[a * m + c]]
-                        if lhs != rhs:
-                            raise NotDistributiveError(
-                                "meet does not distribute over join at "
-                                f"({self.names[a]}, {self.names[b]}, {self.names[c]})",
-                                witness=(a, b, c))
-            return
-        # Join-prime criterion: distributive iff j <= a v b implies
-        # j <= a or j <= b for every join-irreducible j.
-        for j in self._scan_irreducibles():
-            upj = self._up[j]
-            for a in range(m):
-                if upj >> a & 1:
-                    continue
-                for b in range(m):
-                    if upj >> b & 1:
-                        continue
-                    if upj >> join[a * m + b] & 1:
-                        raise NotDistributiveError(
-                            "meet does not distribute over join at "
-                            f"({self.names[j]}, {self.names[a]}, {self.names[b]})",
-                            witness=(j, a, b))
-
-    def _scan_irreducibles(self):
-        out = []
-        for x in range(self.m):
-            if x == self.bottom:
-                continue
-            below = self._down[x] & ~(1 << x)
-            lower_covers = [c for c in _bits(below)
-                            if self._up[c] & below == 1 << c]
-            if len(lower_covers) == 1:
-                out.append(x)
-        return out
-
-    def _find_irreducibles(self):
-        self.join_irreducibles = frozenset(self._scan_irreducibles())
-        self.atoms = frozenset(
-            x for x in self.join_irreducibles
-            if self._down[x] == (1 << x) | (1 << self.bottom))
+    def _raise_not_distributive(self, x, j):
+        """Error path for a lattice whose check failed at (x, j): some
+        join-irreducible j' below x v j lies below neither x nor j, and then
+        j' ^ (x v j) = j' while (j' ^ x) v (j' ^ j) lies below j'."""
+        uppers = self._up[x] & self._up[j]
+        lub = next(u for u in _bits(uppers) if uppers & ~self._up[u] == 0)
+        code = self._code
+        extra = code[lub] & ~code[x] & ~code[j]
+        j2 = self._irreducibles[next(_bits(extra))]
+        raise NotDistributiveError(
+            "meet does not distribute over join at "
+            f"({self.names[j2]}, {self.names[x]}, {self.names[j]})",
+            witness=(j2, x, j))
 
     # -- names --------------------------------------------------------------
 
@@ -260,63 +267,42 @@ class Lattice:
         return bool(self._up[a] >> b & 1 or self._up[b] >> a & 1)
 
     def join(self, a: int, b: int) -> int:
-        return self._join[a * self.m + b]
+        return self._decode[self._code[a] | self._code[b]]
 
     def meet(self, a: int, b: int) -> int:
-        return self._meet[a * self.m + b]
-
-    def join_all(self, elements) -> int:
-        out = self.bottom
-        for e in elements:
-            out = self._join[out * self.m + e]
-        return out
-
-    def meet_all(self, elements) -> int:
-        out = self.top
-        for e in elements:
-            out = self._meet[out * self.m + e]
-        return out
+        return self._decode[self._code[a] & self._code[b]]
 
     def median(self, a: int, b: int, c: int) -> int:
-        m, join, meet = self.m, self._join, self._meet
-        return join[join[meet[a * m + b] * m + meet[b * m + c]] * m + meet[a * m + c]]
+        code = self._code
+        a, b, c = code[a], code[b], code[c]
+        return self._decode[a & b | b & c | a & c]
 
     def between(self, x: int, z: int, y: int) -> bool:
         """True iff z lies in the interval [x, y], i.e. x^y <= z <= xvy."""
-        m = self.m
-        return bool(self._up[self._meet[x * m + y]] >> z & 1
-                    and self._down[self._join[x * m + y]] >> z & 1)
+        code = self._code
+        x, z, y = code[x], code[z], code[y]
+        return not (x & y & ~z or z & ~(x | y))
 
     def interval(self, x: int, y: int) -> tuple:
-        m = self.m
-        mask = self._up[self._meet[x * m + y]] & self._down[self._join[x * m + y]]
-        return tuple(_bits(mask))
+        return tuple(_bits(self.interval_mask(x, y)))
 
     def interval_mask(self, x: int, y: int) -> int:
-        m = self.m
-        return self._up[self._meet[x * m + y]] & self._down[self._join[x * m + y]]
-
-    def upset_mask(self, x: int) -> int:
-        return self._up[x]
-
-    def downset_mask(self, x: int) -> int:
-        return self._down[x]
+        """The elements of [x ^ y, x v y], as a bitmask over element ids."""
+        code, decode = self._code, self._decode
+        x, y = code[x], code[y]
+        return self._up[decode[x & y]] & self._down[decode[x | y]]
 
     # -- derived structure ----------------------------------------------------
 
     def is_chain(self) -> bool:
-        return all(self.comparable(a, b)
-                   for a, b in itertools.combinations(range(self.m), 2))
+        return len(self.join_irreducibles) == self.m - 1
 
     def complement(self, x: int):
         """The complement of x if one exists, else None (unique if any)."""
-        for y in range(self.m):
-            if self.join(x, y) == self.top and self.meet(x, y) == self.bottom:
-                return y
-        return None
+        return self._decode.get(self._code[self.top] & ~self._code[x])
 
     def is_boolean(self) -> bool:
-        return all(self.complement(x) is not None for x in range(self.m))
+        return self.join_irreducibles == self.atoms
 
     def upper_covers(self, x: int) -> tuple:
         above = self._up[x] & ~(1 << x)
@@ -326,25 +312,9 @@ class Lattice:
         below = self._down[x] & ~(1 << x)
         return tuple(c for c in _bits(below) if self._up[c] & below == 1 << c)
 
-    def height(self) -> int:
-        """Number of elements on a longest chain."""
-        depth = [0] * self.m
-        for x in self._topo_order():
-            for c in self.lower_covers(x):
-                depth[x] = max(depth[x], depth[c] + 1)
-        return max(depth) + 1
-
-    def _topo_order(self):
-        return sorted(range(self.m), key=lambda v: bin(self._down[v]).count("1"))
-
     def rank_valuation(self) -> Valuation:
         """Count of join-irreducibles below each element; always a valid valuation here."""
-        ji = sorted(self.join_irreducibles)
-        values = [sum(1 for j in ji if self._up[j] >> x & 1) for x in range(self.m)]
-        return Valuation(self, values)
-
-    def metric_distance(self, valuation: Valuation, x: int, y: int) -> int:
-        return valuation.distance(x, y)
+        return Valuation(self, [c.bit_count() for c in self._code])
 
     def sublattice(self, elements) -> "Lattice":
         """The induced lattice on a join/meet-closed subset, keeping names."""

@@ -7,7 +7,6 @@ encoding and only the canonical-form conditions need checking.
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 from .errors import (
@@ -175,57 +174,27 @@ def is_locally_strictly_unimodal(p: TotalPreorder, lat: Lattice) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=None)
-def _hypercube_atom_map(lat: Lattice):
-    """Map every element to the bitmask of atoms below it, or raise."""
-    atoms = sorted(lat.atoms)
-    k = len(atoms)
-    if lat.m != 2 ** k:
-        raise NotHypercubeError(f"{lat.m} elements but {k} atoms")
-    masks = []
-    for e in range(lat.m):
-        mask = 0
-        for i, a in enumerate(atoms):
-            if lat.leq(a, e):
-                mask |= 1 << i
-        masks.append(mask)
-    if len(set(masks)) != lat.m:
-        raise NotHypercubeError("elements are not distinct atom sets")
-    for a in range(lat.m):
-        for b in range(lat.m):
-            if lat.leq(a, b) != (masks[a] & ~masks[b] == 0):
-                raise NotHypercubeError("order does not match set inclusion")
-    by_mask = [0] * lat.m
-    for e, mask in enumerate(masks):
-        by_mask[mask] = e
-    return k, tuple(masks), tuple(by_mask)
-
-
 def is_separable(p: TotalPreorder, lat: Lattice) -> bool:
     """On a Boolean hypercube of item sets: adding a good item always strictly
     helps and adding a bad one always strictly hurts.
 
     Every item must be strictly good ({a} beats the empty set) or strictly
     bad (the empty set beats {a}); an item tied with the empty set already
-    disqualifies the preorder.
+    disqualifies the preorder.  The items are the atoms.
     """
     _check_carrier(p, lat)
-    k, _, by_mask = _hypercube_atom_map(lat)
+    if not lat.is_boolean():
+        raise NotHypercubeError(f"{lat.m} elements but {len(lat.atoms)} atoms")
     ranks = p.ranks
-    r_empty = ranks[by_mask[0]]
-    good = []
-    for i in range(k):
-        r_single = ranks[by_mask[1 << i]]
-        if r_single == r_empty:
-            return False
-        good.append(r_single < r_empty)
-    for subset in range(2 ** k):
-        r_base = ranks[by_mask[subset]]
-        for i in range(k):
-            if subset >> i & 1:
+    r_empty = ranks[lat.bottom]
+    good = {a: ranks[a] < r_empty for a in lat.atoms}
+    for e in range(lat.m):
+        r_base = ranks[e]
+        for a, helps in good.items():
+            if lat.leq(a, e):
                 continue
-            r_grown = ranks[by_mask[subset | 1 << i]]
-            if good[i]:
+            r_grown = ranks[lat.join(e, a)]
+            if helps:
                 if not r_grown < r_base:
                     return False
             elif not r_base < r_grown:

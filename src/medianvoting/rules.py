@@ -40,9 +40,11 @@ class ExplicitRule:
         if self.n == 0:
             raise InvalidSizeError("a rule needs at least one voter")
         size = 1
-        for s in self.spaces:
+        for i, s in enumerate(self.spaces):
             if not s:
                 raise InvalidSizeError("empty ballot space")
+            if len(set(s)) != len(s):
+                raise InvalidSizeError(f"voter {i} lists a ballot twice")
             size *= len(s)
         if size > EXPLICIT_TABLE_CAP:
             raise TooLargeError(f"table of {size} entries exceeds cap")
@@ -92,6 +94,8 @@ class CommitteeRule:
 
     def __init__(self, n, terms):
         self.n = int(n)
+        if self.n < 1:
+            raise InvalidSizeError("a rule needs at least one voter")
         norm = []
         for coalition, constant in terms:
             coalition = frozenset(int(i) for i in coalition)
@@ -253,6 +257,8 @@ class MedianTree:
 
 
 def build_canonical_median_tree(corner_values, n: int) -> MedianTree:
+    if n < 1:
+        raise InvalidSizeError("a rule needs at least one voter")
     corner_values = tuple(corner_values)
     if len(corner_values) != 2 ** n:
         raise InvalidSizeError(

@@ -186,8 +186,11 @@ def find_monotonicity_violation(rule, lat: Lattice, spaces=None,
     n = len(spaces)
     sizes = [len(s) for s in spaces]
     strides = _strides(sizes)
-    if len(table) * sum(sizes) > cap:
-        raise TooLargeError("monotonicity sweep exceeds the evaluation cap")
+    estimate = len(table) * sum(sizes)
+    if estimate > cap:
+        raise TooLargeError(
+            f"monotonicity sweep of {estimate} evaluations exceeds the "
+            f"evaluation cap {cap}")
     imask = [[lat.interval_mask(x, y) for y in range(lat.m)] for x in range(lat.m)]
     ranges = [range(k) for k in sizes]
     for idx, pos in enumerate(itertools.product(*ranges)):
@@ -221,7 +224,9 @@ def find_strategy_violation(rule, domain: DomainDescriptor,
     estimate = sum(len(domain.preference_sets[i])
                    * (len(table) // sizes[i]) * sizes[i] for i in range(n))
     if estimate > cap:
-        raise TooLargeError("strategy-proofness sweep exceeds the evaluation cap")
+        raise TooLargeError(
+            f"strategy-proofness sweep of {estimate} evaluations exceeds the "
+            f"evaluation cap {cap}")
     pos_of = [{b: q for q, b in enumerate(s)} for s in spaces]
     for i in range(n):
         other_ranges = [range(sizes[j]) for j in range(n) if j != i]
@@ -380,7 +385,9 @@ def find_coalitional_manipulation(rule, domain: DomainDescriptor,
     for prefs in domain.preference_sets:
         profile_mass *= len(prefs)
     if origin_mass * deviation_mass > cap or profile_mass > cap:
-        raise TooLargeError("coalition search exceeds the evaluation cap")
+        raise TooLargeError(
+            f"coalition search of {origin_mass * deviation_mass} deviations and "
+            f"{profile_mass} profiles exceeds the evaluation cap {cap}")
 
     better = _better_sets(domain)
     if not _manipulation_exists(table, strides, pos_of, domain, better, literal):
@@ -493,8 +500,10 @@ def check_axioms(rule, lat: Lattice, local_set, unimodal_pool=None,
     local = sorted(set(local_set))
     spaces, table = tabulate(rule, lat, full_spaces(lat, n))
     strides = _strides([m] * n)
-    if len(table) * (n + m) > cap:
-        raise TooLargeError("axiom sweep exceeds the evaluation cap")
+    estimate = len(table) * (n + m)
+    if estimate > cap:
+        raise TooLargeError(
+            f"axiom sweep of {estimate} evaluations exceeds the evaluation cap {cap}")
     witnesses = {}
 
     anonymous = True

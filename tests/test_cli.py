@@ -185,7 +185,34 @@ class TestCommands:
     def test_usage_errors_exit_2(self, capsys):
         assert run(["verify", "unknown-suite"]) == 2
         assert run(["rule", "eval", "--rule", "x", "--lattice", "y"]) == 2
+        # verify has no --cap or --semantics; rule check keeps its own
+        assert run(["verify", "theorem3", "--n", "3", "--cap", "1"]) == 2
+        assert run(["verify", "theorem3", "--n", "3", "--semantics", "literal"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("covers", [5, "ab", [["a", ["b"]]], [[["a"], "b"]],
+                                        [["a", 1]], [{"a": "b"}]])
+    def test_malformed_covers_exit_2(self, tmp_path, covers, capsys):
+        bad = write_json(tmp_path / "bad.json", {"names": ["a", "b"], "covers": covers})
+        assert run(["lattice", "inspect", "--covers", bad]) == 2
+        assert "error:" in capsys.readouterr().err
+        with pytest.raises(FormatError):
+            parse_lattice({"names": ["a", "b"], "covers": covers})
+
+    @pytest.mark.parametrize("rule, message", [
+        ({"kind": "explicit", "ballot_spaces": [["0", "0"], ["0", "1"]],
+          "table": ["0", "0", "0", "0"]}, "twice"),
+        ({"kind": "tree", "n": -1, "corners": []}, "at least one voter"),
+        ({"kind": "tree", "n": 0, "corners": ["0"]}, "at least one voter"),
+        ({"kind": "committee", "n": 0, "terms": []}, "at least one voter"),
+    ])
+    def test_invalid_rules_exit_2(self, tmp_path, square_file, square, rule,
+                                  message, capsys):
+        path = write_json(tmp_path / "rule.json", rule)
+        assert run(["rule", "check", "--rule", path, "--lattice", square_file]) == 2
+        assert message in capsys.readouterr().err
+        with pytest.raises(FormatError):
+            parse_rule(rule, square)
 
     def test_missing_file_exit_2(self, capsys):
         assert run(["lattice", "inspect", "--covers", "/nonexistent.json"]) == 2

@@ -114,6 +114,14 @@ class TestMonotonicity:
         with pytest.raises(TooLargeError):
             find_monotonicity_violation(rule, square, cap=10)
 
+    def test_cap_refusal_names_estimate_and_cap(self, square):
+        rule = extended_median_rule(square, 2)
+        with pytest.raises(TooLargeError) as err:
+            find_monotonicity_violation(rule, square, cap=7)
+        # 16 table cells times 4 + 4 deviations
+        assert "128 evaluations" in str(err.value)
+        assert "cap 7" in str(err.value)
+
 
 class TestStrategyProofness:
     def test_majority_sp_both_domains(self, square):
