@@ -17,6 +17,7 @@ from importlib import resources
 from .errors import FormatError, MedianVotingError
 from .lattice import Lattice, build_from_covers
 from .preorders import (
+    DEFAULT_ENUM_CAP,
     TotalPreorder,
     enumerate_lsu,
     enumerate_topped_preorders,
@@ -154,16 +155,23 @@ def _element(lat, name):
     return lat.element(name)
 
 
+def _integer(value, what):
+    """A JSON integer; ``int()`` would silently truncate 2.7 to 2."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def parse_rule(data, lat: Lattice):
     if not isinstance(data, dict) or "kind" not in data:
         raise FormatError('rule file needs a "kind" field')
     kind = data["kind"]
     try:
         if kind == "committee":
-            n = int(data["n"])
+            n = _integer(data["n"], "'n'")
             terms = []
             for term in data["terms"]:
-                coalition = [int(v) for v in term["coalition"]]
+                coalition = [_integer(v, "coalition voter") for v in term["coalition"]]
                 if any(v < 0 or v >= n for v in coalition):
                     raise FormatError(
                         f"coalition {coalition} references a voter outside 0..{n - 1}")
@@ -177,7 +185,7 @@ def parse_rule(data, lat: Lattice):
             return ExplicitRule(spaces, table)
         if kind == "tree":
             values = [_element(lat, v) for v in data["corners"]]
-            return build_canonical_median_tree(values, int(data["n"]))
+            return build_canonical_median_tree(values, _integer(data["n"], "'n'"))
     except FormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -250,7 +258,7 @@ def _cmd_lattice(args):
 def _cmd_prefs(args):
     lat = parse_lattice_file(args.lattice)
     if args.action == "enum":
-        pool = enumerate_topped_preorders(lat, cap=args.cap or 7)
+        pool = enumerate_topped_preorders(lat, cap=args.cap)
         if args.kind == "unimodal":
             pool = [p for p in pool if is_unimodal(p, lat)]
         elif args.kind == "strict":
@@ -419,7 +427,7 @@ def _build_parser():
     p_prefs.add_argument("--prefs", metavar="PATH")
     p_prefs.add_argument("--kind", default="topped",
                          choices=("topped", "unimodal", "strict", "separable"))
-    p_prefs.add_argument("--cap", type=int, default=None)
+    p_prefs.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP)
     p_prefs.add_argument("--json", metavar="PATH")
 
     p_rule = sub.add_parser("rule", help="evaluate, convert or check a rule")

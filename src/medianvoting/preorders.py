@@ -207,13 +207,12 @@ def is_separable(p: TotalPreorder, lat: Lattice) -> bool:
 
 def _submasks_ascending(mask):
     """Nonempty submasks of mask in increasing numeric order."""
-    sub = mask & -mask if mask else 0
     out = []
-    v = 1
-    while v <= mask:
-        if v & mask == v:
-            out.append(v)
-        v += 1
+    sub = mask
+    while sub:
+        out.append(sub)
+        sub = (sub - 1) & mask
+    out.reverse()
     return out
 
 

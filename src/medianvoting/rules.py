@@ -145,18 +145,7 @@ class CommitteeRule:
 
 def extended_median(lat: Lattice, ballots) -> int:
     """Simple majority: join of meets over all strict-majority coalitions."""
-    n = len(ballots)
-    if n < 1:
-        raise InvalidSizeError("need at least one ballot")
-    quota = n // 2 + 1
-    out = lat.bottom
-    for size in range(quota, n + 1):
-        for coalition in itertools.combinations(range(n), size):
-            part = lat.top
-            for i in coalition:
-                part = lat.meet(part, ballots[i])
-            out = lat.join(out, part)
-    return out
+    return extended_median_rule(lat, len(ballots)).evaluate(lat, ballots)
 
 
 def extended_median_rule(lat: Lattice, n: int) -> CommitteeRule:
@@ -213,6 +202,8 @@ class MedianTree:
 
     def __init__(self, n, root):
         self.n = int(n)
+        if self.n < 1:
+            raise InvalidSizeError("a rule needs at least one voter")
         self.root = root
 
     def evaluate(self, lat: Lattice, ballots) -> int:

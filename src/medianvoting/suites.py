@@ -44,6 +44,8 @@ from .verify import (
     VerificationReport,
     enumerate_quota_rules,
     find_coalitional_manipulation,
+    find_local_neutrality_violation,
+    find_local_sovereignty_gap,
     find_monotonicity_violation,
     find_strategy_violation,
     check_axioms,
@@ -253,7 +255,7 @@ def lemma2_suite(lat: Lattice, n: int = 3, label: str = "") -> VerificationRepor
     return _finish(name, checks, t0)
 
 
-def _blocked_pair_rule(lat=None):
+def _blocked_pair_rule():
     """The four-chain rule that freezes a blocked ballot pair: on ballots
     restricted to the ends of the chain's middle segment it returns interior
     elements crosswise, which breaks interval monotonicity."""
@@ -495,28 +497,6 @@ def theorem2_suite(lat: Lattice) -> VerificationReport:
 # -- impossibility for anonymous rules --------------------------------------------------------
 
 
-def _local_filter(table, strides, lat, local, n):
-    """Local sovereignty and join-irreducible neutrality on ``local``."""
-    reached = set()
-    for ballots in itertools.product(local, repeat=n):
-        reached.add(table[sum(b * s for b, s in zip(ballots, strides))])
-    sovereign = all(z in reached for z in local)
-    ji = sorted(lat.join_irreducibles & set(local))
-    neutral = True
-    for j, k in itertools.combinations(ji, 2):
-        swap = list(range(lat.m))
-        swap[j], swap[k] = k, j
-        for ballots in itertools.product(local, repeat=n):
-            direct = table[sum(b * s for b, s in zip(ballots, strides))]
-            image = table[sum(swap[b] * s for b, s in zip(ballots, strides))]
-            if image != swap[direct]:
-                neutral = False
-                break
-        if not neutral:
-            break
-    return sovereign, neutral
-
-
 def _quota_tables(lat, n):
     """(constants, full table) per quota rule, sharing the subset-meet sweep."""
     m = lat.m
@@ -610,14 +590,13 @@ def theorem3_suite(lat: Lattice, n: int = 5) -> VerificationReport:
     x, z = atoms[:2]
     xz = lat.join(x, z)
     local = [lat.bottom, x, z, xz]
-    strides = tuple(lat.m ** (n - 1 - i) for i in range(n))
 
     survivors = []
     total = 0
     for constants, table in _quota_tables(lat, n):
         total += 1
-        sovereign, neutral = _local_filter(table, strides, lat, local, n)
-        if sovereign and neutral:
+        if (find_local_sovereignty_gap(table, lat, local, n) is None
+                and find_local_neutrality_violation(table, lat, local, n) is None):
             survivors.append((constants, ExplicitRule(full_spaces(lat, n), table)))
 
     checks = [CheckResult(

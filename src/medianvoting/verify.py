@@ -262,91 +262,14 @@ def is_strategy_proof(rule, domain: DomainDescriptor,
 # -- coalitional manipulation ----------------------------------------------------------
 
 
-def _better_sets(domain):
-    """better[i][pref_index][outcome] -> frozenset of strictly preferred elements."""
-    m = domain.lattice.m
-    out = []
-    for prefs in domain.preference_sets:
-        per_pref = []
-        for p in prefs:
-            per_pref.append(tuple(
-                frozenset(v for v in range(m) if p.ranks[v] < p.ranks[o])
-                for o in range(m)))
-        out.append(per_pref)
-    return out
-
-
-def _coalition_masks_by_size(n):
-    by_size = {s: [] for s in range(1, n + 1)}
-    for mask in range(1, 1 << n):
-        by_size[bin(mask).count("1")].append(mask)
-    return by_size
-
-
-def _manipulation_exists(table, strides, pos_of, domain, better, literal):
-    """Unordered existence scan; factorizes over tops because preference
-    choices are independent across voters."""
-    lat = domain.lattice
-    n = domain.n
-    m = lat.m
-    # gain[i][(anchor, outcome)] = union of strictly-better sets over the
-    # preferences a voter could hold; anchor is the voter's top under
-    # truthful semantics and irrelevant (None) under literal semantics.
-    gain = []
-    anchors = []
-    for i in range(n):
-        table_i = {}
-        if literal:
-            for o in range(m):
-                union = frozenset().union(
-                    *(better[i][k][o] for k in range(len(better[i]))))
-                table_i[(None, o)] = union
-            anchors.append([None])
-        else:
-            tops = []
-            for k, p in enumerate(domain.preference_sets[i]):
-                if p.top not in tops:
-                    tops.append(p.top)
-            for t in tops:
-                for o in range(m):
-                    union = frozenset().union(
-                        *(better[i][k][o]
-                          for k, p in enumerate(domain.preference_sets[i])
-                          if p.top == t))
-                    table_i[(t, o)] = union
-            anchors.append(tops)
-        gain.append(table_i)
-
-    by_size = _coalition_masks_by_size(n)
-    masks = [mask for s in range(1, n + 1) for mask in by_size[s]]
-    spaces = domain.spaces
-    if literal:
-        origins = itertools.product(*spaces)
-    else:
-        origins = itertools.product(*anchors)
-    for origin in origins:
-        idx = sum(pos_of[i][origin[i]] * strides[i] for i in range(n))
-        o_t = table[idx]
-        key = [(None if literal else origin[i], o_t) for i in range(n)]
-        sets = [gain[i][key[i]] for i in range(n)]
-        usable = sum(1 << i for i in range(n) if sets[i])
-        for mask in masks:
-            if mask & ~usable:
-                continue
-            members = [i for i in range(n) if mask >> i & 1]
-            common = sets[members[0]]
-            for i in members[1:]:
-                common = common & sets[i]
-                if not common:
-                    break
-            if not common:
-                continue
-            for dev in itertools.product(*(spaces[i] for i in members)):
-                shift = sum((pos_of[i][b] - pos_of[i][origin[i]]) * strides[i]
-                            for i, b in zip(members, dev))
-                if table[idx + shift] in common:
-                    return True
-    return False
+def _better_masks(pref) -> tuple:
+    """better[o]: bitmask of the elements ``pref`` ranks strictly above o."""
+    below = [0] * (max(pref.ranks) + 2)    # below[r]: elements of rank < r
+    for v, r in enumerate(pref.ranks):
+        below[r + 1] |= 1 << v
+    for r in range(1, len(below)):
+        below[r] |= below[r - 1]
+    return tuple(below[r] for r in pref.ranks)
 
 
 def find_coalitional_manipulation(rule, domain: DomainDescriptor,
@@ -363,6 +286,17 @@ def find_coalitional_manipulation(rule, domain: DomainDescriptor,
     descending, truthful-outcome id ascending, profile enumeration index,
     starting ballots under literal semantics, coalition bitmask ascending,
     deviation in ballot order).
+
+    One exact search finds it without enumerating profiles.  A voter's gain
+    set for an anchor (its top; None under literal semantics) and outcome is
+    the union of the strictly-better sets over the preferences it may hold
+    from that anchor.  Preference choices are independent across voters, so a
+    prefix of chosen preference indices admits a witness iff some starting
+    ballot tuple with the given truthful outcome and some coalition of the
+    given size have a common gain (exact sets for chosen voters, gain sets
+    for the others) meeting the outcomes the coalition can force.  For each
+    size and truthful outcome the profile is then fixed voter by voter with
+    the smallest index that still admits a witness, without backtracking.
     """
     if semantics not in ("truthful", "literal"):
         raise ValueError(f"unknown semantics {semantics!r}")
@@ -389,84 +323,119 @@ def find_coalitional_manipulation(rule, domain: DomainDescriptor,
             f"coalition search of {origin_mass * deviation_mass} deviations and "
             f"{profile_mass} profiles exceeds the evaluation cap {cap}")
 
-    better = _better_sets(domain)
-    if not _manipulation_exists(table, strides, pos_of, domain, better, literal):
+    pref_sets = domain.preference_sets
+    better = [[_better_masks(p) for p in prefs] for prefs in pref_sets]
+    tops = [[p.top for p in prefs] for prefs in pref_sets]
+    # (ballot, table offset) per voter: every ballot under literal semantics,
+    # the distinct tops under truthful semantics
+    starts = [[(b, pos_of[i][b] * strides[i])
+               for b in (spaces[i] if literal else dict.fromkeys(tops[i]))]
+              for i in range(n)]
+    gain = []
+    for i in range(n):
+        gain_i = {}
+        for k, t in enumerate(tops[i]):
+            anchor = None if literal else t
+            for o in range(lat.m):
+                gain_i[anchor, o] = gain_i.get((anchor, o), 0) | better[i][k][o]
+        gain.append(gain_i)
+    members_of = [[i for i in range(n) if mask >> i & 1] for mask in range(1 << n)]
+    masks_by_size = [[] for _ in range(n + 1)]
+    for mask in range(1, 1 << n):
+        masks_by_size[len(members_of[mask])].append(mask)
+
+    reached = {}
+
+    def reach(mask, base):
+        """Outcomes the voters in mask can force while the others keep the
+        positions in base (members at position 0)."""
+        key = base << n | mask
+        hit = reached.get(key)
+        if hit is None:
+            low = mask & -mask
+            i = low.bit_length() - 1
+            rest = mask ^ low
+            hit = 0
+            for q in range(sizes[i]):
+                if rest:
+                    hit |= reach(rest, base + q * strides[i])
+                else:
+                    hit |= 1 << table[base + q * strides[i]]
+            reached[key] = hit
+        return hit
+
+    def first_hit(choice, size, o_t):
+        """First (start, idx, mask, common) completing the preference prefix
+        ``choice`` into a witness of this size and truthful outcome, or None."""
+        options = []
+        for i in range(n):
+            if i < len(choice):
+                k = choice[i]
+                own = starts[i] if literal else [s for s in starts[i]
+                                                 if s[0] == tops[i][k]]
+                options.append([(b, off, better[i][k][o_t]) for b, off in own])
+            else:
+                options.append([(b, off, gain[i][None if literal else b, o_t])
+                                for b, off in starts[i]])
+        for start in itertools.product(*options):
+            idx = 0
+            usable = 0
+            for i, (_, off, gains) in enumerate(start):
+                idx += off
+                if gains:
+                    usable |= 1 << i
+            if table[idx] != o_t:
+                continue
+            for mask in masks_by_size[size]:
+                if mask & ~usable:
+                    continue
+                common = -1
+                base = idx
+                for i in members_of[mask]:
+                    common &= start[i][2]
+                    base -= start[i][1]
+                if common and common & reach(mask, base):
+                    return start, idx, mask, common
         return None
 
-    by_size = _coalition_masks_by_size(n)
-    members_of = {mask: [i for i in range(n) if mask >> i & 1]
-                  for mask in range(1, 1 << n)}
-    pref_ranges = [range(len(prefs)) for prefs in domain.preference_sets]
-    pref_sets = domain.preference_sets
-    # top position * stride, per voter and preference index
-    top_shift = [[pos_of[i][p.top] * strides[i] for p in pref_sets[i]]
-                 for i in range(n)]
-
-    def witness_at(choice, origin, idx, o_t, masks):
-        for mask in masks:
-            members = members_of[mask]
-            common = better[members[0]][choice[members[0]]][o_t]
-            for i in members[1:]:
-                if not common:
-                    break
-                common = common & better[i][choice[i]][o_t]
-            if not common:
+    outcomes = set(table)
+    for size in range(n, 0, -1):
+        for o_t in range(lat.m):
+            if o_t not in outcomes:
                 continue
-            base_pos = [pos_of[i][origin[i]] for i in members]
-            for dev in itertools.product(*(spaces[i] for i in members)):
-                shift = sum((pos_of[i][b] - p) * strides[i]
-                            for i, b, p in zip(members, dev, base_pos))
-                o_d = table[idx + shift]
-                if o_d in common:
-                    profile = tuple(pref_sets[i][choice[i]] for i in range(n))
+            hit = first_hit((), size, o_t)
+            if hit is None:
+                continue
+            choice = ()
+            for i in range(n):
+                failed = set()    # same top and better set: same completions
+                for k in range(len(pref_sets[i])):
+                    signature = (tops[i][k], better[i][k][o_t])
+                    if signature in failed:
+                        continue
+                    found = first_hit(choice + (k,), size, o_t)
+                    if found is not None:
+                        choice += (k,)
+                        hit = found
+                        break
+                    failed.add(signature)
+            start, idx, mask, common = hit
+            members = members_of[mask]
+            base = idx - sum(start[i][1] for i in members)
+            for dev in itertools.product(*(range(sizes[i]) for i in members)):
+                o_d = table[base + sum(q * strides[i] for i, q in zip(members, dev))]
+                if common >> o_d & 1:
                     outsiders = [j for j in range(n) if not mask >> j & 1]
+                    origin = tuple(b for b, _, _ in start)
                     return ManipulationWitness(
-                        profile=profile,
+                        profile=tuple(pref_sets[i][choice[i]] for i in range(n)),
                         coalition=tuple(members),
                         context_ballots=tuple(origin[j] for j in outsiders),
-                        deviation=tuple(dev),
+                        deviation=tuple(spaces[i][q] for i, q in zip(members, dev)),
                         outcome_truthful=o_t,
                         outcome_deviant=o_d,
-                        origin_ballots=tuple(origin) if literal else None)
-        return None
-
-    for size in range(n, 0, -1):
-        masks = by_size[size]
-        # within one coalition size, prefer the smallest truthful-outcome id,
-        # then the earliest profile; one pass suffices with a threshold
-        best = None
-        threshold = lat.m
-        for choice in itertools.product(*pref_ranges):
-            if literal:
-                origin_iter = itertools.product(*spaces)
-            else:
-                origin_iter = (None,)
-            for origin in origin_iter:
-                if origin is None:
-                    origin = tuple(pref_sets[i][choice[i]].top for i in range(n))
-                    idx = 0
-                    for i in range(n):
-                        idx += top_shift[i][choice[i]]
-                else:
-                    idx = sum(pos_of[i][origin[i]] * strides[i] for i in range(n))
-                o_t = table[idx]
-                if o_t >= threshold:
-                    continue
-                found = witness_at(choice, origin, idx, o_t, masks)
-                if found is not None:
-                    best = found
-                    threshold = o_t
-            if threshold == 0:
-                break
-        if best is not None:
-            return best
+                        origin_ballots=origin if literal else None)
     return None
-
-
-def is_coalitionally_strategy_proof(rule, domain: DomainDescriptor,
-                                    semantics: str = "truthful",
-                                    cap: int = DEFAULT_EVAL_CAP) -> bool:
-    return find_coalitional_manipulation(rule, domain, semantics, cap) is None
 
 
 # -- structural axioms ------------------------------------------------------------------
@@ -485,6 +454,34 @@ class AxiomCheck:
         return (self.anonymous and self.locally_ji_neutral and
                 self.locally_sovereign and self.locally_idempotent and
                 self.efficient)
+
+
+def find_local_sovereignty_gap(table, lat: Lattice, local, n: int):
+    """The elements of ``local`` that no ballot tuple over ``local`` reaches,
+    in the order given, or None when the full-carrier table reaches them all."""
+    strides = _strides([lat.m] * n)
+    reached = set()
+    for ballots in itertools.product(local, repeat=n):
+        reached.add(table[sum(b * s for b, s in zip(ballots, strides))])
+    unreachable = [z for z in local if z not in reached]
+    return unreachable or None
+
+
+def find_local_neutrality_violation(table, lat: Lattice, local, n: int):
+    """First (ballots over ``local``, (j, k)) where swapping the
+    join-irreducibles j < k of ``local`` does not commute with the
+    full-carrier table, or None."""
+    strides = _strides([lat.m] * n)
+    ji_local = sorted(lat.join_irreducibles & set(local))
+    for j, k in itertools.combinations(ji_local, 2):
+        swap = list(range(lat.m))
+        swap[j], swap[k] = k, j
+        for ballots in itertools.product(local, repeat=n):
+            image = table[sum(swap[b] * s for b, s in zip(ballots, strides))]
+            direct = table[sum(b * s for b, s in zip(ballots, strides))]
+            if image != swap[direct]:
+                return ballots, (j, k)
+    return None
 
 
 def check_axioms(rule, lat: Lattice, local_set, unimodal_pool=None,
@@ -521,30 +518,19 @@ def check_axioms(rule, lat: Lattice, local_set, unimodal_pool=None,
                                           "swap": (k, k + 1)}
                 break
 
-    ji_local = sorted(lat.join_irreducibles & set(local))
-    neutral = True
-    for j, k in itertools.combinations(ji_local, 2):
-        if not neutral:
-            break
-        swap = list(range(m))
-        swap[j], swap[k] = k, j
-        for ballots in itertools.product(local, repeat=n):
-            image = table[sum(swap[b] * s for b, s in zip(ballots, strides))]
-            direct = table[sum(b * s for b, s in zip(ballots, strides))]
-            if image != swap[direct]:
-                neutral = False
-                witnesses["locally_ji_neutral"] = {
-                    "ballots": [lat.names[b] for b in ballots],
-                    "transposition": (lat.names[j], lat.names[k])}
-                break
+    violation = find_local_neutrality_violation(table, lat, local, n)
+    neutral = violation is None
+    if not neutral:
+        ballots, (j, k) = violation
+        witnesses["locally_ji_neutral"] = {
+            "ballots": [lat.names[b] for b in ballots],
+            "transposition": (lat.names[j], lat.names[k])}
 
-    reached = set()
-    for ballots in itertools.product(local, repeat=n):
-        reached.add(table[sum(b * s for b, s in zip(ballots, strides))])
-    sovereign = all(z in reached for z in local)
+    unreachable = find_local_sovereignty_gap(table, lat, local, n)
+    sovereign = unreachable is None
     if not sovereign:
         witnesses["locally_sovereign"] = {
-            "unreachable": [lat.names[z] for z in local if z not in reached]}
+            "unreachable": [lat.names[z] for z in unreachable]}
 
     idempotent = True
     for z in local:

@@ -154,6 +154,15 @@ class TestCommands:
         assert "unimodal=True" in out and "strict=False" in out
         assert "separable=False" in out
 
+    def test_prefs_enum_honours_cap(self, square_file, capsys):
+        for cap in ("0", "3"):
+            assert run(["prefs", "enum", "--lattice", square_file,
+                        "--cap", cap]) == 2
+            assert f"exceeds cap {cap}" in capsys.readouterr().err
+        assert run(["prefs", "enum", "--lattice", square_file, "--cap", "4",
+                    "--kind", "unimodal"]) == 0
+        assert "# 12 unimodal preorders" in capsys.readouterr().out
+
     def test_verify_boolean_square(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
         assert run(["verify", "boolean-square", "--json", str(out_path)]) == 0
@@ -205,6 +214,13 @@ class TestCommands:
         ({"kind": "tree", "n": -1, "corners": []}, "at least one voter"),
         ({"kind": "tree", "n": 0, "corners": ["0"]}, "at least one voter"),
         ({"kind": "committee", "n": 0, "terms": []}, "at least one voter"),
+        ({"kind": "committee", "n": 2.7, "terms": []}, "must be an integer"),
+        ({"kind": "committee", "n": "2", "terms": []}, "must be an integer"),
+        ({"kind": "committee", "n": 2,
+          "terms": [{"coalition": [1.5], "constant": "1"}]}, "must be an integer"),
+        ({"kind": "tree", "n": 2.7, "corners": ["0", "x", "y", "1"]},
+         "must be an integer"),
+        ({"kind": "tree", "n": True, "corners": ["0", "1"]}, "must be an integer"),
     ])
     def test_invalid_rules_exit_2(self, tmp_path, square_file, square, rule,
                                   message, capsys):

@@ -8,6 +8,7 @@ from medianvoting.errors import (
     BadLeafIndexError,
     BallotOutOfSpaceError,
     CornerNotInBallotSpaceError,
+    InvalidSizeError,
     MalformedTreeError,
     UnboundVariableError,
 )
@@ -121,6 +122,10 @@ class TestExtendedMedian:
             for b in range(4):
                 assert extended_median(square, (a, b)) == square.meet(a, b)
 
+    def test_needs_a_ballot(self, square):
+        with pytest.raises(InvalidSizeError):
+            extended_median(square, ())
+
 
 class TestMedianTree:
     def test_single_voter_expansion(self, square):
@@ -159,6 +164,11 @@ class TestMedianTree:
         tree = MedianTree(1, MedianNode(ConstLeaf(0), BallotLeaf(4), ConstLeaf(1)))
         with pytest.raises(BadLeafIndexError):
             tree.evaluate(square, (0,))
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_needs_a_voter(self, n):
+        with pytest.raises(InvalidSizeError):
+            MedianTree(n, ConstLeaf(1))
 
 
 class TestCornersAndConversion:

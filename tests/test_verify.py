@@ -10,13 +10,19 @@ from medianvoting.errors import (
     NotEnoughAtomsError,
     TooLargeError,
 )
-from medianvoting.lattice import build_chain
-from medianvoting.preorders import TotalPreorder, enumerate_unimodal
+from medianvoting.lattice import build_chain, build_ideal_lattice
+from medianvoting.preorders import (
+    TotalPreorder,
+    enumerate_topped_preorders,
+    enumerate_unimodal,
+)
 from medianvoting.rules import (
     CommitteeRule,
     ExplicitRule,
+    build_canonical_median_tree,
     extended_median_rule,
     full_spaces,
+    tabulate,
 )
 from medianvoting.suites import (
     boolean_square,
@@ -35,6 +41,8 @@ from medianvoting.verify import (
     check_axioms,
     enumerate_quota_rules,
     find_coalitional_manipulation,
+    find_local_neutrality_violation,
+    find_local_sovereignty_gap,
     find_monotonicity_violation,
     find_strategy_violation,
     is_b_monotonic,
@@ -67,6 +75,60 @@ def remark3_domains(chain4):
     dom_s = DomainDescriptor.custom(chain4, (pair, pair, carrier),
                                     ((q_a, q_d), (q_a, q_d), pool))
     return dom_u, dom_s
+
+
+def brute_force_manipulation(rule, lat, spaces, preference_sets, literal):
+    """Naive coalition search: every profile, starting ballot tuple, coalition
+    and joint deviation, keeping the minimum of the documented witness key
+    (size descending, truthful outcome, profile index, starting ballots under
+    literal semantics, coalition bitmask, deviation in ballot order)."""
+    n = len(spaces)
+    outcome = {b: rule.evaluate(lat, b) for b in itertools.product(*spaces)}
+    positions = [range(len(s)) for s in spaces]
+    best_key, best = None, None
+    for choice in itertools.product(*(range(len(ps)) for ps in preference_sets)):
+        profile = tuple(preference_sets[i][k] for i, k in enumerate(choice))
+        if literal:
+            origins = list(itertools.product(*positions))
+        else:
+            origins = [tuple(spaces[i].index(p.top) for i, p in enumerate(profile))]
+        for origin in origins:
+            start = tuple(spaces[i][q] for i, q in enumerate(origin))
+            o_t = outcome[start]
+            for mask in range(1, 1 << n):
+                members = [i for i in range(n) if mask >> i & 1]
+                for dev in itertools.product(*(positions[i] for i in members)):
+                    ballots = list(start)
+                    for i, q in zip(members, dev):
+                        ballots[i] = spaces[i][q]
+                    o_d = outcome[tuple(ballots)]
+                    if not all(profile[i].strictly_prefers(o_d, o_t) for i in members):
+                        continue
+                    key = (-len(members), o_t, choice, origin if literal else (),
+                           mask, dev)
+                    if best_key is None or key < best_key:
+                        best_key = key
+                        best = ManipulationWitness(
+                            profile=profile,
+                            coalition=tuple(members),
+                            context_ballots=tuple(start[j] for j in range(n)
+                                                  if not mask >> j & 1),
+                            deviation=tuple(spaces[i][q] for i, q in zip(members, dev)),
+                            outcome_truthful=o_t,
+                            outcome_deviant=o_d,
+                            origin_ballots=start if literal else None)
+    return best
+
+
+def seeded_ideal_lattice(rng, m):
+    """Ideal lattice with m elements of a random poset on 3-4 points."""
+    while True:
+        points = [f"p{k}" for k in range(rng.randint(3, 4))]
+        pairs = [(a, b) for i, a in enumerate(points) for b in points[i + 1:]
+                 if rng.random() < 0.5]
+        lat = build_ideal_lattice(points, pairs)
+        if lat.m == m:
+            return lat
 
 
 class TestDomainDescriptor:
@@ -231,6 +293,42 @@ class TestCoalitionSearch:
                 assert is_strategy_proof(rule, dom)
 
 
+    def test_matches_brute_force_oracle(self, square, chain4):
+        rng = random.Random(1406)
+        carriers = [square, chain4] + [seeded_ideal_lattice(rng, m) for m in (5, 6, 6)]
+        pools = [enumerate_topped_preorders(lat) for lat in carriers]
+        found = {"truthful": 0, "literal": 0}
+        sizes = set()
+        for case in range(150):
+            pick = case % len(carriers)
+            lat, pool = carriers[pick], pools[pick]
+            n = rng.choice((1, 2, 3, 3) if lat.m <= 4 else (1, 2, 2))
+            spaces, prefs = [], []
+            for _ in range(n):
+                space = rng.sample(range(lat.m), rng.randint(1, (lat.m, 4, 3)[n - 1]))
+                held = [p for p in pool if p.top in space]
+                spaces.append(tuple(space))
+                prefs.append(tuple(rng.sample(held, rng.randint(1, min(len(held), 4)))))
+            if case % 2:
+                rule = ExplicitRule(spaces, [rng.randrange(lat.m)
+                                             for _ in itertools.product(*spaces)])
+            else:    # nested medians: monotone, so witnesses are rarer and smaller
+                tree = build_canonical_median_tree(
+                    [rng.randrange(lat.m) for _ in range(2 ** n)], n)
+                rule = ExplicitRule(spaces, tabulate(tree, lat, spaces)[1])
+            domain = DomainDescriptor.custom(lat, spaces, prefs)
+            for semantics in ("truthful", "literal"):
+                expected = brute_force_manipulation(rule, lat, spaces, prefs,
+                                                    semantics == "literal")
+                witness = find_coalitional_manipulation(rule, domain, semantics)
+                assert witness == expected, (case, semantics)
+                if witness is not None:
+                    found[semantics] += 1
+                    sizes.add(len(witness.coalition))
+        # both semantics find witnesses, and not only at the largest size
+        assert min(found.values()) >= 30 and sizes == {1, 2, 3}
+
+
 class TestAxioms:
     def test_majority_axioms(self, square):
         axioms = check_axioms(extended_median_rule(square, 5), square, range(4))
@@ -255,6 +353,35 @@ class TestAxioms:
                                  (frozenset({0}), x)])
         axioms = check_axioms(rule, square, range(4))
         assert not axioms.locally_ji_neutral
+
+
+    def test_local_helpers_match_naive_sweeps(self, square):
+        o, x, y, i = (square.element(s) for s in "0xy1")
+        swap = {x: y, y: x}
+        rng = random.Random(3)
+        rules = [ExplicitRule.from_function(full_spaces(square, 2), lambda b, c=c: c)
+                 for c in (o, x)]
+        rules += [CommitteeRule(2, [(frozenset({0, 1}), i), (frozenset({0}), x)]),
+                  extended_median_rule(square, 3)]
+        rules += [random_explicit_rule(square, 2, rng) for _ in range(20)]
+        seen = set()
+        for rule in rules:
+            table = tabulate(rule, square)[1]
+            for local in ([i, x, o], [o, x, y, i]):
+                tuples = list(itertools.product(local, repeat=rule.n))
+                reached = {rule.evaluate(square, b) for b in tuples}
+                gap = [z for z in local if z not in reached] or None
+                assert find_local_sovereignty_gap(table, square, local, rule.n) == gap
+                # (x, y) is the only pair of join-irreducibles in the square
+                broken = next(((b, (x, y)) for b in tuples if y in local
+                               and swap.get(rule.evaluate(square, b),
+                                            rule.evaluate(square, b))
+                               != rule.evaluate(square, [swap.get(v, v) for v in b])),
+                              None)
+                assert find_local_neutrality_violation(table, square, local,
+                                                       rule.n) == broken
+                seen.add((gap is None, broken is None))
+        assert len(seen) == 4
 
 
 class TestSuites:
