@@ -258,13 +258,14 @@ def _cmd_lattice(args):
 def _cmd_prefs(args):
     lat = parse_lattice_file(args.lattice)
     if args.action == "enum":
-        pool = enumerate_topped_preorders(lat, cap=args.cap)
         if args.kind == "unimodal":
-            pool = [p for p in pool if is_unimodal(p, lat)]
+            pool = enumerate_unimodal(lat, cap=args.cap)
         elif args.kind == "strict":
-            pool = [p for p in pool if is_locally_strictly_unimodal(p, lat)]
-        elif args.kind == "separable":
-            pool = [p for p in pool if is_separable(p, lat)]
+            pool = enumerate_lsu(lat, cap=args.cap)
+        else:
+            pool = enumerate_topped_preorders(lat, cap=args.cap)
+            if args.kind == "separable":
+                pool = [p for p in pool if is_separable(p, lat)]
         payload = [serialize_preorder(p, lat) for p in pool]
         _emit(args, payload,
               "\n".join(json.dumps(entry) for entry in payload)

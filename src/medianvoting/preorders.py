@@ -216,13 +216,37 @@ def _submasks_ascending(mask):
     return out
 
 
-def _ordered_partitions(mask):
-    if mask == 0:
-        yield ()
-        return
-    for first in _submasks_ascending(mask):
-        for rest in _ordered_partitions(mask & ~first):
-            yield (first,) + rest
+def _check_enum_cap(lat: Lattice, cap: int):
+    if lat.m > cap:
+        raise TooLargeError(f"enumeration over {lat.m} elements exceeds cap {cap}")
+
+
+def _enumerate_layered(lat: Lattice, admissible):
+    """The topped preorders whose every rank class passes ``admissible``.
+
+    Tops come in element-id order, and rank classes are placed top-down.
+    ``admissible(top, placed, rest)`` lists, in ascending order, the
+    nonempty submasks of ``rest`` (the unplaced elements) that may form the
+    next rank class below the elements of ``placed``.  Only admissible
+    classes are descended into, so a prefix-closed test yields the list of
+    ``enumerate_topped_preorders`` filtered by it, in the same order.
+    """
+    full = (1 << lat.m) - 1
+    out = []
+
+    def descend(top, placed, rank, ranks):
+        rest = full & ~placed
+        if not rest:
+            out.append(TotalPreorder(ranks))
+            return
+        for block in admissible(top, placed, rest):
+            for e in _bits(block):
+                ranks[e] = rank
+            descend(top, placed | block, rank + 1, ranks)
+
+    for t in range(lat.m):
+        descend(t, 1 << t, 1, [0] * lat.m)
+    return out
 
 
 def enumerate_topped_preorders(lat: Lattice, cap: int = DEFAULT_ENUM_CAP):
@@ -231,27 +255,61 @@ def enumerate_topped_preorders(lat: Lattice, cap: int = DEFAULT_ENUM_CAP):
     Tops come in element-id order; the remaining elements are split into
     ordered indifference classes, first block enumerated by ascending bitmask.
     """
-    if lat.m > cap:
-        raise TooLargeError(f"enumeration over {lat.m} elements exceeds cap {cap}")
-    full = (1 << lat.m) - 1
-    out = []
-    for t in range(lat.m):
-        for blocks in _ordered_partitions(full & ~(1 << t)):
-            ranks = [0] * lat.m
-            for r, block in enumerate(blocks, start=1):
-                for e in _bits(block):
-                    ranks[e] = r
-            out.append(TotalPreorder(ranks))
-    return out
+    _check_enum_cap(lat, cap)
+    return _enumerate_layered(lat, lambda top, placed, rest: _submasks_ascending(rest))
 
 
 def enumerate_unimodal(lat: Lattice, cap: int = DEFAULT_ENUM_CAP):
-    return [p for p in enumerate_topped_preorders(lat, cap) if is_unimodal(p, lat)]
+    """The unimodal topped preorders, in the order of
+    ``enumerate_topped_preorders`` (the same list as filtering it with
+    ``is_unimodal``).
+
+    A preorder is unimodal iff each weak upper contour set, the elements of
+    rank <= r, is convex: it holds the interval between any two of its
+    elements.  These sets are exactly the unions of the first rank classes,
+    so each class is admitted only if the elements placed so far, together
+    with it, form a convex set.
+    """
+    _check_enum_cap(lat, cap)
+    intervals = [[lat.interval_mask(x, y) for y in range(lat.m)]
+                 for x in range(lat.m)]
+    convex = {}
+
+    def is_convex(mask):
+        if mask not in convex:
+            convex[mask] = all(intervals[x][y] & ~mask == 0
+                               for x in _bits(mask) for y in _bits(mask))
+        return convex[mask]
+
+    def admissible(top, placed, rest):
+        return [block for block in _submasks_ascending(rest)
+                if is_convex(placed | block)]
+
+    return _enumerate_layered(lat, admissible)
 
 
 def enumerate_lsu(lat: Lattice, cap: int = DEFAULT_ENUM_CAP):
-    return [p for p in enumerate_topped_preorders(lat, cap)
-            if is_locally_strictly_unimodal(p, lat)]
+    """The locally strictly unimodal topped preorders, in the order of
+    ``enumerate_topped_preorders`` (the same list as filtering it with
+    ``is_locally_strictly_unimodal``).
+
+    A preorder with top t is LSU iff every y ranks strictly below everything
+    else in the interval [t, y].  So y may join a rank class only once
+    ``interval_mask(t, y) & ~(1 << y)`` is already placed, and the classes
+    admitted are the nonempty sets of such y.
+    """
+    _check_enum_cap(lat, cap)
+    inside = [[lat.interval_mask(t, y) & ~(1 << y) for y in range(lat.m)]
+              for t in range(lat.m)]
+
+    def admissible(top, placed, rest):
+        ready = 0
+        for y in _bits(rest):
+            if not inside[top][y] & ~placed:
+                ready |= 1 << y
+        return _submasks_ascending(ready)
+
+    return _enumerate_layered(lat, admissible)
 
 
 # -- strict relations and extension ----------------------------------------------

@@ -315,17 +315,20 @@ def find_coalitional_manipulation(rule, domain: DomainDescriptor,
     for k in sizes:
         deviation_mass *= (k + 1)
     origin_mass = space_product if literal else 1
-    profile_mass = 1
-    for prefs in domain.preference_sets:
-        profile_mass *= len(prefs)
-    if origin_mass * deviation_mass > cap or profile_mass > cap:
+    pref_sets = domain.preference_sets
+    tops = [[p.top for p in prefs] for prefs in pref_sets]
+    # the voter-by-voter fix-up never enumerates profiles: each tried
+    # preference costs one first_hit scan over at most start_mass start tuples
+    start_mass = 1
+    for i in range(n):
+        start_mass *= sizes[i] if literal else len(set(tops[i]))
+    scan_mass = start_mass * sum(len(prefs) for prefs in pref_sets)
+    if origin_mass * deviation_mass > cap or scan_mass > cap:
         raise TooLargeError(
             f"coalition search of {origin_mass * deviation_mass} deviations and "
-            f"{profile_mass} profiles exceeds the evaluation cap {cap}")
+            f"{scan_mass} preference scans exceeds the evaluation cap {cap}")
 
-    pref_sets = domain.preference_sets
     better = [[_better_masks(p) for p in prefs] for prefs in pref_sets]
-    tops = [[p.top for p in prefs] for prefs in pref_sets]
     # (ballot, table offset) per voter: every ballot under literal semantics,
     # the distinct tops under truthful semantics
     starts = [[(b, pos_of[i][b] * strides[i])

@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import strategies as st
 
 from medianvoting.lattice import (
     build_boolean_hypercube,
     build_chain,
     build_from_covers,
+    build_ideal_lattice,
     build_product,
 )
 
@@ -36,3 +38,26 @@ def corner_square():
     """The square relabelled with d at the bottom, atoms b and c, top a."""
     return build_from_covers(["d", "b", "c", "a"],
                              [("d", "b"), ("d", "c"), ("b", "a"), ("c", "a")])
+
+
+@st.composite
+def small_posets(draw):
+    """A poset on at most 5 points, as names and generating (lower, upper) pairs."""
+    p = draw(st.integers(min_value=0, max_value=5))
+    names = [f"p{i}" for i in range(p)]
+    candidates = [(i, j) for i in range(p) for j in range(i + 1, p)]
+    chosen = draw(st.sets(st.sampled_from(candidates))) if candidates else set()
+    order = draw(st.permutations(range(p)))  # edges need not follow name order
+    return ([names[order[i]] for i in range(p)],
+            [(names[order[i]], names[order[j]]) for i, j in sorted(chosen)])
+
+
+def seeded_ideal_lattice(rng, m):
+    """Ideal lattice with m elements of a random poset on 3-4 points."""
+    while True:
+        points = [f"p{k}" for k in range(rng.randint(3, 4))]
+        pairs = [(a, b) for i, a in enumerate(points) for b in points[i + 1:]
+                 if rng.random() < 0.5]
+        lat = build_ideal_lattice(points, pairs)
+        if lat.m == m:
+            return lat

@@ -2,7 +2,8 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from conftest import small_posets
+from hypothesis import given, settings
 
 from medianvoting.errors import (
     InvalidSizeError,
@@ -173,18 +174,6 @@ def assert_matches_oracle(lat):
         [naive.complement(x) for x in range(lat.m)]
     assert lat.is_chain() == naive.is_chain()
     assert lat.is_boolean() == naive.is_boolean()
-
-
-@st.composite
-def small_posets(draw):
-    """A poset on at most 5 points, as names and generating (lower, upper) pairs."""
-    p = draw(st.integers(min_value=0, max_value=5))
-    names = [f"p{i}" for i in range(p)]
-    candidates = [(i, j) for i in range(p) for j in range(i + 1, p)]
-    chosen = draw(st.sets(st.sampled_from(candidates))) if candidates else set()
-    order = draw(st.permutations(range(p)))  # edges need not follow name order
-    return ([names[order[i]] for i in range(p)],
-            [(names[order[i]], names[order[j]]) for i, j in sorted(chosen)])
 
 
 def random_bounded_poset(rng, m):

@@ -1,6 +1,9 @@
 import itertools
+import random
 
 import pytest
+from conftest import seeded_ideal_lattice, small_posets
+from hypothesis import assume, given, settings
 
 from medianvoting.errors import (
     CarrierMismatchError,
@@ -9,7 +12,8 @@ from medianvoting.errors import (
     NotHypercubeError,
     TooLargeError,
 )
-from medianvoting.lattice import build_boolean_hypercube, build_chain
+from medianvoting.cli import bundled_lattice
+from medianvoting.lattice import build_boolean_hypercube, build_chain, build_ideal_lattice
 from medianvoting.preorders import (
     PreferenceProfile,
     StrictRelation,
@@ -38,6 +42,27 @@ def topped_preorder_oracle(m):
             continue
         found.add(ranks)
     return found
+
+
+def order_key(p):
+    """The documented enumeration order: top, then the rank classes as
+    bitmasks, compared class by class."""
+    return (p.top,) + tuple(sum(1 << e for e in c) for c in p.classes()[1:])
+
+
+def filter_oracle(lat, cap):
+    """Generate every topped preorder, then filter: the reference for the
+    direct enumerators, as ordered lists."""
+    pool = enumerate_topped_preorders(lat, cap=cap)
+    return ([p for p in pool if is_unimodal(p, lat)],
+            [p for p in pool if is_locally_strictly_unimodal(p, lat)])
+
+
+def assert_direct_matches_filter(lat, cap=7):
+    unimodal, strict = filter_oracle(lat, cap)
+    assert enumerate_unimodal(lat, cap=cap) == unimodal
+    assert enumerate_lsu(lat, cap=cap) == strict
+    return len(unimodal), len(strict)
 
 
 class TestTotalPreorder:
@@ -88,6 +113,47 @@ class TestEnumeration:
         chain = build_chain(3)
         assert len(enumerate_unimodal(chain)) == 7
         assert len(enumerate_lsu(chain)) == 5
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_topped_order_is_the_documented_key(self, m):
+        got = enumerate_topped_preorders(build_chain(m))
+        expected = sorted((TotalPreorder(r) for r in topped_preorder_oracle(m)),
+                          key=order_key)
+        assert got == expected
+
+
+class TestDirectEnumeration:
+    """The direct enumerators against generate-then-filter, as ordered lists."""
+
+    @pytest.mark.parametrize("name", ["boolean_square", "chain4", "theorem2_square"])
+    def test_bundled_lattices(self, name):
+        assert_direct_matches_filter(bundled_lattice(name))
+
+    @pytest.mark.parametrize("fixture", ["square", "chain4", "corner_square"])
+    def test_fixtures(self, fixture, request):
+        assert_direct_matches_filter(request.getfixturevalue(fixture))
+
+    def test_seven_element_carriers(self):
+        assert assert_direct_matches_filter(build_chain(7)) == (956, 169)
+        rng = random.Random(5120)
+        for m in (5, 6, 7, 7):
+            assert_direct_matches_filter(seeded_ideal_lattice(rng, m))
+
+    def test_cube3_above_the_default_cap(self):
+        cube = bundled_lattice("cube3")
+        # generate-then-filter counts on the 3-cube
+        assert assert_direct_matches_filter(cube, cap=8) == (104, 1784)
+        for enumerate_family in (enumerate_unimodal, enumerate_lsu):
+            with pytest.raises(TooLargeError,
+                               match="enumeration over 8 elements exceeds cap 7"):
+                enumerate_family(cube)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_posets())
+    def test_ideal_lattices_of_random_posets(self, poset):
+        lat = build_ideal_lattice(*poset)
+        assume(lat.m <= 6)
+        assert_direct_matches_filter(lat)
 
 
 class TestSinglePeakedness:

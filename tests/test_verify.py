@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from conftest import seeded_ideal_lattice
 
 from medianvoting.errors import (
     InvalidSizeError,
@@ -10,7 +11,7 @@ from medianvoting.errors import (
     NotEnoughAtomsError,
     TooLargeError,
 )
-from medianvoting.lattice import build_chain, build_ideal_lattice
+from medianvoting.lattice import build_chain
 from medianvoting.preorders import (
     TotalPreorder,
     enumerate_topped_preorders,
@@ -38,6 +39,7 @@ from medianvoting.suites import (
 from medianvoting.verify import (
     DomainDescriptor,
     ManipulationWitness,
+    StrategyWitness,
     check_axioms,
     enumerate_quota_rules,
     find_coalitional_manipulation,
@@ -120,15 +122,30 @@ def brute_force_manipulation(rule, lat, spaces, preference_sets, literal):
     return best
 
 
-def seeded_ideal_lattice(rng, m):
-    """Ideal lattice with m elements of a random poset on 3-4 points."""
-    while True:
-        points = [f"p{k}" for k in range(rng.randint(3, 4))]
-        pairs = [(a, b) for i, a in enumerate(points) for b in points[i + 1:]
-                 if rng.random() < 0.5]
-        lat = build_ideal_lattice(points, pairs)
-        if lat.m == m:
-            return lat
+def brute_force_strategy_violation(rule, domain):
+    """Naive sweep over every profile, voter and deviation, keeping the
+    minimum of the documented witness key (voter, the voter's preference
+    index, the others' truthful ballots in row-major order, deviation in
+    ballot order).  The sweep under test runs the others over whole ballot
+    spaces; on the full domains every ballot is the top of a held
+    preference, so the profiles reach the same contexts."""
+    lat, spaces, preference_sets = domain.lattice, domain.spaces, domain.preference_sets
+    outcome = {b: rule.evaluate(lat, b) for b in itertools.product(*spaces)}
+    best_key, best = None, None
+    for choice in itertools.product(*(range(len(ps)) for ps in preference_sets)):
+        profile = [preference_sets[i][k] for i, k in enumerate(choice)]
+        truthful = tuple(p.top for p in profile)
+        o_t = outcome[truthful]
+        for i, pref in enumerate(profile):
+            others = tuple(spaces[j].index(b) for j, b in enumerate(truthful) if j != i)
+            for q, b in enumerate(spaces[i]):
+                deviant = truthful[:i] + (b,) + truthful[i + 1:]
+                o_d = outcome[deviant]
+                key = (i, choice[i], others, q)
+                if pref.strictly_prefers(o_d, o_t) and (best_key is None or key < best_key):
+                    best_key = key
+                    best = StrategyWitness(i, pref, truthful, deviant, o_t, o_d)
+    return best
 
 
 class TestDomainDescriptor:
@@ -219,6 +236,31 @@ class TestStrategyProofness:
                 witness.truthful_outcome
             assert rule.evaluate(square, witness.deviant_ballots) == \
                 witness.deviant_outcome
+
+    def test_matches_brute_force_oracle(self, square, chain4):
+        rng = random.Random(5120)
+        carriers = [square, chain4] + [seeded_ideal_lattice(rng, m) for m in (5, 6)]
+        found = 0
+        for case in range(80):
+            # every carrier meets both rule kinds and both domains
+            lat = carriers[case // 2 % len(carriers)]
+            n = rng.choice((2, 3) if lat.m <= 4 else (2,))
+            spaces = [tuple(sorted(rng.sample(range(lat.m), rng.randint(2, 4))))
+                      for _ in range(n)]
+            if case % 2:
+                rule = ExplicitRule(spaces, [rng.randrange(lat.m)
+                                             for _ in itertools.product(*spaces)])
+            else:    # nested medians: monotone, so often strategy-proof
+                rule = build_canonical_median_tree(
+                    [rng.randrange(lat.m) for _ in range(2 ** n)], n)
+            factory = (DomainDescriptor.full_unimodal,
+                       DomainDescriptor.full_lsu)[case // 8 % 2]
+            domain = factory(lat, n, spaces=spaces)
+            witness = find_strategy_violation(rule, domain)
+            assert witness == brute_force_strategy_violation(rule, domain), case
+            found += witness is not None
+        # both answers occur, so neither side can pass by always agreeing on one
+        assert 20 <= found <= 60
 
 
 class TestCoalitionSearch:
@@ -327,6 +369,27 @@ class TestCoalitionSearch:
                     sizes.add(len(witness.coalition))
         # both semantics find witnesses, and not only at the largest size
         assert min(found.values()) >= 30 and sizes == {1, 2, 3}
+
+    def test_cap_counts_preferences_not_profiles(self, square):
+        # 52^5 profiles, but only 4^5 * (5 * 52) preference scans
+        pool = enumerate_topped_preorders(square)
+        rule = extended_median_rule(square, 5)
+        domain = DomainDescriptor.custom(square, full_spaces(square, 5), [pool] * 5)
+        witness = find_coalitional_manipulation(rule, domain)
+        assert witness is not None and witness.validate(rule, square)
+        assert witness.coalition == (1, 2, 3, 4)
+        assert [p.ranks for p in witness.profile] == [
+            (0, 1, 2, 3), (1, 0, 2, 3), (1, 0, 2, 3), (2, 1, 0, 3), (2, 1, 0, 3)]
+
+    def test_cap_refusal_names_estimate_and_cap(self, square):
+        domain = DomainDescriptor.full_unimodal(square, 2)
+        with pytest.raises(TooLargeError) as err:
+            find_coalitional_manipulation(extended_median_rule(square, 2), domain,
+                                          cap=20)
+        # (4 + 1)^2 deviations from the truthful start; 12 + 12 preferences,
+        # each scanned over the 4 * 4 pairs of distinct tops
+        assert str(err.value) == ("coalition search of 25 deviations and 384 "
+                                  "preference scans exceeds the evaluation cap 20")
 
 
 class TestAxioms:
