@@ -29,20 +29,13 @@ from .preorders import (
     strict_top_betweenness,
 )
 from .rules import (
-    BallotLeaf,
     CommitteeRule,
-    ConstLeaf,
     ExplicitRule,
-    MedianNode,
     MedianTree,
-    Signature,
-    Term,
-    TreeAutomaton,
     build_canonical_median_tree,
     corners,
     extended_median,
     extended_median_rule,
-    run_tree_automaton,
     tree_to_committee,
 )
 from .verify import (

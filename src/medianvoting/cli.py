@@ -260,11 +260,14 @@ def _cmd_prefs(args):
     if args.action == "enum":
         if args.kind == "unimodal":
             pool = enumerate_unimodal(lat, cap=args.cap)
-        elif args.kind == "strict":
-            pool = enumerate_lsu(lat, cap=args.cap)
-        else:
+        elif args.kind == "topped":
             pool = enumerate_topped_preorders(lat, cap=args.cap)
+        else:
+            pool = enumerate_lsu(lat, cap=args.cap)
             if args.kind == "separable":
+                # separable implies LSU: from y, any z between y and the top
+                # is reached by adding good items and dropping bad ones, each
+                # step a strict gain; so filtering LSU keeps the topped order
                 pool = [p for p in pool if is_separable(p, lat)]
         payload = [serialize_preorder(p, lat) for p in pool]
         _emit(args, payload,

@@ -58,18 +58,6 @@ class CornerNotInBallotSpaceError(MedianVotingError):
     """A corner profile needs bottom/top ballots some voter may not cast."""
 
 
-class BadLeafIndexError(MedianVotingError):
-    pass
-
-
-class MalformedTreeError(MedianVotingError):
-    pass
-
-
-class UnboundVariableError(MedianVotingError):
-    pass
-
-
 class NotAChainError(MedianVotingError):
     pass
 

@@ -1,8 +1,9 @@
-"""Voting-rule representations and the generic tree-automaton evaluator.
+"""Voting-rule representations, each with one evaluator.
 
 Three interconvertible forms: explicit tables over per-voter ballot spaces,
 committee lattice polynomials (join of capped coalition meets), and nested
-median trees driven by the rule's values on bottom/top corner profiles.
+median trees given by the rule's values on bottom/top corner profiles.
+``tabulate`` materializes any of them as a table for the exhaustive sweeps.
 """
 
 from __future__ import annotations
@@ -11,13 +12,10 @@ import itertools
 
 from .errors import (
     ArityMismatchError,
-    BadLeafIndexError,
     BallotOutOfSpaceError,
     CornerNotInBallotSpaceError,
     InvalidSizeError,
-    MalformedTreeError,
     TooLargeError,
-    UnboundVariableError,
 )
 from .lattice import Lattice
 
@@ -160,110 +158,51 @@ def extended_median_rule(lat: Lattice, n: int) -> CommitteeRule:
 # -- median trees -----------------------------------------------------------------
 
 
-class BallotLeaf:
-    __slots__ = ("voter",)
-
-    def __init__(self, voter):
-        self.voter = int(voter)
-
-    def __repr__(self):
-        return f"BallotLeaf({self.voter})"
-
-
-class ConstLeaf:
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = int(value)
-
-    def __repr__(self):
-        return f"ConstLeaf({self.value})"
-
-
-class MedianNode:
-    __slots__ = ("left", "mid", "right")
-
-    def __init__(self, left, mid, right):
-        self.left, self.mid, self.right = left, mid, right
-
-    def __repr__(self):
-        return f"MedianNode({self.left!r}, {self.mid!r}, {self.right!r})"
-
-
 class MedianTree:
-    """Perfectly nested median tree of depth n.
+    """Perfectly nested median tree of depth n, stored as its 2^n corner values.
 
-    The node at depth k takes voter k's ballot in the middle; the 2^n
-    constant leaves are corner values in binary order (voter 0 most
-    significant, bottom = 0).
+    The node at depth k takes voter k's ballot in the middle; the constant
+    leaves are the corner values in binary order (voter 0 most significant,
+    bottom = 0). ``evaluate`` is the behaviour of the median tree-automaton on
+    this canonical term: the rule's value on a profile.
     """
 
-    __slots__ = ("n", "root")
+    __slots__ = ("n", "_values")
 
-    def __init__(self, n, root):
+    def __init__(self, n, corner_values):
         self.n = int(n)
         if self.n < 1:
             raise InvalidSizeError("a rule needs at least one voter")
-        self.root = root
+        values = tuple(int(v) for v in corner_values)
+        if len(values) != 2 ** self.n:
+            raise InvalidSizeError(
+                f"need {2 ** self.n} corner values for {self.n} voters, "
+                f"got {len(values)}")
+        self._values = values
 
     def evaluate(self, lat: Lattice, ballots) -> int:
+        """Fold the leaves bottom-up: voter k merges each sibling pair of
+        depth-(k+1) subtrees into med(left, ballots[k], right)."""
         if len(ballots) != self.n:
             raise ArityMismatchError(f"expected {self.n} ballots")
-
-        def walk(node):
-            if isinstance(node, ConstLeaf):
-                return node.value
-            if isinstance(node, BallotLeaf):
-                if node.voter >= len(ballots):
-                    raise BadLeafIndexError(
-                        f"leaf references voter {node.voter}, n={len(ballots)}")
-                return ballots[node.voter]
-            return lat.median(walk(node.left), walk(node.mid), walk(node.right))
-
-        return walk(self.root)
+        median = lat.median
+        values = self._values
+        for k in range(self.n - 1, -1, -1):
+            x = ballots[k]
+            values = [median(values[j], x, values[j + 1])
+                      for j in range(0, len(values), 2)]
+        return values[0]
 
     def corner_values(self) -> tuple:
         """The 2^n constant leaves, left to right."""
-        out = []
-
-        def walk(node, depth):
-            if depth == self.n:
-                if not isinstance(node, ConstLeaf):
-                    raise MalformedTreeError("expected a constant leaf")
-                out.append(node.value)
-                return
-            if not isinstance(node, MedianNode):
-                raise MalformedTreeError("expected a median node")
-            if not isinstance(node.mid, BallotLeaf) or node.mid.voter != depth:
-                raise MalformedTreeError(
-                    f"middle child at depth {depth} must read voter {depth}")
-            walk(node.left, depth + 1)
-            walk(node.right, depth + 1)
-
-        walk(self.root, 0)
-        return tuple(out)
+        return self._values
 
     def ballot_spaces(self, lat: Lattice) -> tuple:
         return full_spaces(lat, self.n)
 
 
 def build_canonical_median_tree(corner_values, n: int) -> MedianTree:
-    if n < 1:
-        raise InvalidSizeError("a rule needs at least one voter")
-    corner_values = tuple(corner_values)
-    if len(corner_values) != 2 ** n:
-        raise InvalidSizeError(
-            f"need {2 ** n} corner values for {n} voters, got {len(corner_values)}")
-
-    def node(depth, lo, hi):
-        if depth == n:
-            return ConstLeaf(corner_values[lo])
-        half = (hi - lo) // 2
-        return MedianNode(node(depth + 1, lo, lo + half),
-                          BallotLeaf(depth),
-                          node(depth + 1, lo + half, hi))
-
-    return MedianTree(n, node(0, 0, 2 ** n))
+    return MedianTree(n, corner_values)
 
 
 def corners(rule, lat: Lattice) -> tuple:
@@ -293,120 +232,6 @@ def tree_to_committee(tree: MedianTree, lat: Lattice) -> CommitteeRule:
             corner_index |= 1 << (n - 1 - i)
         terms.append((coalition, values[corner_index]))
     return CommitteeRule(n, terms)
-
-
-# -- generic tree automata -----------------------------------------------------------
-
-
-class Signature:
-    """Finitary type: operation symbols with their arities."""
-
-    __slots__ = ("arities",)
-
-    def __init__(self, arities):
-        self.arities = {str(s): int(a) for s, a in dict(arities).items()}
-        if any(a < 0 for a in self.arities.values()):
-            raise InvalidSizeError("arities must be nonnegative")
-
-    def arity(self, symbol):
-        return self.arities.get(symbol)
-
-    def __contains__(self, symbol):
-        return symbol in self.arities
-
-
-class Term:
-    """Finite labelled tree: inner nodes carry symbols, leaves symbols or variables."""
-
-    __slots__ = ("label", "children")
-
-    def __init__(self, label, children=()):
-        self.label = str(label)
-        self.children = tuple(children)
-
-    def __repr__(self):
-        if not self.children:
-            return f"Term({self.label!r})"
-        return f"Term({self.label!r}, {list(self.children)!r})"
-
-
-class TreeAutomaton:
-    """States, one operation per symbol, and an output map.
-
-    ``operations[s]`` must accept ``arity(s)`` state arguments.  The carrier
-    is optional; when given, every computed state is checked against it.
-    """
-
-    __slots__ = ("signature", "carrier", "operations", "output", "variables")
-
-    def __init__(self, signature, operations, output=None, variables=(), carrier=None):
-        self.signature = signature
-        self.operations = dict(operations)
-        for s in self.operations:
-            if s not in signature:
-                raise MalformedTreeError(f"operation {s!r} missing from signature")
-        for s in signature.arities:
-            if s not in self.operations:
-                raise MalformedTreeError(f"no operation bound to symbol {s!r}")
-        self.output = output if output is not None else (lambda q: q)
-        self.variables = frozenset(str(v) for v in variables)
-        self.carrier = None if carrier is None else frozenset(carrier)
-
-
-def run_tree_automaton(automaton: TreeAutomaton, init, term: Term):
-    """Initialize variables, fold the term bottom-up, apply the output map."""
-
-    def state(node):
-        if node.label in automaton.variables:
-            if node.children:
-                raise MalformedTreeError(
-                    f"variable {node.label!r} cannot have children")
-            if node.label not in init:
-                raise UnboundVariableError(f"variable {node.label!r} not initialized")
-            return init[node.label]
-        arity = automaton.signature.arity(node.label)
-        if arity is None:
-            raise MalformedTreeError(f"unknown symbol {node.label!r}")
-        if len(node.children) != arity:
-            raise MalformedTreeError(
-                f"symbol {node.label!r} has arity {arity}, "
-                f"got {len(node.children)} children")
-        value = automaton.operations[node.label](*(state(c) for c in node.children))
-        if automaton.carrier is not None and value not in automaton.carrier:
-            raise MalformedTreeError(f"operation left the carrier at {node.label!r}")
-        return value
-
-    return automaton.output(state(term))
-
-
-def median_automaton(lat: Lattice, corner_values, n: int) -> TreeAutomaton:
-    """Automaton over one ternary median symbol plus nullary corner/bound symbols."""
-    corner_values = tuple(corner_values)
-    arities = {"med": 3, "bot": 0, "top": 0}
-    operations = {"med": lat.median,
-                  "bot": lambda: lat.bottom,
-                  "top": lambda: lat.top}
-    for i, v in enumerate(corner_values):
-        arities[f"c{i}"] = 0
-        operations[f"c{i}"] = (lambda value=v: value)
-    signature = Signature(arities)
-    variables = [f"x{i}" for i in range(n)]
-    return TreeAutomaton(signature, operations, output=None,
-                         variables=variables, carrier=range(lat.m))
-
-
-def canonical_median_term(n: int) -> Term:
-    """The nested-median input term whose leaves are corner symbols c0..c(2^n-1)."""
-
-    def node(depth, lo, hi):
-        if depth == n:
-            return Term(f"c{lo}")
-        half = (hi - lo) // 2
-        return Term("med", [node(depth + 1, lo, lo + half),
-                            Term(f"x{depth}"),
-                            node(depth + 1, lo + half, hi)])
-
-    return node(0, 0, 2 ** n)
 
 
 def tabulate(rule, lat: Lattice, spaces=None):

@@ -1,4 +1,6 @@
 import json
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +8,7 @@ from medianvoting.cli import (
     bundled_lattice,
     canonical_order,
     parse_lattice,
+    parse_lattice_file,
     parse_preorder,
     parse_rule,
     run,
@@ -14,7 +17,11 @@ from medianvoting.cli import (
     serialize_rule,
 )
 from medianvoting.errors import FormatError
-from medianvoting.preorders import enumerate_unimodal
+from medianvoting.preorders import (
+    enumerate_topped_preorders,
+    enumerate_unimodal,
+    is_separable,
+)
 from medianvoting.rules import (
     CommitteeRule,
     ExplicitRule,
@@ -23,6 +30,14 @@ from medianvoting.rules import (
     full_spaces,
     tabulate,
 )
+
+
+GOLDEN_BATTERY = (Path(__file__).resolve().parents[1]
+                  / "perfbench" / "golden" / "battery_seed0.json")
+
+
+def bundled_path(name):
+    return str(resources.files("medianvoting").joinpath(f"data/{name}.json"))
 
 
 def write_json(path, payload):
@@ -163,6 +178,38 @@ class TestCommands:
                     "--kind", "unimodal"]) == 0
         assert "# 12 unimodal preorders" in capsys.readouterr().out
 
+    def test_prefs_enum_separable(self, capsys):
+        path = bundled_path("boolean_square")
+        lat = parse_lattice_file(path)
+        # oracle: filter every topped preorder
+        pool = [p for p in enumerate_topped_preorders(lat) if is_separable(p, lat)]
+        expected = "".join(json.dumps(serialize_preorder(p, lat)) + "\n"
+                           for p in pool)
+        assert run(["prefs", "enum", "--lattice", path,
+                    "--kind", "separable"]) == 0
+        assert capsys.readouterr().out == \
+            expected + f"# {len(pool)} separable preorders\n"
+        assert run(["prefs", "enum", "--lattice", bundled_path("cube3"),
+                    "--kind", "separable", "--cap", "8"]) == 0
+        assert capsys.readouterr().out.endswith("\n# 1784 separable preorders\n")
+        assert run(["prefs", "enum", "--lattice", bundled_path("cube3"),
+                    "--kind", "separable"]) == 2
+        assert "exceeds cap 7" in capsys.readouterr().err
+        assert run(["prefs", "enum", "--lattice", bundled_path("chain4"),
+                    "--kind", "separable"]) == 2
+        assert capsys.readouterr().err == "error: 4 elements but 1 atoms\n"
+
+    def test_verify_all_matches_golden_battery(self, capsys, tmp_path):
+        out_path = tmp_path / "all.json"
+        assert run(["verify", "all", "--seed", "0", "--json", str(out_path)]) == 0
+        capsys.readouterr()
+        keys = ("claim", "pass", "witness", "detail")
+        got = [[tuple(c[k] for k in keys) for c in report["checks"]]
+               for report in json.loads(out_path.read_text())]
+        golden = [[tuple(c[k] for k in keys) for c in report]
+                  for report in json.loads(GOLDEN_BATTERY.read_text())]
+        assert got == golden
+
     def test_verify_boolean_square(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
         assert run(["verify", "boolean-square", "--json", str(out_path)]) == 0
@@ -221,6 +268,8 @@ class TestCommands:
         ({"kind": "tree", "n": 2.7, "corners": ["0", "x", "y", "1"]},
          "must be an integer"),
         ({"kind": "tree", "n": True, "corners": ["0", "1"]}, "must be an integer"),
+        ({"kind": "tree", "n": 2, "corners": ["0", "x", "y"]},
+         "need 4 corner values for 2 voters, got 3"),
     ])
     def test_invalid_rules_exit_2(self, tmp_path, square_file, square, rule,
                                   message, capsys):

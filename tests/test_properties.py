@@ -1,13 +1,16 @@
 """Hypothesis checks of the algebraic laws that every build must satisfy."""
 
 import itertools
+import random
 
+from conftest import small_posets
 from hypothesis import given, settings, strategies as st
 
 from medianvoting.lattice import (
     build_boolean_hypercube,
     build_chain,
     build_from_covers,
+    build_ideal_lattice,
     build_product,
 )
 from medianvoting.preorders import (
@@ -18,11 +21,12 @@ from medianvoting.preorders import (
 )
 from medianvoting.rules import (
     CommitteeRule,
+    ExplicitRule,
     build_canonical_median_tree,
     corners,
     tabulate,
 )
-from medianvoting.verify import find_monotonicity_violation
+from medianvoting.verify import find_monotonicity_violation, sample_monotone_rule
 
 LATTICES = [
     build_from_covers(["0", "x", "y", "1"],
@@ -103,3 +107,15 @@ def test_committee_rules_are_monotone_and_tree_representable(data):
     spaces, table = tabulate(rule, lat)
     tree = build_canonical_median_tree(corners(rule, lat), n)
     assert tabulate(tree, lat, spaces)[1] == table
+
+
+@settings(max_examples=40, deadline=None)
+@given(poset=small_posets(), n=st.integers(min_value=1, max_value=2),
+       seed=st.integers(min_value=0, max_value=2 ** 16))
+def test_median_of_monotone_rules_is_monotone(poset, n, seed):
+    """Lemma 2 on random distributive lattices."""
+    lat = build_ideal_lattice(*poset)
+    rng = random.Random(seed)
+    f, g, h = (sample_monotone_rule(lat, n, rng) for _ in range(3))
+    table = [lat.median(a, b, c) for a, b, c in zip(f.table, g.table, h.table)]
+    assert find_monotonicity_violation(ExplicitRule(f.spaces, table), lat) is None

@@ -2,35 +2,25 @@ import itertools
 import random
 
 import pytest
+from conftest import small_posets
+from hypothesis import assume, given, settings, strategies as st
 
 from medianvoting.errors import (
     ArityMismatchError,
-    BadLeafIndexError,
     BallotOutOfSpaceError,
     CornerNotInBallotSpaceError,
     InvalidSizeError,
-    MalformedTreeError,
-    UnboundVariableError,
 )
-from medianvoting.lattice import build_boolean_hypercube, build_chain
+from medianvoting.lattice import build_ideal_lattice
 from medianvoting.rules import (
-    BallotLeaf,
     CommitteeRule,
-    ConstLeaf,
     ExplicitRule,
-    MedianNode,
     MedianTree,
-    Signature,
-    Term,
-    TreeAutomaton,
     build_canonical_median_tree,
-    canonical_median_term,
     corners,
     extended_median,
     extended_median_rule,
     full_spaces,
-    median_automaton,
-    run_tree_automaton,
     tabulate,
     tree_to_committee,
 )
@@ -43,6 +33,23 @@ CORNER_RULE_TABLE = {
     ("c", "a"): "c", ("c", "b"): "d", ("c", "c"): "c", ("c", "d"): "d",
     ("d", "a"): "c", ("d", "b"): "d", ("d", "c"): "c", ("d", "d"): "d",
 }
+
+
+def nested_median(lat, values, ballots, k=0):
+    """Test-only oracle: med(left half, ballots[k], right half), recursively."""
+    if len(values) == 1:
+        return values[0]
+    half = len(values) // 2
+    return lat.median(nested_median(lat, values[:half], ballots, k + 1),
+                      ballots[k],
+                      nested_median(lat, values[half:], ballots, k + 1))
+
+
+def assert_fold_matches_oracle(lat, n, rng):
+    values = [rng.randrange(lat.m) for _ in range(2 ** n)]
+    tree = build_canonical_median_tree(values, n)
+    for ballots in itertools.product(range(lat.m), repeat=n):
+        assert tree.evaluate(lat, ballots) == nested_median(lat, values, ballots)
 
 
 class TestExplicitRule:
@@ -152,23 +159,27 @@ class TestMedianTree:
 
     def test_three_voter_shape(self, square):
         tree = build_canonical_median_tree(list(range(4)) + list(range(4)), 3)
-        node = tree.root
-        for depth in range(3):
-            assert isinstance(node, MedianNode)
-            assert isinstance(node.mid, BallotLeaf) and node.mid.voter == depth
-            node = node.left
-        assert isinstance(node, ConstLeaf)
         assert tree.corner_values() == (0, 1, 2, 3, 0, 1, 2, 3)
-
-    def test_bad_leaf(self, square):
-        tree = MedianTree(1, MedianNode(ConstLeaf(0), BallotLeaf(4), ConstLeaf(1)))
-        with pytest.raises(BadLeafIndexError):
-            tree.evaluate(square, (0,))
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_needs_a_voter(self, n):
         with pytest.raises(InvalidSizeError):
-            MedianTree(n, ConstLeaf(1))
+            MedianTree(n, (1,))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_fold_matches_recursive_oracle(self, square, cube3, n):
+        rng = random.Random(n)
+        for lat in (square, cube3):
+            for _ in range(4):
+                assert_fold_matches_oracle(lat, n, rng)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @settings(max_examples=25, deadline=None)
+    @given(poset=small_posets(), seed=st.integers(min_value=0, max_value=2 ** 16))
+    def test_fold_matches_oracle_on_random_lattices(self, n, poset, seed):
+        lat = build_ideal_lattice(*poset)
+        assume(lat.m ** n <= 2000)
+        assert_fold_matches_oracle(lat, n, random.Random(seed))
 
 
 class TestCornersAndConversion:
@@ -246,53 +257,3 @@ class TestCornersAndConversion:
             for big, other in by_coalition.items():
                 if small < big:
                     assert square.leq(value, other)
-
-
-class TestTreeAutomaton:
-    def test_degenerate_variable(self, square):
-        sig = Signature({"or": 2})
-        auto = TreeAutomaton(sig, {"or": square.join}, variables=["z"])
-        assert run_tree_automaton(auto, {"z": 2}, Term("z")) == 2
-
-    def test_join_symbol(self, square):
-        x, y = square.element("x"), square.element("y")
-        sig = Signature({"or": 2})
-        auto = TreeAutomaton(sig, {"or": square.join}, variables=["z1", "z2"])
-        result = run_tree_automaton(auto, {"z1": x, "z2": y},
-                                    Term("or", [Term("z1"), Term("z2")]))
-        assert result == square.top
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_median_automaton_matches_tree(self, square, n):
-        rng = random.Random(n)
-        values = [rng.randrange(4) for _ in range(2 ** n)]
-        tree = build_canonical_median_tree(values, n)
-        auto = median_automaton(square, values, n)
-        term = canonical_median_term(n)
-        for ballots in itertools.product(range(4), repeat=n):
-            init = {f"x{i}": ballots[i] for i in range(n)}
-            assert run_tree_automaton(auto, init, term) == \
-                tree.evaluate(square, ballots)
-
-    def test_homomorphism_property(self, square):
-        sig = Signature({"or": 2, "and": 2, "bot": 0})
-        auto = TreeAutomaton(sig, {"or": square.join, "and": square.meet,
-                                   "bot": lambda: square.bottom},
-                             variables=["u", "v"])
-        init = {"u": 1, "v": 2}
-        left = Term("or", [Term("u"), Term("v")])
-        right = Term("and", [Term("v"), Term("bot")])
-        combined = Term("or", [left, right])
-        assert run_tree_automaton(auto, init, combined) == square.join(
-            run_tree_automaton(auto, init, left),
-            run_tree_automaton(auto, init, right))
-
-    def test_malformed_inputs(self, square):
-        sig = Signature({"or": 2})
-        auto = TreeAutomaton(sig, {"or": square.join}, variables=["z"])
-        with pytest.raises(UnboundVariableError):
-            run_tree_automaton(auto, {}, Term("z"))
-        with pytest.raises(MalformedTreeError):
-            run_tree_automaton(auto, {"z": 0}, Term("or", [Term("z")]))
-        with pytest.raises(MalformedTreeError):
-            run_tree_automaton(auto, {"z": 0}, Term("xor", [Term("z"), Term("z")]))
