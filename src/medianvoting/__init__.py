@@ -13,20 +13,15 @@ from .lattice import (
     build_product,
 )
 from .preorders import (
-    PreferenceProfile,
-    StrictRelation,
     TotalPreorder,
     build_lsu_witness,
     build_three_class_witness,
     enumerate_lsu,
     enumerate_topped_preorders,
     enumerate_unimodal,
-    extend_to_total_preorder,
     is_locally_strictly_unimodal,
-    is_s_consistent,
     is_separable,
     is_unimodal,
-    strict_top_betweenness,
 )
 from .rules import (
     CommitteeRule,
@@ -45,8 +40,7 @@ from .verify import (
     find_coalitional_manipulation,
     find_monotonicity_violation,
     find_strategy_violation,
-    is_b_monotonic,
-    is_strategy_proof,
+    strategy_witness_from,
 )
 
 __version__ = "0.1.0"

@@ -42,10 +42,6 @@ class NotHypercubeError(MedianVotingError):
     """The lattice is not a Boolean hypercube of item subsets."""
 
 
-class NotConsistentError(MedianVotingError):
-    """The strict relation has a cycle, so no total preorder extends it."""
-
-
 class BallotOutOfSpaceError(MedianVotingError):
     pass
 

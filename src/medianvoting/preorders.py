@@ -7,12 +7,9 @@ encoding and only the canonical-form conditions need checking.
 
 from __future__ import annotations
 
-import itertools
-
 from .errors import (
     CarrierMismatchError,
     InvalidSizeError,
-    NotConsistentError,
     NotHypercubeError,
     TooLargeError,
 )
@@ -86,57 +83,6 @@ class TotalPreorder:
 
     def __repr__(self):
         return f"TotalPreorder({list(self.ranks)})"
-
-
-class StrictRelation:
-    """A set of strict-preference pairs (better, worse) on m elements."""
-
-    __slots__ = ("m", "pairs")
-
-    def __init__(self, m, pairs):
-        pairs = frozenset((int(a), int(b)) for a, b in pairs)
-        for a, b in pairs:
-            if a == b:
-                raise InvalidSizeError(f"pair ({a}, {a}) is reflexive")
-            if not (0 <= a < m and 0 <= b < m):
-                raise InvalidSizeError(f"pair ({a}, {b}) is out of range")
-        self.m = m
-        self.pairs = pairs
-
-    def __repr__(self):
-        return f"StrictRelation(m={self.m}, pairs={sorted(self.pairs)})"
-
-
-class PreferenceProfile:
-    """One topped total preorder per voter, all on the same carrier."""
-
-    __slots__ = ("prefs",)
-
-    def __init__(self, prefs):
-        prefs = tuple(prefs)
-        if not prefs:
-            raise InvalidSizeError("a profile needs at least one voter")
-        m = prefs[0].m
-        if any(p.m != m for p in prefs):
-            raise CarrierMismatchError("profile mixes carriers of different size")
-        self.prefs = prefs
-
-    @property
-    def n(self) -> int:
-        return len(self.prefs)
-
-    @property
-    def m(self) -> int:
-        return self.prefs[0].m
-
-    def tops(self) -> tuple:
-        return tuple(p.top for p in self.prefs)
-
-    def __getitem__(self, voter):
-        return self.prefs[voter]
-
-    def __iter__(self):
-        return iter(self.prefs)
 
 
 def _check_carrier(p: TotalPreorder, lat: Lattice):
@@ -312,40 +258,23 @@ def enumerate_lsu(lat: Lattice, cap: int = DEFAULT_ENUM_CAP):
     return _enumerate_layered(lat, admissible)
 
 
-# -- strict relations and extension ----------------------------------------------
+# -- witness constructions --------------------------------------------------------
 
 
-def strict_top_betweenness(lat: Lattice, x: int) -> StrictRelation:
-    """y beats z whenever y lies strictly inside the segment from x to z."""
-    pairs = []
-    for z in range(lat.m):
-        for y in _bits(lat.interval_mask(x, z)):
-            if y != z:
-                pairs.append((y, z))
-    return StrictRelation(lat.m, pairs)
-
-
-def _transitive_closure(m, pairs):
-    succ = [0] * m
-    for a, b in pairs:
-        succ[a] |= 1 << b
-    for k in range(m):
-        bit = 1 << k
-        reach_k = succ[k]
-        for a in range(m):
-            if succ[a] & bit:
-                succ[a] |= reach_k
-    return succ
-
-
-def is_s_consistent(rel: StrictRelation) -> bool:
-    """For a strict relation this is acyclicity of the transitive closure."""
-    closure = _transitive_closure(rel.m, rel.pairs)
-    return all(not closure[v] >> v & 1 for v in range(rel.m))
+def _ranked(lat: Lattice, ordered_classes) -> TotalPreorder:
+    """Total preorder from ordered element classes; leftovers share the last.
+    Empty classes take no rank, so the ranks stay dense."""
+    ranks = [len(ordered_classes)] * lat.m
+    for r, cls in enumerate(ordered_classes):
+        for e in cls:
+            ranks[e] = r
+    remap = {r: i for i, r in enumerate(sorted(set(ranks)))}
+    return TotalPreorder([remap[r] for r in ranks])
 
 
 def _longest_path_ranks(elements, pairs):
-    """Rank = length of the longest strict chain above, within ``elements``."""
+    """Rank = length of the longest strict chain above, within ``elements``;
+    the (better, worse) pairs must be acyclic."""
     inside = set(elements)
     preds = {e: [] for e in elements}
     for a, b in pairs:
@@ -353,71 +282,39 @@ def _longest_path_ranks(elements, pairs):
             preds[b].append(a)
     ranks = {}
 
-    def depth(v, trail):
-        if v in ranks:
-            return ranks[v]
-        if v in trail:
-            raise NotConsistentError("strict relation has a cycle", witness=v)
-        trail.add(v)
-        ranks[v] = max((depth(u, trail) + 1 for u in preds[v]), default=0)
-        trail.discard(v)
+    def depth(v):
+        if v not in ranks:
+            ranks[v] = max((depth(u) + 1 for u in preds[v]), default=0)
         return ranks[v]
 
     for e in elements:
-        depth(e, set())
+        depth(e)
     return ranks
-
-
-def extend_to_total_preorder(rel: StrictRelation) -> TotalPreorder:
-    """Canonical topped total preorder whose strict part contains the relation.
-
-    Layers elements by longest chain above them; if that leaves several
-    best elements, the smallest id stays on top and everything else is
-    pushed down one rank.
-    """
-    if not is_s_consistent(rel):
-        raise NotConsistentError("strict relation has a cycle")
-    ranks = _longest_path_ranks(range(rel.m), rel.pairs)
-    best = [e for e in range(rel.m) if ranks[e] == 0]
-    if len(best) > 1:
-        keep = min(best)
-        ranks = {e: (0 if e == keep else r + 1) for e, r in ranks.items()}
-    return TotalPreorder([ranks[e] for e in range(rel.m)])
-
-
-# -- witness constructions --------------------------------------------------------
 
 
 def build_three_class_witness(lat: Lattice, peak: int, ref: int) -> TotalPreorder:
     """peak alone on top, then the rest of [peak, ref], then everything else."""
-    segment = lat.interval_mask(peak, ref)
-    raw = []
-    for e in range(lat.m):
-        if e == peak:
-            raw.append(0)
-        elif segment >> e & 1:
-            raw.append(1)
-        else:
-            raw.append(2)
-    # a class may be empty (peak == ref, or the segment is the whole carrier)
-    remap = {r: i for i, r in enumerate(sorted(set(raw)))}
-    return TotalPreorder([remap[r] for r in raw])
+    inner = [e for e in _bits(lat.interval_mask(peak, ref)) if e != peak]
+    return _ranked(lat, [[peak], inner])
 
 
 def build_lsu_witness(lat: Lattice, peak: int, ref: int) -> TotalPreorder:
     """Locally strictly unimodal preorder: the segment [peak, ref] is layered
     above its complement, each part ordered by nearness to the peak."""
-    rel = strict_top_betweenness(lat, peak)
+    # y beats z whenever y lies strictly inside the segment from the peak to z;
+    # a distributive lattice's rank metric makes these pairs acyclic
+    pairs = [(y, z) for z in range(lat.m)
+             for y in _bits(lat.interval_mask(peak, z)) if y != z]
     segment_mask = lat.interval_mask(peak, ref)
     segment = list(_bits(segment_mask))
     outside = [e for e in range(lat.m) if not segment_mask >> e & 1]
-    inner = _longest_path_ranks(segment, rel.pairs)
+    inner = _longest_path_ranks(segment, pairs)
     ranks = [0] * lat.m
     for e in segment:
         ranks[e] = inner[e]
     if outside:
         shift = max(inner.values()) + 1
-        outer = _longest_path_ranks(outside, rel.pairs)
+        outer = _longest_path_ranks(outside, pairs)
         for e in outside:
             ranks[e] = shift + outer[e]
     return TotalPreorder(ranks)

@@ -119,27 +119,6 @@ class CommitteeRule:
     def ballot_spaces(self, lat: Lattice) -> tuple:
         return full_spaces(lat, self.n)
 
-    def coalitions(self):
-        return [c for c, _ in self.terms]
-
-    def is_order_filter(self) -> bool:
-        """Whether the coalition family is upward closed in the subset order."""
-        present = set(self.coalitions())
-        everyone = frozenset(range(self.n))
-        for c in present:
-            for extra in everyone - c:
-                if frozenset(c | {extra}) not in present:
-                    return False
-        return True
-
-    def constants_monotone(self, lat: Lattice) -> bool:
-        by_coalition = dict(self.terms)
-        for small, y_small in by_coalition.items():
-            for big, y_big in by_coalition.items():
-                if small < big and not lat.leq(y_small, y_big):
-                    return False
-        return True
-
 
 def extended_median(lat: Lattice, ballots) -> int:
     """Simple majority: join of meets over all strict-majority coalitions."""
@@ -174,9 +153,11 @@ class MedianTree:
         if self.n < 1:
             raise InvalidSizeError("a rule needs at least one voter")
         values = tuple(int(v) for v in corner_values)
-        if len(values) != 2 ** self.n:
+        # the bit length first: 2 ** n is only built once n is known to be small
+        if len(values).bit_length() != self.n + 1 or len(values) != 1 << self.n:
+            need = 1 << self.n if self.n < 64 else f"2^{self.n}"
             raise InvalidSizeError(
-                f"need {2 ** self.n} corner values for {self.n} voters, "
+                f"need {need} corner values for {self.n} voters, "
                 f"got {len(values)}")
         self._values = values
 

@@ -18,7 +18,7 @@ import time
 from .errors import NoSuitableSublatticeError, NotAChainError, NotEnoughAtomsError
 from .lattice import Lattice, build_chain, build_from_covers, build_boolean_hypercube
 from .preorders import (
-    TotalPreorder,
+    _ranked,
     enumerate_lsu,
     enumerate_topped_preorders,
     enumerate_unimodal,
@@ -52,6 +52,7 @@ from .verify import (
     nondecreasing_tuples,
     random_explicit_rule,
     sample_monotone_rule,
+    strategy_witness_from,
 )
 
 
@@ -206,9 +207,26 @@ def _roundtrips_exact(rule, lat):
     return True, committee_table == table
 
 
+def _strategy_proof(rule, violation, domain):
+    """Strategy-proofness on a full single-peaked domain, given the rule's
+    first monotonicity violation (None when monotone).  A violation must
+    convert into a valid strategy witness whose preference is in the domain
+    (Lemma 1's construction); a monotone rule is swept."""
+    if violation is None:
+        return find_strategy_violation(rule, domain) is None
+    witness = strategy_witness_from(violation, domain)
+    return not (witness.validate(rule, domain.lattice)
+                and witness.preference in domain.preference_sets[witness.voter])
+
+
 def lemma1_suite(lat: Lattice, n: int = 2, samples: int = 120,
                  seed: int = 0) -> VerificationReport:
-    """Interval monotonicity iff strategy-proofness, on both full domains."""
+    """Interval monotonicity iff strategy-proofness, on both full domains.
+
+    "Not monotone implies not strategy-proof" is proved by construction: each
+    monotonicity violation is converted into a validated strategy witness.
+    "Monotone implies strategy-proof" is proved by an exhaustive sweep.
+    """
     t0 = time.perf_counter()
     dom_u = DomainDescriptor.full_unimodal(lat, n)
     dom_s = DomainDescriptor.full_lsu(lat, n)
@@ -216,11 +234,12 @@ def lemma1_suite(lat: Lattice, n: int = 2, samples: int = 120,
     monotone_count = 0
     pool = _rule_pool(lat, n, samples, seed)
     for kind, rule in pool:
-        monotone = find_monotonicity_violation(rule, lat) is None
+        violation = find_monotonicity_violation(rule, lat)
+        monotone = violation is None
         monotone_count += monotone
-        if monotone != (find_strategy_violation(rule, dom_u) is None) and bad_u is None:
+        if monotone != _strategy_proof(rule, violation, dom_u) and bad_u is None:
             bad_u = kind
-        if monotone != (find_strategy_violation(rule, dom_s) is None) and bad_s is None:
+        if monotone != _strategy_proof(rule, violation, dom_s) and bad_s is None:
             bad_s = kind
     detail = f"{len(pool)} rules, {monotone_count} monotone"
     checks = [
@@ -275,7 +294,12 @@ def _blocked_pair_rule():
 def theorem1_suite(lat: Lattice, n: int = 2, samples: int = 200, seed: int = 0,
                    committee_max_n: int = 3) -> VerificationReport:
     """Five-way equivalence sweep: monotonicity, strategy-proofness on both
-    domains, median-tree representability, committee representability."""
+    domains, median-tree representability, committee representability.
+
+    Strategy-proofness follows ``lemma1_suite``: a rule with a monotonicity
+    violation is shown not strategy-proof by a constructed and validated
+    strategy witness, and a monotone rule by an exhaustive sweep.
+    """
     t0 = time.perf_counter()
     checks = []
     dom_u = DomainDescriptor.full_unimodal(lat, n)
@@ -285,10 +309,11 @@ def theorem1_suite(lat: Lattice, n: int = 2, samples: int = 200, seed: int = 0,
            ("sp-unimodal", "sp-strict", "tree-form", "committee-form")}
     monotone_count = 0
     for kind, rule in pool:
-        monotone = find_monotonicity_violation(rule, lat) is None
+        violation = find_monotonicity_violation(rule, lat)
+        monotone = violation is None
         monotone_count += monotone
-        sp_u = find_strategy_violation(rule, dom_u) is None
-        sp_s = find_strategy_violation(rule, dom_s) is None
+        sp_u = _strategy_proof(rule, violation, dom_u)
+        sp_s = _strategy_proof(rule, violation, dom_s)
         tree_ok, committee_ok = _roundtrips_exact(rule, lat)
         for key, value in (("sp-unimodal", sp_u), ("sp-strict", sp_s),
                            ("tree-form", tree_ok), ("committee-form", committee_ok)):
@@ -306,9 +331,10 @@ def theorem1_suite(lat: Lattice, n: int = 2, samples: int = 200, seed: int = 0,
         d_s = DomainDescriptor.full_lsu(lat, nn)
         for constants, rule in enumerate_quota_rules(lat, nn):
             quota_count += 1
-            results = (find_monotonicity_violation(rule, lat) is None,
-                       find_strategy_violation(rule, d_u) is None,
-                       find_strategy_violation(rule, d_s) is None,
+            violation = find_monotonicity_violation(rule, lat)
+            results = (violation is None,
+                       _strategy_proof(rule, violation, d_u),
+                       _strategy_proof(rule, violation, d_s),
                        *_roundtrips_exact(rule, lat))
             if not all(results):
                 quota_bad = {"n": nn, "constants": _names(lat, constants),
@@ -322,9 +348,10 @@ def theorem1_suite(lat: Lattice, n: int = 2, samples: int = 200, seed: int = 0,
     chain, blocked = _blocked_pair_rule()
     b_dom_u = DomainDescriptor.full_unimodal(chain, 2)
     b_dom_s = DomainDescriptor.full_lsu(chain, 2)
-    flags = (find_monotonicity_violation(blocked, chain) is None,
-             find_strategy_violation(blocked, b_dom_u) is None,
-             find_strategy_violation(blocked, b_dom_s) is None,
+    violation = find_monotonicity_violation(blocked, chain)
+    flags = (violation is None,
+             _strategy_proof(blocked, violation, b_dom_u),
+             _strategy_proof(blocked, violation, b_dom_s),
              *_roundtrips_exact(blocked, chain))
     checks.append(CheckResult("blocked-pair-rule-fails-all-five",
                               not any(flags), flags,
@@ -360,21 +387,6 @@ def _diamond_labels(lat):
             if not lat.comparable(u, v):
                 return lat.meet(u, v), u, v, lat.join(u, v)
     return None
-
-
-def _ranked(lat, ordered_classes):
-    """Total preorder from ordered element classes; leftovers share the last."""
-    ranks = [None] * lat.m
-    for r, cls in enumerate(ordered_classes):
-        for e in cls:
-            ranks[e] = r
-    worst = len(ordered_classes)
-    tail = [e for e in range(lat.m) if ranks[e] is None]
-    for e in tail:
-        ranks[e] = worst
-    used = sorted(set(ranks))
-    remap = {r: i for i, r in enumerate(used)}
-    return TotalPreorder([remap[r] for r in ranks])
 
 
 def _dummy_pool(lat):

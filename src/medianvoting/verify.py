@@ -14,8 +14,10 @@ from dataclasses import dataclass, field
 
 from .errors import CarrierMismatchError, InvalidSizeError, TooLargeError
 from .lattice import Lattice
-from .preorders import TotalPreorder, enumerate_lsu, enumerate_unimodal
-from .rules import ExplicitRule, build_canonical_median_tree, full_spaces, tabulate
+from .preorders import (TotalPreorder, build_lsu_witness, build_three_class_witness,
+                        enumerate_lsu, enumerate_unimodal)
+from .rules import (CommitteeRule, ExplicitRule, build_canonical_median_tree,
+                    full_spaces, tabulate)
 
 DEFAULT_EVAL_CAP = 10 ** 8
 
@@ -106,12 +108,27 @@ class MonotonicityWitness:
 
 @dataclass(frozen=True)
 class StrategyWitness:
+    """Voter ``voter`` holding ``preference`` gains strictly by casting
+    ``deviant_ballots[voter]`` instead of its top."""
     voter: int
     preference: TotalPreorder
     truthful_ballots: tuple
     deviant_ballots: tuple
     truthful_outcome: int
     deviant_outcome: int
+
+    def validate(self, rule, lat: Lattice) -> bool:
+        """Re-evaluate the rule and re-check that the voter reports its top,
+        deviates alone, and strictly gains."""
+        truthful = rule.evaluate(lat, self.truthful_ballots)
+        deviant = rule.evaluate(lat, self.deviant_ballots)
+        if truthful != self.truthful_outcome or deviant != self.deviant_outcome:
+            return False
+        i = self.voter
+        return (self.preference.top == self.truthful_ballots[i]
+                and self.truthful_ballots[:i] == self.deviant_ballots[:i]
+                and self.truthful_ballots[i + 1:] == self.deviant_ballots[i + 1:]
+                and self.preference.strictly_prefers(deviant, truthful))
 
     def describe(self, lat: Lattice) -> dict:
         return {
@@ -206,10 +223,6 @@ def find_monotonicity_violation(rule, lat: Lattice, spaces=None,
     return None
 
 
-def is_b_monotonic(rule, lat: Lattice, spaces=None, cap: int = DEFAULT_EVAL_CAP) -> bool:
-    return find_monotonicity_violation(rule, lat, spaces, cap) is None
-
-
 # -- individual strategy-proofness ----------------------------------------------------
 
 
@@ -254,9 +267,29 @@ def find_strategy_violation(rule, domain: DomainDescriptor,
     return None
 
 
-def is_strategy_proof(rule, domain: DomainDescriptor,
-                      cap: int = DEFAULT_EVAL_CAP) -> bool:
-    return find_strategy_violation(rule, domain, cap) is None
+def strategy_witness_from(violation: MonotonicityWitness,
+                          domain: DomainDescriptor) -> StrategyWitness:
+    """Lemma 1's construction: a monotonicity violation becomes a profitable
+    deviation on a full single-peaked domain.
+
+    Voter i's preference is peaked at its ballot x_i with the deviant outcome
+    d as reference (the three-class preorder on ``full_unimodal`` domains,
+    the LSU witness on ``full_lsu``), so d beats the truthful outcome, which
+    lies outside [x_i, d].  Once validated, the witness proves "not monotone
+    implies not strategy-proof" without a sweep; the converse is left to
+    ``find_strategy_violation``.
+    """
+    builders = {"full_unimodal": build_three_class_witness,
+                "full_lsu": build_lsu_witness}
+    if domain.flavor not in builders:
+        raise ValueError(f"no Lemma 1 construction for a {domain.flavor!r} domain")
+    i = violation.voter
+    truthful = violation.ballots
+    deviant = truthful[:i] + (violation.deviation,) + truthful[i + 1:]
+    pref = builders[domain.flavor](domain.lattice, truthful[i],
+                                   violation.deviant_outcome)
+    return StrategyWitness(i, pref, truthful, deviant, violation.outcome,
+                           violation.deviant_outcome)
 
 
 # -- coalitional manipulation ----------------------------------------------------------
@@ -636,22 +669,16 @@ def nondecreasing_tuples(lat: Lattice, length: int):
     return out
 
 
-def enumerate_quota_rules(lat: Lattice, n: int, include_empty: bool = True):
+def enumerate_quota_rules(lat: Lattice, n: int):
     """Anonymous committee rules whose constants depend only on coalition size,
-    nondecreasing in size.  Returns (constant-vector, CommitteeRule) pairs."""
-    from .rules import CommitteeRule
-
-    length = n + 1 if include_empty else n
+    nondecreasing in size (the empty coalition first).  Returns
+    (constant-vector, CommitteeRule) pairs."""
     rules = []
-    for constants in nondecreasing_tuples(lat, length):
-        padded = constants if include_empty else (None,) + constants
-        terms = []
-        if include_empty:
-            terms.append((frozenset(), padded[0]))
-        for size in range(1, n + 1):
-            for coalition in itertools.combinations(range(n), size):
-                terms.append((frozenset(coalition), padded[size]))
-        rules.append((padded, CommitteeRule(n, terms)))
+    for constants in nondecreasing_tuples(lat, n + 1):
+        terms = [(frozenset(coalition), constants[size])
+                 for size in range(n + 1)
+                 for coalition in itertools.combinations(range(n), size)]
+        rules.append((constants, CommitteeRule(n, terms)))
     return rules
 
 

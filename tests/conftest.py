@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import strategies as st
 
@@ -8,6 +10,8 @@ from medianvoting.lattice import (
     build_ideal_lattice,
     build_product,
 )
+from medianvoting.preorders import enumerate_topped_preorders
+from medianvoting.verify import MonotonicityWitness
 
 
 @pytest.fixture(scope="session")
@@ -26,6 +30,13 @@ def chain4():
 @pytest.fixture(scope="session")
 def cube3():
     return build_boolean_hypercube(3)
+
+
+@pytest.fixture(scope="session")
+def cube3_topped(cube3):
+    """All 378,344 topped preorders on 8 elements, built once per session.
+    The list depends only on the carrier size."""
+    return enumerate_topped_preorders(cube3, cap=cube3.m)
 
 
 @pytest.fixture(scope="session")
@@ -61,3 +72,18 @@ def seeded_ideal_lattice(rng, m):
         lat = build_ideal_lattice(points, pairs)
         if lat.m == m:
             return lat
+
+
+def monotonicity_violations(rule, lat, spaces):
+    """Naive sweep, in the documented order: ballot tuples row-major, voters
+    ascending, deviations in space order.  Yields every (ballots, voter,
+    deviation) whose outcome leaves the segment between the voter's ballot
+    and the deviant outcome, so the first one is the documented witness."""
+    for ballots in itertools.product(*spaces):
+        outcome = rule.evaluate(lat, ballots)
+        for i, space in enumerate(spaces):
+            for deviation in space:
+                deviant = ballots[:i] + (deviation,) + ballots[i + 1:]
+                other = rule.evaluate(lat, deviant)
+                if not lat.between(ballots[i], outcome, other):
+                    yield MonotonicityWitness(ballots, i, deviation, outcome, other)

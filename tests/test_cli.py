@@ -270,6 +270,8 @@ class TestCommands:
         ({"kind": "tree", "n": True, "corners": ["0", "1"]}, "must be an integer"),
         ({"kind": "tree", "n": 2, "corners": ["0", "x", "y"]},
          "need 4 corner values for 2 voters, got 3"),
+        ({"kind": "tree", "n": 20000, "corners": ["0", "1"]},
+         "need 2^20000 corner values for 20000 voters, got 2"),
     ])
     def test_invalid_rules_exit_2(self, tmp_path, square_file, square, rule,
                                   message, capsys):

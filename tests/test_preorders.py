@@ -8,27 +8,21 @@ from hypothesis import assume, given, settings
 from medianvoting.errors import (
     CarrierMismatchError,
     InvalidSizeError,
-    NotConsistentError,
     NotHypercubeError,
     TooLargeError,
 )
 from medianvoting.cli import bundled_lattice
 from medianvoting.lattice import build_boolean_hypercube, build_chain, build_ideal_lattice
 from medianvoting.preorders import (
-    PreferenceProfile,
-    StrictRelation,
     TotalPreorder,
     build_lsu_witness,
     build_three_class_witness,
     enumerate_lsu,
     enumerate_topped_preorders,
     enumerate_unimodal,
-    extend_to_total_preorder,
     is_locally_strictly_unimodal,
-    is_s_consistent,
     is_separable,
     is_unimodal,
-    strict_top_betweenness,
 )
 
 
@@ -50,16 +44,18 @@ def order_key(p):
     return (p.top,) + tuple(sum(1 << e for e in c) for c in p.classes()[1:])
 
 
-def filter_oracle(lat, cap):
-    """Generate every topped preorder, then filter: the reference for the
-    direct enumerators, as ordered lists."""
-    pool = enumerate_topped_preorders(lat, cap=cap)
+def filter_oracle(lat, cap, pool=None):
+    """Generate every topped preorder (or take ``pool``, the topped list of
+    an equal-sized carrier), then filter: the reference for the direct
+    enumerators, as ordered lists."""
+    if pool is None:
+        pool = enumerate_topped_preorders(lat, cap=cap)
     return ([p for p in pool if is_unimodal(p, lat)],
             [p for p in pool if is_locally_strictly_unimodal(p, lat)])
 
 
-def assert_direct_matches_filter(lat, cap=7):
-    unimodal, strict = filter_oracle(lat, cap)
+def assert_direct_matches_filter(lat, cap=7, pool=None):
+    unimodal, strict = filter_oracle(lat, cap, pool)
     assert enumerate_unimodal(lat, cap=cap) == unimodal
     assert enumerate_lsu(lat, cap=cap) == strict
     return len(unimodal), len(strict)
@@ -80,10 +76,6 @@ class TestTotalPreorder:
         assert p.ranks == (1, 2, 0, 1)
         assert p.prefers(0, 1) and p.strictly_prefers(2, 0)
         assert p.indifferent(0, 3)
-
-    def test_profile_carrier_check(self):
-        with pytest.raises(CarrierMismatchError):
-            PreferenceProfile([TotalPreorder([0, 1]), TotalPreorder([0, 1, 1])])
 
 
 class TestEnumeration:
@@ -139,10 +131,11 @@ class TestDirectEnumeration:
         for m in (5, 6, 7, 7):
             assert_direct_matches_filter(seeded_ideal_lattice(rng, m))
 
-    def test_cube3_above_the_default_cap(self):
+    def test_cube3_above_the_default_cap(self, cube3_topped):
         cube = bundled_lattice("cube3")
         # generate-then-filter counts on the 3-cube
-        assert assert_direct_matches_filter(cube, cap=8) == (104, 1784)
+        assert assert_direct_matches_filter(cube, cap=8,
+                                            pool=cube3_topped) == (104, 1784)
         for enumerate_family in (enumerate_unimodal, enumerate_lsu):
             with pytest.raises(TooLargeError,
                                match="enumeration over 8 elements exceeds cap 7"):
@@ -200,9 +193,10 @@ class TestSinglePeakedness:
         assert not is_separable(p, square)
 
     @pytest.mark.parametrize("k", [2, 3])
-    def test_separable_equals_lsu_on_hypercubes(self, k):
+    def test_separable_equals_lsu_on_hypercubes(self, k, request):
         cube = build_boolean_hypercube(k)
-        pool = enumerate_topped_preorders(cube, cap=cube.m)
+        pool = (request.getfixturevalue("cube3_topped") if k == 3
+                else enumerate_topped_preorders(cube, cap=cube.m))
         lsu = {p.ranks for p in pool if is_locally_strictly_unimodal(p, cube)}
         separable = {p.ranks for p in pool if is_separable(p, cube)}
         assert lsu == separable
@@ -216,66 +210,6 @@ class TestSinglePeakedness:
         for p in pool:
             assert (p in unimodal) == is_unimodal(p, lat)
             assert (p in strict) == is_locally_strictly_unimodal(p, lat)
-
-
-class TestStrictRelations:
-    def test_top_betweenness_on_chain(self):
-        chain = build_chain(4)
-        rel = strict_top_betweenness(chain, 0)
-        assert rel.pairs == {(i, j) for i in range(4) for j in range(4) if i < j}
-
-    def test_top_betweenness_square_atom(self, square):
-        o, x, y, i = (square.element(s) for s in "0xy1")
-        rel = strict_top_betweenness(square, x)
-        assert {(x, o), (x, y), (x, i), (o, y), (i, y)} <= rel.pairs
-        for a, b in rel.pairs:
-            assert (b, a) not in rel.pairs
-        for e in range(4):
-            if e != x:
-                assert (x, e) in rel.pairs
-
-    def test_s_consistency(self, square):
-        assert is_s_consistent(StrictRelation(2, []))
-        assert not is_s_consistent(StrictRelation(2, [(0, 1), (1, 0)]))
-        assert not is_s_consistent(StrictRelation(3, [(0, 1), (1, 2), (2, 0)]))
-        for peak in range(4):
-            assert is_s_consistent(strict_top_betweenness(square, peak))
-
-    def test_irreflexive_pairs_only(self):
-        with pytest.raises(InvalidSizeError):
-            StrictRelation(2, [(1, 1)])
-
-
-class TestExtension:
-    def test_empty_relation(self):
-        p = extend_to_total_preorder(StrictRelation(3, []))
-        assert p.ranks == (0, 1, 1)
-
-    def test_chain_bottom_peak(self):
-        chain = build_chain(3)
-        p = extend_to_total_preorder(strict_top_betweenness(chain, 0))
-        assert p.ranks == (0, 1, 2)
-
-    def test_extension_is_strict(self, square, chain4, cube3):
-        for lat in (square, chain4, cube3):
-            for peak in range(lat.m):
-                rel = strict_top_betweenness(lat, peak)
-                ext = extend_to_total_preorder(rel)
-                assert ext.top == peak
-                for a, b in rel.pairs:
-                    assert ext.strictly_prefers(a, b)
-                assert is_locally_strictly_unimodal(ext, lat)
-
-    def test_inconsistent_rejected(self):
-        with pytest.raises(NotConsistentError):
-            extend_to_total_preorder(StrictRelation(2, [(0, 1), (1, 0)]))
-
-    def test_partial_tie_break(self):
-        # two sources: the smaller id stays on top, the rest shifts down
-        p = extend_to_total_preorder(StrictRelation(3, [(1, 2)]))
-        assert p.ranks == (0, 1, 2)
-        for a, b in [(1, 2)]:
-            assert p.strictly_prefers(a, b)
 
 
 class TestWitnessBuilders:
@@ -299,6 +233,10 @@ class TestWitnessBuilders:
         w = build_lsu_witness(square, x, o)
         assert w.top == x and w.ranks[o] == 1
         assert w.ranks[i] < w.ranks[y]  # inside ordering follows the peak
+        # peak alone in its segment: the rest is layered by betweenness
+        # from the peak, so y, opposite x, comes last
+        w = build_lsu_witness(square, x, x)
+        assert w.ranks == tuple({x: 0, o: 1, i: 1, y: 2}[e] for e in range(4))
 
     @pytest.mark.parametrize("fixture", ["square", "chain4", "cube3"])
     def test_lsu_witness_always_strict(self, fixture, request):

@@ -3,8 +3,9 @@
 import itertools
 import random
 
-from conftest import small_posets
-from hypothesis import given, settings, strategies as st
+import pytest
+from conftest import monotonicity_violations, small_posets
+from hypothesis import assume, given, settings, strategies as st
 
 from medianvoting.lattice import (
     build_boolean_hypercube,
@@ -16,6 +17,8 @@ from medianvoting.lattice import (
 from medianvoting.preorders import (
     build_lsu_witness,
     build_three_class_witness,
+    enumerate_lsu,
+    enumerate_unimodal,
     is_locally_strictly_unimodal,
     is_unimodal,
 )
@@ -24,9 +27,16 @@ from medianvoting.rules import (
     ExplicitRule,
     build_canonical_median_tree,
     corners,
+    full_spaces,
     tabulate,
 )
-from medianvoting.verify import find_monotonicity_violation, sample_monotone_rule
+from medianvoting.verify import (
+    DomainDescriptor,
+    find_monotonicity_violation,
+    random_explicit_rule,
+    sample_monotone_rule,
+    strategy_witness_from,
+)
 
 LATTICES = [
     build_from_covers(["0", "x", "y", "1"],
@@ -119,3 +129,45 @@ def test_median_of_monotone_rules_is_monotone(poset, n, seed):
     f, g, h = (sample_monotone_rule(lat, n, rng) for _ in range(3))
     table = [lat.median(a, b, c) for a, b, c in zip(f.table, g.table, h.table)]
     assert find_monotonicity_violation(ExplicitRule(f.spaces, table), lat) is None
+
+
+def assert_every_violation_converts(lat, rule):
+    """Lemma 1 by construction: each monotonicity witness of the rule becomes
+    a valid strategy witness on both full single-peaked domains, whose
+    preference is single-peaked in the domain's sense and held in it."""
+    n = rule.n
+    domains = []
+    for flavor, pool, single_peaked in (
+            ("full_unimodal", enumerate_unimodal(lat, cap=lat.m), is_unimodal),
+            ("full_lsu", enumerate_lsu(lat, cap=lat.m), is_locally_strictly_unimodal)):
+        domain = DomainDescriptor(lat, full_spaces(lat, n), [pool] * n, flavor)
+        domains.append((domain, set(pool), single_peaked))
+    converted = 0
+    for violation in monotonicity_violations(rule, lat, rule.spaces):
+        for domain, held, single_peaked in domains:
+            witness = strategy_witness_from(violation, domain)
+            assert witness.validate(rule, lat), violation
+            assert single_peaked(witness.preference, lat)
+            assert witness.preference in held
+        converted += 1
+    return converted
+
+
+@pytest.mark.parametrize("fixture", ["square", "chain4", "corner_square", "cube3",
+                                     "grid3x3"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_monotonicity_witnesses_convert(fixture, n, request):
+    lat = request.getfixturevalue(fixture)
+    rule = random_explicit_rule(lat, n, random.Random(n))
+    assert assert_every_violation_converts(lat, rule) > 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(poset=small_posets(), n=st.integers(min_value=1, max_value=2),
+       seed=st.integers(min_value=0, max_value=2 ** 16))
+def test_monotonicity_witnesses_convert_on_random_lattices(poset, n, seed):
+    lat = build_ideal_lattice(*poset)
+    assume(2 <= lat.m <= 7)
+    rule = random_explicit_rule(lat, n, random.Random(seed))
+    assume(find_monotonicity_violation(rule, lat) is not None)
+    assert assert_every_violation_converts(lat, rule) > 0

@@ -87,13 +87,6 @@ class TestCommitteeRule:
         floor_rule = CommitteeRule(2, [(frozenset(), square.element("x"))])
         assert floor_rule.evaluate(square, (square.bottom,) * 2) == square.element("x")
 
-    def test_flags(self, square):
-        maj = extended_median_rule(square, 3)
-        assert maj.is_order_filter()
-        assert maj.constants_monotone(square)
-        skewed = CommitteeRule(2, [(frozenset({0}), square.top)])
-        assert not skewed.is_order_filter()
-
     def test_arity_validation(self, square):
         with pytest.raises(ArityMismatchError):
             CommitteeRule(2, [(frozenset({5}), square.top)])

@@ -1,8 +1,10 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
-from conftest import seeded_ideal_lattice
+from conftest import monotonicity_violations, seeded_ideal_lattice, small_posets
+from hypothesis import assume, given, settings, strategies as st
 
 from medianvoting.errors import (
     InvalidSizeError,
@@ -11,7 +13,7 @@ from medianvoting.errors import (
     NotEnoughAtomsError,
     TooLargeError,
 )
-from medianvoting.lattice import build_chain
+from medianvoting.lattice import build_chain, build_ideal_lattice
 from medianvoting.preorders import (
     TotalPreorder,
     enumerate_topped_preorders,
@@ -47,10 +49,9 @@ from medianvoting.verify import (
     find_local_sovereignty_gap,
     find_monotonicity_violation,
     find_strategy_violation,
-    is_b_monotonic,
-    is_strategy_proof,
     random_explicit_rule,
     sample_monotone_rule,
+    strategy_witness_from,
 )
 
 
@@ -172,11 +173,12 @@ class TestMonotonicity:
         spaces = full_spaces(square, 2)
         proj = ExplicitRule.from_function(spaces, lambda b: b[1])
         const = ExplicitRule.from_function(spaces, lambda b: 2)
-        assert is_b_monotonic(proj, square)
-        assert is_b_monotonic(const, square)
+        assert find_monotonicity_violation(proj, square) is None
+        assert find_monotonicity_violation(const, square) is None
 
     def test_majority_is_monotone(self, square):
-        assert is_b_monotonic(extended_median_rule(square, 5), square)
+        rule = extended_median_rule(square, 5)
+        assert find_monotonicity_violation(rule, square) is None
 
     def test_remark3_witness(self, chain4):
         rule = remark3_rule(chain4)
@@ -193,6 +195,33 @@ class TestMonotonicity:
         with pytest.raises(TooLargeError):
             find_monotonicity_violation(rule, square, cap=10)
 
+    def test_matches_brute_force_oracle(self, square, chain4, corner_square,
+                                        cube3, grid3x3):
+        rng = random.Random(5120)
+        carriers = [square, chain4, corner_square, cube3, grid3x3]
+        found = {"random": 0, "median": 0, "mixed": 0}
+        for case in range(150):
+            lat = carriers[case % len(carriers)]
+            n = rng.choice((1, 2, 3) if lat.m <= 4 else (1, 2))
+            spaces = random_spaces(rng, lat, n)
+            kind = ("random", "median", "mixed")[case // len(carriers) % 3]
+            rule = random_rule(rng, lat, spaces, kind)
+            found[kind] += assert_sweep_matches_oracle(rule, lat, spaces) is not None
+        # nested medians never violate; the other kinds do, but not always
+        assert found["median"] == 0
+        assert 30 <= found["random"] < 50 and 5 <= found["mixed"] < 50
+
+    @settings(max_examples=60, deadline=None)
+    @given(poset=small_posets(), n=st.integers(min_value=1, max_value=2),
+           seed=st.integers(min_value=0, max_value=2 ** 16),
+           kind=st.sampled_from(("random", "median", "mixed")))
+    def test_matches_brute_force_oracle_on_random_lattices(self, poset, n, seed, kind):
+        lat = build_ideal_lattice(*poset)
+        assume(2 <= lat.m <= 8)
+        rng = random.Random(seed)
+        spaces = random_spaces(rng, lat, n)
+        assert_sweep_matches_oracle(random_rule(rng, lat, spaces, kind), lat, spaces)
+
     def test_cap_refusal_names_estimate_and_cap(self, square):
         rule = extended_median_rule(square, 2)
         with pytest.raises(TooLargeError) as err:
@@ -202,17 +231,48 @@ class TestMonotonicity:
         assert "cap 7" in str(err.value)
 
 
+def random_spaces(rng, lat, n):
+    """Full ballot spaces, or random restricted ones of 2-4 ballots."""
+    if rng.random() < 0.3:
+        return full_spaces(lat, n)
+    return [tuple(sorted(rng.sample(range(lat.m), rng.randint(2, min(4, lat.m)))))
+            for _ in range(n)]
+
+
+def random_rule(rng, lat, spaces, kind):
+    """A random table, a nested median, or a nested median with one or two
+    cells overwritten ("mixed": monotone except near those cells)."""
+    n = len(spaces)
+    if kind == "random":
+        return ExplicitRule(spaces, [rng.randrange(lat.m)
+                                     for _ in itertools.product(*spaces)])
+    tree = build_canonical_median_tree(
+        [rng.randrange(lat.m) for _ in range(2 ** n)], n)
+    if kind == "median":
+        return tree
+    table = list(tabulate(tree, lat, spaces)[1])
+    for _ in range(rng.randint(1, 2)):
+        table[rng.randrange(len(table))] = rng.randrange(lat.m)
+    return ExplicitRule(spaces, table)
+
+
+def assert_sweep_matches_oracle(rule, lat, spaces):
+    witness = find_monotonicity_violation(rule, lat, spaces)
+    assert witness == next(monotonicity_violations(rule, lat, spaces), None)
+    return witness
+
+
 class TestStrategyProofness:
     def test_majority_sp_both_domains(self, square):
         rule = extended_median_rule(square, 5)
         for factory in (DomainDescriptor.full_unimodal, DomainDescriptor.full_lsu):
-            assert is_strategy_proof(rule, factory(square, 5))
+            assert find_strategy_violation(rule, factory(square, 5)) is None
 
     def test_remark3_sp_on_restricted(self, chain4):
         rule = remark3_rule(chain4)
         dom_u, dom_s = remark3_domains(chain4)
-        assert is_strategy_proof(rule, dom_u)
-        assert is_strategy_proof(rule, dom_s)
+        assert find_strategy_violation(rule, dom_u) is None
+        assert find_strategy_violation(rule, dom_s) is None
 
     def test_remark3_not_sp_on_full(self, chain4):
         rule = remark3_rule(chain4)
@@ -236,6 +296,33 @@ class TestStrategyProofness:
                 witness.truthful_outcome
             assert rule.evaluate(square, witness.deviant_ballots) == \
                 witness.deviant_outcome
+
+    def test_witness_from_monotonicity_violation(self, chain4):
+        rule = remark3_rule(chain4)
+        violation = find_monotonicity_violation(rule, chain4)
+        a, b, c, d = (chain4.element(s) for s in "abcd")
+        spaces = ((a, d), (a, d), tuple(range(4)))
+        for factory in (DomainDescriptor.full_unimodal, DomainDescriptor.full_lsu):
+            domain = factory(chain4, 3, spaces=spaces)
+            witness = strategy_witness_from(violation, domain)
+            assert witness.truthful_ballots == (d, a, a)
+            assert witness.deviant_ballots == (a, a, a)
+            assert (witness.truthful_outcome, witness.deviant_outcome) == (c, a)
+            assert witness.validate(rule, chain4)
+            assert witness.preference in domain.preference_sets[0]
+            # each tampered copy breaks exactly one condition: the outcome,
+            # the top, a second deviator (voter 2 is ignored by the rule),
+            # or the strict gain
+            for tampered in (
+                    replace(witness, truthful_outcome=a),
+                    replace(witness, preference=TotalPreorder.from_classes(
+                        [[a], [b, c, d]], m=4)),
+                    replace(witness, deviant_ballots=(a, a, b)),
+                    replace(witness, preference=TotalPreorder.from_classes(
+                        [[d], [c], [a, b]], m=4))):
+                assert not tampered.validate(rule, chain4)
+        with pytest.raises(ValueError, match="'custom' domain"):
+            strategy_witness_from(violation, remark3_domains(chain4)[0])
 
     def test_matches_brute_force_oracle(self, square, chain4):
         rng = random.Random(5120)
@@ -332,7 +419,7 @@ class TestCoalitionSearch:
         for lat, rule in cases:
             dom = DomainDescriptor.full_unimodal(lat, rule.n)
             if find_coalitional_manipulation(rule, dom) is None:
-                assert is_strategy_proof(rule, dom)
+                assert find_strategy_violation(rule, dom) is None
 
 
     def test_matches_brute_force_oracle(self, square, chain4):
@@ -503,4 +590,4 @@ class TestSuites:
 
     def test_quota_rules_are_monotone(self, square):
         for constants, rule in enumerate_quota_rules(square, 2):
-            assert is_b_monotonic(rule, square)
+            assert find_monotonicity_violation(rule, square) is None
