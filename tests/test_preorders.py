@@ -212,6 +212,17 @@ class TestSinglePeakedness:
             assert (p in strict) == is_locally_strictly_unimodal(p, lat)
 
 
+class TestStrictRelations:
+    def test_top_betweenness_square_atom(self, square):
+        # peak alone in its segment: the rest is layered by betweenness
+        # from the peak, so y, opposite x, comes last
+        o, x, y, i = (square.element(s) for s in "0xy1")
+        w = build_lsu_witness(square, x, x)
+        assert w.ranks == tuple({x: 0, o: 1, i: 1, y: 2}[e] for e in range(4))
+        for a, b in [(x, o), (x, y), (x, i), (o, y), (i, y)]:
+            assert w.ranks[a] < w.ranks[b]
+
+
 class TestWitnessBuilders:
     def test_three_class_shapes(self, square):
         o, x, y, i = (square.element(s) for s in "0xy1")
@@ -233,10 +244,6 @@ class TestWitnessBuilders:
         w = build_lsu_witness(square, x, o)
         assert w.top == x and w.ranks[o] == 1
         assert w.ranks[i] < w.ranks[y]  # inside ordering follows the peak
-        # peak alone in its segment: the rest is layered by betweenness
-        # from the peak, so y, opposite x, comes last
-        w = build_lsu_witness(square, x, x)
-        assert w.ranks == tuple({x: 0, o: 1, i: 1, y: 2}[e] for e in range(4))
 
     @pytest.mark.parametrize("fixture", ["square", "chain4", "cube3"])
     def test_lsu_witness_always_strict(self, fixture, request):
