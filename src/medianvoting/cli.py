@@ -4,12 +4,20 @@ Subcommands: ``lattice build|inspect``, ``prefs enum|check``,
 ``rule eval|convert|check``, and ``verify <suite>|all``.  Exit status 0 when
 every check passes, 1 when a check failed and a witness was emitted, 2 on
 usage, I/O or validation errors.
+
+``verify`` runs the battery table in ``suites.BATTERY``.  ``verify all`` runs
+every entry and takes only ``--seed`` and ``--json``.  ``verify <suite>``
+with no flag runs that suite's entries; ``--lattice``, ``--n``, ``--samples``
+and ``--seed`` put their values into those entries (a lattice replaces the
+entry's own and drops its label), and equal calls run once.  A flag whose
+parameter the suite's function does not have exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import heapq
+import inspect
 import json
 import sys
 from importlib import resources
@@ -43,8 +51,7 @@ from .verify import (
     find_strategy_violation,
 )
 
-SUITE_NAMES = ("claim1", "lemma1", "lemma2", "theorem1", "theorem2",
-               "theorem3", "corollary1", "boolean-square", "all")
+SUITE_NAMES = tuple(dict.fromkeys(s for s, _, _ in suites.BATTERY)) + ("all",)
 
 
 # -- serialization ------------------------------------------------------------------
@@ -345,53 +352,28 @@ def _cmd_rule(args):
     return 0 if all(ok for ok, _ in checks.values()) else 1
 
 
+# verify's flags and the suite parameters they fill
+_SUITE_FLAGS = (("lattice", "lat"), ("n", "n"), ("samples", "samples"),
+                ("seed", "seed"))
+
+
 def _suite_reports(args):
-    name = args.suite
-    seed = args.seed
-    lat = parse_lattice_file(args.lattice) if args.lattice else None
-    if name == "all":
-        return suites.run_all(seed=seed)
-    if name == "claim1":
-        if lat is not None:
-            return [suites.claim1_suite(lat)]
-        return [suites.claim1_suite(suites.boolean_square(), "square"),
-                suites.claim1_suite(bundled_lattice("chain4"), "chain4"),
-                suites.claim1_suite(bundled_lattice("cube3"), "cube"),
-                suites.claim1_suite(bundled_lattice("grid3x3"), "grid3x3")]
-    if name == "lemma1":
-        return [suites.lemma1_suite(lat or suites.boolean_square(),
-                                    n=args.n or 2, samples=args.samples,
-                                    seed=seed)]
-    if name == "lemma2":
-        if lat is not None:
-            return [suites.lemma2_suite(lat, n=args.n or 3)]
-        return [suites.lemma2_suite(suites.boolean_square(), 3, "square"),
-                suites.lemma2_suite(bundled_lattice("cube3"), 3, "cube")]
-    if name == "theorem1":
-        return [suites.theorem1_suite(lat or suites.boolean_square(),
-                                      n=args.n or 2, samples=args.samples,
-                                      seed=seed)]
-    if name == "theorem2":
-        if lat is not None:
-            return [suites.theorem2_suite(lat)]
-        return [suites.theorem2_suite(suites.boolean_square()),
-                suites.theorem2_suite(bundled_lattice("chain4")),
-                suites.theorem2_suite(bundled_lattice("cube3"))]
-    if name == "theorem3":
-        base = lat or suites.boolean_square()
-        if args.n:
-            return [suites.theorem3_suite(base, n=args.n)]
-        return [suites.theorem3_suite(base, n=k) for k in (3, 4, 5)]
-    if name == "corollary1":
-        base = lat or bundled_lattice("chain4")
-        if args.n:
-            return [suites.chain_equivalence_suite(base, n=args.n,
-                                                   samples=args.samples, seed=seed)]
-        return [suites.chain_equivalence_suite(base, 2, args.samples, seed),
-                suites.chain_equivalence_suite(base, 3, 0, seed)]
-    if name == "boolean-square":
-        return [suites.boolean_square_suite()]
-    raise FormatError(f"unknown suite {name!r}")
+    suite = args.suite
+    given = {param: getattr(args, flag) for flag, param in _SUITE_FLAGS
+             if getattr(args, flag) is not None}
+    if suite == "all":
+        params = {"seed"}
+    else:
+        params = inspect.signature(suites.suite_function(suite)).parameters
+    for flag, param in _SUITE_FLAGS:
+        if param in given and param not in params:
+            raise FormatError(f"verify {suite} does not take --{flag}")
+    if given.get("n", 1) < 1 or given.get("samples", 0) < 0:
+        raise FormatError(f"verify {suite} needs --n >= 1 and --samples >= 0")
+    if "lat" in given:
+        given["lat"] = parse_lattice_file(given["lat"])
+    return suites.run_all(seed=given.pop("seed", 0),
+                          suite=None if suite == "all" else suite, **given)
 
 
 def _cmd_verify(args):
@@ -445,15 +427,19 @@ def _build_parser():
     p_rule.add_argument("--cap", type=int, default=10 ** 8)
     p_rule.add_argument("--json", metavar="PATH")
 
-    p_verify = sub.add_parser("verify", help="run a verification suite")
+    p_verify = sub.add_parser(
+        "verify", help="run a verification suite",
+        description="With no flag a suite runs its battery entries.  A flag "
+                    "puts its value into them; a flag the suite does not take "
+                    "exits 2, and 'all' takes only --seed and --json.")
     p_verify.add_argument("suite", choices=SUITE_NAMES)
-    p_verify.add_argument("--lattice", metavar="PATH")
-    p_verify.add_argument("--n", type=int, default=None)
-    p_verify.add_argument("--samples", type=int, default=200)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--workers", type=int, default=1,
-                          help="accepted for compatibility; sweeps run "
-                               "serially and results are worker-independent")
+    p_verify.add_argument("--lattice", metavar="PATH",
+                          help="lattice put into the entries (labels dropped)")
+    p_verify.add_argument("--n", type=int, help="voter count put into the entries")
+    p_verify.add_argument("--samples", type=int,
+                          help="sampled rule count put into the entries")
+    p_verify.add_argument("--seed", type=int,
+                          help="seed put into the seeded entries (default 0)")
     p_verify.add_argument("--json", metavar="PATH")
     return parser
 
@@ -461,7 +447,11 @@ def _build_parser():
 def run(argv) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            where = (f"verify {args.suite}" if args.command == "verify"
+                     else args.command)
+            parser.error(f"{where} does not take {' '.join(extra)}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
@@ -478,8 +468,6 @@ def run(argv) -> int:
                 parser.error("rule convert requires --to")
             return _cmd_rule(args)
         if args.command == "verify":
-            if getattr(args, "workers", 1) < 1:
-                parser.error("--workers must be at least 1")
             return _cmd_verify(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2

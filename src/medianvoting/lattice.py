@@ -240,17 +240,11 @@ class Lattice:
 
     # -- names --------------------------------------------------------------
 
-    def name(self, element: int) -> str:
-        return self.names[element]
-
     def element(self, name: str) -> int:
         try:
             return self._index[name]
         except KeyError:
             raise KeyError(f"unknown element name {name!r}") from None
-
-    def elements(self):
-        return range(self.m)
 
     def __repr__(self):
         return f"Lattice({self.m} elements, bottom={self.names[self.bottom]}, top={self.names[self.top]})"

@@ -45,15 +45,8 @@ class TotalPreorder:
     def rank(self, element: int) -> int:
         return self.ranks[element]
 
-    def prefers(self, a: int, b: int) -> bool:
-        """Weak preference a >= b."""
-        return self.ranks[a] <= self.ranks[b]
-
     def strictly_prefers(self, a: int, b: int) -> bool:
         return self.ranks[a] < self.ranks[b]
-
-    def indifferent(self, a: int, b: int) -> bool:
-        return self.ranks[a] == self.ranks[b]
 
     def classes(self) -> tuple:
         """Indifference classes, best first, each sorted by element id."""
@@ -272,26 +265,6 @@ def _ranked(lat: Lattice, ordered_classes) -> TotalPreorder:
     return TotalPreorder([remap[r] for r in ranks])
 
 
-def _longest_path_ranks(elements, pairs):
-    """Rank = length of the longest strict chain above, within ``elements``;
-    the (better, worse) pairs must be acyclic."""
-    inside = set(elements)
-    preds = {e: [] for e in elements}
-    for a, b in pairs:
-        if a in inside and b in inside:
-            preds[b].append(a)
-    ranks = {}
-
-    def depth(v):
-        if v not in ranks:
-            ranks[v] = max((depth(u) + 1 for u in preds[v]), default=0)
-        return ranks[v]
-
-    for e in elements:
-        depth(e)
-    return ranks
-
-
 def build_three_class_witness(lat: Lattice, peak: int, ref: int) -> TotalPreorder:
     """peak alone on top, then the rest of [peak, ref], then everything else."""
     inner = [e for e in _bits(lat.interval_mask(peak, ref)) if e != peak]
@@ -301,20 +274,16 @@ def build_three_class_witness(lat: Lattice, peak: int, ref: int) -> TotalPreorde
 def build_lsu_witness(lat: Lattice, peak: int, ref: int) -> TotalPreorder:
     """Locally strictly unimodal preorder: the segment [peak, ref] is layered
     above its complement, each part ordered by nearness to the peak."""
-    # y beats z whenever y lies strictly inside the segment from the peak to z;
-    # a distributive lattice's rank metric makes these pairs acyclic
-    pairs = [(y, z) for z in range(lat.m)
-             for y in _bits(lat.interval_mask(peak, z)) if y != z]
-    segment_mask = lat.interval_mask(peak, ref)
-    segment = list(_bits(segment_mask))
-    outside = [e for e in range(lat.m) if not segment_mask >> e & 1]
-    inner = _longest_path_ranks(segment, pairs)
-    ranks = [0] * lat.m
-    for e in segment:
-        ranks[e] = inner[e]
-    if outside:
-        shift = max(inner.values()) + 1
-        outer = _longest_path_ranks(outside, pairs)
-        for e in outside:
-            ranks[e] = shift + outer[e]
-    return TotalPreorder(ranks)
+    # y beats z whenever both lie in the same part and y lies strictly inside
+    # [peak, z].  Then [peak, y] is smaller than [peak, z], so one pass in
+    # order of interval size sees every such y before z.
+    segment = lat.interval_mask(peak, ref)
+    spans = [lat.interval_mask(peak, z) for z in range(lat.m)]
+    depth = [0] * lat.m
+    for z in sorted(range(lat.m), key=lambda z: spans[z].bit_count()):
+        part = segment if segment >> z & 1 else ~segment
+        depth[z] = max((depth[y] + 1 for y in _bits(spans[z] & part & ~(1 << z))),
+                       default=0)
+    shift = max(depth[e] for e in _bits(segment)) + 1
+    return TotalPreorder([depth[e] + (0 if segment >> e & 1 else shift)
+                          for e in range(lat.m)])

@@ -16,7 +16,8 @@ import random
 import time
 
 from .errors import NoSuitableSublatticeError, NotAChainError, NotEnoughAtomsError
-from .lattice import Lattice, build_chain, build_from_covers, build_boolean_hypercube
+from .lattice import (Lattice, build_boolean_hypercube, build_chain, build_from_covers,
+                      build_product)
 from .preorders import (
     _ranked,
     enumerate_lsu,
@@ -278,8 +279,7 @@ def _blocked_pair_rule():
     """The four-chain rule that freezes a blocked ballot pair: on ballots
     restricted to the ends of the chain's middle segment it returns interior
     elements crosswise, which breaks interval monotonicity."""
-    chain = build_from_covers(["a", "b", "d", "c"],
-                              [("a", "b"), ("b", "d"), ("d", "c")])
+    chain = chain4()
     a, b, d, c = (chain.element(s) for s in "abdc")
     value = {(a, a): a, (a, d): b, (d, a): c, (d, d): d}
 
@@ -291,8 +291,12 @@ def _blocked_pair_rule():
     return chain, full
 
 
-def theorem1_suite(lat: Lattice, n: int = 2, samples: int = 200, seed: int = 0,
-                   committee_max_n: int = 3) -> VerificationReport:
+# voter counts up to which theorem1 sweeps every quota rule
+COMMITTEE_MAX_N = 3
+
+
+def theorem1_suite(lat: Lattice, n: int = 2, samples: int = 200,
+                   seed: int = 0) -> VerificationReport:
     """Five-way equivalence sweep: monotonicity, strategy-proofness on both
     domains, median-tree representability, committee representability.
 
@@ -326,7 +330,7 @@ def theorem1_suite(lat: Lattice, n: int = 2, samples: int = 200, seed: int = 0,
 
     quota_bad = None
     quota_count = 0
-    for nn in range(1, committee_max_n + 1):
+    for nn in range(1, COMMITTEE_MAX_N + 1):
         d_u = DomainDescriptor.full_unimodal(lat, nn)
         d_s = DomainDescriptor.full_lsu(lat, nn)
         for constants, rule in enumerate_quota_rules(lat, nn):
@@ -343,7 +347,7 @@ def theorem1_suite(lat: Lattice, n: int = 2, samples: int = 200, seed: int = 0,
         if quota_bad:
             break
     checks.append(CheckResult("quota-rules-satisfy-all-five", quota_bad is None,
-                              quota_bad, f"{quota_count} quota rules, n <= {committee_max_n}"))
+                              quota_bad, f"{quota_count} quota rules, n <= {COMMITTEE_MAX_N}"))
 
     chain, blocked = _blocked_pair_rule()
     b_dom_u = DomainDescriptor.full_unimodal(chain, 2)
@@ -704,6 +708,12 @@ def boolean_square() -> Lattice:
                              [("0", "x"), ("0", "y"), ("x", "1"), ("y", "1")])
 
 
+def chain4() -> Lattice:
+    """The four-element chain a < b < d < c."""
+    return build_from_covers(["a", "b", "d", "c"],
+                             [("a", "b"), ("b", "d"), ("d", "c")])
+
+
 def square_templates(lat: Lattice, strict: bool):
     """The twelve single-peaked preorders of each family, three per top."""
     out = set()
@@ -801,8 +811,7 @@ def boolean_square_suite() -> VerificationReport:
         detail=f"median(1,x,y)={lat.names[med]}, counts ({below},{above}), "
                "majority threshold 2"))
 
-    chain = build_from_covers(["a", "b", "d", "c"],
-                              [("a", "b"), ("b", "d"), ("d", "c")])
+    chain = chain4()
     balanced = True
     for ballots in itertools.product(range(4), repeat=3):
         cm = extended_median(chain, ballots)
@@ -834,35 +843,72 @@ def boolean_square_suite() -> VerificationReport:
     return _finish("boolean-square", checks, t0)
 
 
-def run_all(seed: int = 0) -> list:
-    """Every suite on the bundled lattices; the full battery."""
-    square = boolean_square()
-    chain4 = build_from_covers(["a", "b", "d", "c"],
-                               [("a", "b"), ("b", "d"), ("d", "c")])
-    cube = build_boolean_hypercube(3)
-    grid = _grid3x3()
-    reports = [
-        claim1_suite(square, "square"),
-        claim1_suite(chain4, "chain4"),
-        claim1_suite(cube, "cube"),
-        claim1_suite(grid, "grid3x3"),
-        lemma1_suite(square, n=2, samples=120, seed=seed),
-        lemma2_suite(square, n=3, label="square"),
-        lemma2_suite(cube, n=3, label="cube"),
-        theorem1_suite(square, n=2, samples=200, seed=seed),
-        theorem2_suite(square),
-        theorem2_suite(chain4),
-        theorem2_suite(cube),
-        theorem3_suite(square, n=3),
-        theorem3_suite(square, n=4),
-        theorem3_suite(square, n=5),
-        chain_equivalence_suite(chain4, n=2, samples=100, seed=seed),
-        chain_equivalence_suite(chain4, n=3, samples=0, seed=seed),
-        boolean_square_suite(),
-    ]
+# -- the battery ----------------------------------------------------------------------------
+
+
+LATTICES = {
+    "square": boolean_square,
+    "chain4": chain4,
+    "cube": lambda: build_boolean_hypercube(3),
+    "grid3x3": lambda: build_product(build_chain(3), build_chain(3)),
+}
+
+# (suite, lattice key, keyword arguments) per report, in report order; an
+# entry with a "seed" gets the run's seed
+BATTERY = (
+    ("claim1", "square", {"label": "square"}),
+    ("claim1", "chain4", {"label": "chain4"}),
+    ("claim1", "cube", {"label": "cube"}),
+    ("claim1", "grid3x3", {"label": "grid3x3"}),
+    ("lemma1", "square", {"n": 2, "samples": 120, "seed": 0}),
+    ("lemma2", "square", {"n": 3, "label": "square"}),
+    ("lemma2", "cube", {"n": 3, "label": "cube"}),
+    ("theorem1", "square", {"n": 2, "samples": 200, "seed": 0}),
+    ("theorem2", "square", {}),
+    ("theorem2", "chain4", {}),
+    ("theorem2", "cube", {}),
+    ("theorem3", "square", {"n": 3}),
+    ("theorem3", "square", {"n": 4}),
+    ("theorem3", "square", {"n": 5}),
+    ("corollary1", "chain4", {"n": 2, "samples": 100, "seed": 0}),
+    ("corollary1", "chain4", {"n": 3, "samples": 0, "seed": 0}),
+    ("boolean-square", None, {}),
+)
+
+
+def suite_function(suite: str):
+    """The function behind a battery suite name, looked up in the module
+    namespace at each call, so a patched attribute is the one that runs."""
+    stem = "chain_equivalence" if suite == "corollary1" else suite.replace("-", "_")
+    return globals()[f"{stem}_suite"]
+
+
+def run_all(seed: int = 0, suite: str | None = None, **given) -> list:
+    """The battery's reports, or only those of ``suite``'s entries.
+
+    ``given`` values (``lat``, ``n``, ``samples``) are put into each entry,
+    and a given ``lat`` drops the entry's label.  Each distinct call runs
+    once, and each default lattice is built once per run.
+    """
+    lattices = {}
+    done = set()
+    reports = []
+    for name, key, kwargs in BATTERY:
+        if suite not in (None, name):
+            continue
+        call = {**kwargs, **given}
+        if "seed" in kwargs:
+            call["seed"] = seed
+        if "lat" in given:
+            call.pop("label", None)
+            key = None
+        identity = (name, key, tuple(sorted(call.items())))
+        if identity in done:
+            continue
+        done.add(identity)
+        if key is not None:
+            if key not in lattices:
+                lattices[key] = LATTICES[key]()
+            call["lat"] = lattices[key]
+        reports.append(suite_function(name)(**call))
     return reports
-
-
-def _grid3x3() -> Lattice:
-    from .lattice import build_product
-    return build_product(build_chain(3), build_chain(3))

@@ -10,7 +10,7 @@ from medianvoting.lattice import (
     build_ideal_lattice,
     build_product,
 )
-from medianvoting.preorders import enumerate_topped_preorders
+from medianvoting.preorders import TotalPreorder, enumerate_topped_preorders
 from medianvoting.verify import MonotonicityWitness
 
 
@@ -87,3 +87,40 @@ def monotonicity_violations(rule, lat, spaces):
                 other = rule.evaluate(lat, deviant)
                 if not lat.between(ballots[i], outcome, other):
                     yield MonotonicityWitness(ballots, i, deviation, outcome, other)
+
+
+def lsu_witness_oracle(lat, peak, ref):
+    """The locally strictly unimodal witness from explicit betweenness pairs:
+    y beats z whenever y lies strictly inside [peak, z], and each part (the
+    segment [peak, ref], then the rest) is ranked by its longest chain of
+    such pairs above each element."""
+    pairs = [(y, z) for z in range(lat.m)
+             for y in lat.interval(peak, z) if y != z]
+    segment = set(lat.interval(peak, ref))
+    outside = [e for e in range(lat.m) if e not in segment]
+
+    def longest_path_ranks(elements):
+        inside = set(elements)
+        preds = {e: [] for e in elements}
+        for a, b in pairs:
+            if a in inside and b in inside:
+                preds[b].append(a)
+        ranks = {}
+
+        def depth(v):
+            if v not in ranks:
+                ranks[v] = max((depth(u) + 1 for u in preds[v]), default=0)
+            return ranks[v]
+
+        for e in elements:
+            depth(e)
+        return ranks
+
+    inner = longest_path_ranks(sorted(segment))
+    ranks = [0] * lat.m
+    for e, r in inner.items():
+        ranks[e] = r
+    shift = max(inner.values()) + 1
+    for e, r in longest_path_ranks(outside).items():
+        ranks[e] = shift + r
+    return TotalPreorder(ranks)

@@ -1,10 +1,13 @@
+import functools
 import json
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+from medianvoting import suites
 from medianvoting.cli import (
+    SUITE_NAMES,
     bundled_lattice,
     canonical_order,
     parse_lattice,
@@ -43,6 +46,22 @@ def bundled_path(name):
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def verify_reports(tmp_path, *argv):
+    """The reports of ``verify *argv --json``, without their elapsed times."""
+    path = tmp_path / "reports.json"
+    assert run(["verify", *argv, "--json", str(path)]) == 0
+    reports = json.loads(path.read_text())
+    for report in reports:
+        report.pop("elapsed_ms")
+    return reports
+
+
+@pytest.fixture(scope="module")
+def battery(tmp_path_factory):
+    """The reports of ``verify all``, without their elapsed times."""
+    return verify_reports(tmp_path_factory.mktemp("battery"), "all")
 
 
 @pytest.fixture
@@ -223,20 +242,54 @@ class TestCommands:
         assert run(["verify", "claim1", "--lattice", square_file]) == 0
         capsys.readouterr()
 
-    def test_verify_workers_flag_accepted(self, capsys, tmp_path):
-        first = tmp_path / "one.json"
-        second = tmp_path / "two.json"
-        assert run(["verify", "theorem3", "--n", "3",
-                    "--json", str(first)]) == 0
-        assert run(["verify", "theorem3", "--n", "3", "--workers", "4",
-                    "--json", str(second)]) == 0
-        capsys.readouterr()
-        a = json.loads(first.read_text())
-        b = json.loads(second.read_text())
-        for report in (a, b):
-            for entry in report:
-                entry.pop("elapsed_ms")
-        assert a == b
+    @pytest.mark.parametrize("suite", SUITE_NAMES[:-1])
+    def test_verify_suite_matches_its_battery_reports(self, suite, battery,
+                                                      tmp_path, capsys):
+        entries = sum(1 for name, _, _ in suites.BATTERY if name == suite)
+        mine = [r for r in battery if r["suite"].split(":")[0] == suite]
+        assert len(mine) == entries
+        assert verify_reports(tmp_path, suite) == mine
+
+    def test_verify_flags_fill_the_battery_entries(self, square_file, tmp_path,
+                                                   capsys, monkeypatch):
+        with_square = verify_reports(tmp_path, "claim1", "--lattice", square_file)
+        assert [r["suite"] for r in with_square] == ["claim1"]
+        assert len(verify_reports(tmp_path, "theorem3", "--lattice", square_file)) == 3
+        assert len(verify_reports(tmp_path, "theorem3", "--n", "3")) == 1
+        voters = []
+        original = suites.lemma2_suite
+
+        @functools.wraps(original)
+        def recording(*args, **kwargs):
+            voters.append(kwargs["n"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(suites, "lemma2_suite", recording)
+        assert len(verify_reports(tmp_path, "lemma2", "--n", "2")) == 2
+        assert voters == [2, 2]
+
+    def test_verify_lemma1_samples(self, tmp_path, capsys):
+        detail = verify_reports(tmp_path, "lemma1")[0]["checks"][0]["detail"]
+        assert detail == "126 rules, 6 monotone"
+        more = verify_reports(tmp_path, "lemma1", "--samples", "200")
+        assert more[0]["checks"][0]["detail"] == "206 rules, 6 monotone"
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["theorem2", "--n", "7"], "--n"),
+        (["boolean-square", "--lattice", bundled_path("boolean_square")], "--lattice"),
+        (["claim1", "--samples", "5"], "--samples"),
+        (["claim1", "--seed", "5"], "--seed"),
+        (["all", "--samples", "1"], "--samples"),
+        (["all", "--lattice", bundled_path("boolean_square")], "--lattice"),
+        (["all", "--workers", "4"], "--workers"),
+        (["theorem3", "--n", "0"], "--n"),
+        (["lemma1", "--samples", "-1"], "--samples"),
+    ])
+    def test_verify_rejects_flags_the_suite_does_not_take(self, argv, flag, capsys):
+        assert run(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in captured.err and f"verify {argv[0]}" in captured.err
 
     def test_usage_errors_exit_2(self, capsys):
         assert run(["verify", "unknown-suite"]) == 2
@@ -244,6 +297,7 @@ class TestCommands:
         # verify has no --cap or --semantics; rule check keeps its own
         assert run(["verify", "theorem3", "--n", "3", "--cap", "1"]) == 2
         assert run(["verify", "theorem3", "--n", "3", "--semantics", "literal"]) == 2
+        assert run(["verify", "theorem3", "--n", "3", "--workers", "4"]) == 2
         capsys.readouterr()
 
     @pytest.mark.parametrize("covers", [5, "ab", [["a", ["b"]]], [[["a"], "b"]],

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from dataclasses import replace
@@ -27,7 +28,9 @@ from medianvoting.rules import (
     full_spaces,
     tabulate,
 )
+from medianvoting import cli, suites
 from medianvoting.suites import (
+    _quota_tables,
     boolean_square,
     boolean_square_suite,
     chain_equivalence_suite,
@@ -587,6 +590,39 @@ class TestSuites:
         first.pop("elapsed_ms")
         second.pop("elapsed_ms")
         assert first == second
+
+    @pytest.mark.parametrize("fixture, n", [
+        ("square", 1), ("square", 2), ("square", 3), ("chain4", 1), ("chain4", 2),
+        ("chain4", 3), ("cube3", 1), ("cube3", 2), ("cube3", 3), ("square", 4),
+        ("square", 5)])
+    def test_quota_tables_match_committee_rules(self, fixture, n, request):
+        lat = request.getfixturevalue(fixture)
+        assert _quota_tables(lat, n) == [
+            (c, tabulate(rule, lat)[1]) for c, rule in enumerate_quota_rules(lat, n)]
+
+    @settings(max_examples=30, deadline=None)
+    @given(poset=small_posets(), n=st.integers(min_value=1, max_value=2))
+    def test_quota_tables_match_committee_rules_on_random_lattices(self, poset, n):
+        lat = build_ideal_lattice(*poset)
+        assume(lat.m ** n <= 64)
+        assert _quota_tables(lat, n) == [
+            (c, tabulate(rule, lat)[1]) for c, rule in enumerate_quota_rules(lat, n)]
+
+    def test_battery_looks_suites_up_when_called(self, monkeypatch):
+        # the benchmark's tracer patches the suites.*_suite attributes
+        calls = []
+        original = suites.theorem2_suite
+
+        @functools.wraps(original)
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(suites, "theorem2_suite", counting)
+        assert len(suites.run_all()) == 17
+        assert len(calls) == 3
+        names = tuple(dict.fromkeys(suite for suite, _, _ in suites.BATTERY))
+        assert cli.SUITE_NAMES == names + ("all",)
 
     def test_quota_rules_are_monotone(self, square):
         for constants, rule in enumerate_quota_rules(square, 2):
