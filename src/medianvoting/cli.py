@@ -20,7 +20,6 @@ import heapq
 import inspect
 import json
 import sys
-from importlib import resources
 
 from .errors import FormatError, MedianVotingError
 from .lattice import Lattice, build_from_covers
@@ -225,11 +224,6 @@ def parse_rule_file(path, lat: Lattice):
 
 def parse_preorder_file(path, lat: Lattice):
     return parse_preorder_list(_load_json(path), lat)
-
-
-def bundled_lattice(name: str) -> Lattice:
-    text = resources.files("medianvoting").joinpath(f"data/{name}.json").read_text()
-    return parse_lattice(json.loads(text))
 
 
 # -- subcommands ----------------------------------------------------------------------

@@ -258,10 +258,12 @@ def lemma2_suite(lat: Lattice, n: int = 3, label: str = "") -> VerificationRepor
             for i in range(n)]
     pool += [tuple([c] * (lat.m ** n)) for c in range(lat.m)]
     pool.append(tabulate(extended_median_rule(lat, n), lat)[1])
+    m = lat.m
+    median = [lat.median(a, b, c) for a, b, c in itertools.product(range(m), repeat=3)]
     witness = None
     tested = 0
     for fa, fb, fc in itertools.combinations_with_replacement(pool, 3):
-        mixed = ExplicitRule(spaces, [lat.median(a, b, c)
+        mixed = ExplicitRule(spaces, [median[(a * m + b) * m + c]
                                       for a, b, c in zip(fa, fb, fc)])
         tested += 1
         violation = find_monotonicity_violation(mixed, lat)

@@ -9,7 +9,9 @@ the coalition search visits coalition sizes from largest to smallest (see
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 from .errors import CarrierMismatchError, InvalidSizeError, TooLargeError
@@ -32,10 +34,20 @@ def _strides(sizes):
 # -- domains ------------------------------------------------------------------------
 
 
+def _better_masks(pref) -> tuple:
+    """better[o]: bitmask of the elements ``pref`` ranks strictly above o."""
+    below = [0] * (max(pref.ranks) + 2)    # below[r]: elements of rank < r
+    for v, r in enumerate(pref.ranks):
+        below[r + 1] |= 1 << v
+    for r in range(1, len(below)):
+        below[r] |= below[r - 1]
+    return tuple(below[r] for r in pref.ranks)
+
+
 class DomainDescriptor:
     """Per-voter ballot spaces and admissible preference sets."""
 
-    __slots__ = ("lattice", "spaces", "preference_sets", "flavor")
+    __slots__ = ("lattice", "spaces", "preference_sets", "flavor", "_gains")
 
     def __init__(self, lattice: Lattice, spaces, preference_sets, flavor="custom"):
         self.lattice = lattice
@@ -55,10 +67,36 @@ class DomainDescriptor:
                         f"voter {i} holds a preference whose top "
                         f"{lattice.names[p.top]} is outside the ballot space")
         self.flavor = flavor
+        self._gains = None
 
     @property
     def n(self) -> int:
         return len(self.spaces)
+
+    def gain_masks(self):
+        """(better, gain), built on first use and kept with the domain.
+
+        ``better[i][k][o]`` is the bitmask of the elements voter i's k-th
+        preference ranks strictly above outcome o; ``gain[i][t][o]`` is the
+        union of those masks over voter i's preferences with top t.
+        """
+        if self._gains is None:
+            memo = {}    # by identity: full domains share preorders across voters
+            better, gain = [], []
+            for prefs in self.preference_sets:
+                masks, by_top = [], {}
+                for p in prefs:
+                    mask = memo.get(id(p))
+                    if mask is None:
+                        mask = memo[id(p)] = _better_masks(p)
+                    masks.append(mask)
+                    by_top.setdefault(p.top, []).append(mask)
+                better.append(tuple(masks))
+                gain.append({t: [functools.reduce(operator.or_, column)
+                                 for column in zip(*group)]
+                             for t, group in by_top.items()})
+            self._gains = tuple(better), tuple(gain)
+        return self._gains
 
     @classmethod
     def full_unimodal(cls, lattice: Lattice, n: int, spaces=None) -> "DomainDescriptor":
@@ -195,10 +233,34 @@ class ManipulationWitness:
 # -- interval monotonicity -------------------------------------------------------------
 
 
+def _lines(table, size, stride):
+    """One voter's lines through a row-major table, as (offset, entries)
+    pairs: the offset is the cell with that voter at position 0, and the
+    lines run in row-major order of the other voters."""
+    return [(off, table[off:off + size * stride:stride])
+            for hi in range(0, len(table), size * stride)
+            for off in range(hi, hi + stride)]
+
+
 def find_monotonicity_violation(rule, lat: Lattice, spaces=None,
                                 cap: int = DEFAULT_EVAL_CAP):
     """First (ballots, voter, deviation) whose outcome leaves the segment
-    between the voter's ballot and the deviant outcome, or None."""
+    between the voter's ballot and the deviant outcome, or None.
+
+    The witness is the first in the order ballot tuples row-major, voters
+    ascending, deviations in space order.  One pass per voter decides every
+    deviation at once.  On Birkhoff codes (``Lattice._code``) o lies in
+    [x, d] iff x&d <= o <= x|d, and along voter i's line (the cells that
+    differ only in i's ballot) the unions and intersections satisfy
+    U(x&d) = x&U(d) and I(x|d) = x|I(d).  So the cell with ballot x and
+    outcome o survives every deviation of voter i iff x&U <= o <= x|I, with
+    U and I the union and the intersection of the outcome codes on the line.
+    The sweep keeps the smallest failing (cell index, voter) pair, the lower
+    voter on a tie, and rescans only that line in space order to name the
+    deviation.  That is the pair and the deviation the cell-by-cell order
+    meets first, so the witness is unchanged, found in O(n*|table|) steps
+    instead of O(|table|*sum of space sizes).
+    """
     spaces, table = tabulate(rule, lat, spaces)
     n = len(spaces)
     sizes = [len(s) for s in spaces]
@@ -208,19 +270,34 @@ def find_monotonicity_violation(rule, lat: Lattice, spaces=None,
         raise TooLargeError(
             f"monotonicity sweep of {estimate} evaluations exceeds the "
             f"evaluation cap {cap}")
-    imask = [[lat.interval_mask(x, y) for y in range(lat.m)] for x in range(lat.m)]
-    ranges = [range(k) for k in sizes]
-    for idx, pos in enumerate(itertools.product(*ranges)):
-        out = table[idx]
-        for i in range(n):
-            base = idx - pos[i] * strides[i]
-            row = imask[spaces[i][pos[i]]]
-            for q, dev in enumerate(spaces[i]):
-                other = table[base + q * strides[i]]
-                if not row[other] >> out & 1:
-                    ballots = tuple(spaces[j][pos[j]] for j in range(n))
-                    return MonotonicityWitness(ballots, i, dev, out, other)
-    return None
+    code = lat._code
+    codes = [code[o] for o in table]
+    first = (len(table), None, None)    # (cell index, voter, line offset)
+    for i in range(n):
+        k, s = sizes[i], strides[i]
+        ballots = [code[b] for b in spaces[i]]
+        for off, line in _lines(codes, k, s):
+            if off >= first[0]:
+                break
+            union = functools.reduce(operator.or_, line)
+            inter = functools.reduce(operator.and_, line)
+            if union == inter:    # a constant line passes
+                continue
+            for q, x in enumerate(ballots):
+                o = line[q]
+                if x & union & ~o or o & ~(x | inter):
+                    if off + q * s < first[0]:
+                        first = (off + q * s, i, off)
+                    break
+    idx, i, off = first
+    if i is None:
+        return None
+    cell = tuple(spaces[j][idx // strides[j] % sizes[j]] for j in range(n))
+    out = table[idx]
+    dev, other = next((dev, other) for dev, other
+                      in zip(spaces[i], table[off::strides[i]])
+                      if not lat.between(cell[i], out, other))
+    return MonotonicityWitness(cell, i, dev, out, other)
 
 
 # -- individual strategy-proofness ----------------------------------------------------
@@ -228,7 +305,18 @@ def find_monotonicity_violation(rule, lat: Lattice, spaces=None,
 
 def find_strategy_violation(rule, domain: DomainDescriptor,
                             cap: int = DEFAULT_EVAL_CAP):
-    """First profitable unilateral deviation from a truthful top, or None."""
+    """First profitable unilateral deviation from a truthful top, or None.
+
+    The witness is the first in the order voters ascending, the voter's
+    preferences in index order, the others' ballots row-major, deviations in
+    space order.  For each voter the sweep lists its lines (the others'
+    ballots fixed, as in ``find_monotonicity_violation``) with their reach
+    masks, the outcomes the voter can force there.  A preference with top t
+    gains on a line iff its better-set at the truthful outcome meets the
+    reach mask; a top whose union gain (``DomainDescriptor.gain_masks``)
+    meets no reach mask is skipped with all its preferences, and the rest
+    are scanned in that same order, so the witness is unchanged.
+    """
     lat = domain.lattice
     spaces, table = tabulate(rule, lat, domain.spaces)
     n = len(spaces)
@@ -240,30 +328,28 @@ def find_strategy_violation(rule, domain: DomainDescriptor,
         raise TooLargeError(
             f"strategy-proofness sweep of {estimate} evaluations exceeds the "
             f"evaluation cap {cap}")
-    pos_of = [{b: q for q, b in enumerate(s)} for s in spaces]
+    better, gain = domain.gain_masks()
     for i in range(n):
-        other_ranges = [range(sizes[j]) for j in range(n) if j != i]
-        other_strides = [strides[j] for j in range(n) if j != i]
-        other_spaces = [spaces[j] for j in range(n) if j != i]
-        for pref in domain.preference_sets[i]:
-            ranks = pref.ranks
-            top_pos = pos_of[i][pref.top]
-            for ctx in itertools.product(*other_ranges):
-                base = sum(q * s for q, s in zip(ctx, other_strides))
-                truthful = table[base + top_pos * strides[i]]
-                r_truthful = ranks[truthful]
-                for q in range(sizes[i]):
-                    deviant = table[base + q * strides[i]]
-                    if ranks[deviant] < r_truthful:
-                        context = [sp[c] for sp, c in zip(other_spaces, ctx)]
-                        truthful_ballots = tuple(
-                            context[j] if j < i else (pref.top if j == i else context[j - 1])
-                            for j in range(n))
-                        deviant_ballots = list(truthful_ballots)
-                        deviant_ballots[i] = spaces[i][q]
-                        return StrategyWitness(i, pref, truthful_ballots,
-                                               tuple(deviant_ballots),
-                                               truthful, deviant)
+        k, s = sizes[i], strides[i]
+        pos_of = {b: q for q, b in enumerate(spaces[i])}
+        lines = [(off, line, functools.reduce(operator.or_, [1 << o for o in line]))
+                 for off, line in _lines(table, k, s)]
+        live = {t for t, union in gain[i].items()
+                if any(union[line[pos_of[t]]] & reach for _, line, reach in lines)}
+        for pref, masks in zip(domain.preference_sets[i], better[i]):
+            if pref.top not in live:
+                continue
+            p = pos_of[pref.top]
+            for off, line, reach in lines:
+                wins = masks[line[p]]
+                if wins & reach:
+                    q = next(q for q, o in enumerate(line) if wins >> o & 1)
+                    truthful = tuple(pref.top if j == i else
+                                     spaces[j][off // strides[j] % sizes[j]]
+                                     for j in range(n))
+                    deviant = truthful[:i] + (spaces[i][q],) + truthful[i + 1:]
+                    return StrategyWitness(i, pref, truthful, deviant,
+                                           line[p], line[q])
     return None
 
 
@@ -295,16 +381,6 @@ def strategy_witness_from(violation: MonotonicityWitness,
 # -- coalitional manipulation ----------------------------------------------------------
 
 
-def _better_masks(pref) -> tuple:
-    """better[o]: bitmask of the elements ``pref`` ranks strictly above o."""
-    below = [0] * (max(pref.ranks) + 2)    # below[r]: elements of rank < r
-    for v, r in enumerate(pref.ranks):
-        below[r + 1] |= 1 << v
-    for r in range(1, len(below)):
-        below[r] |= below[r - 1]
-    return tuple(below[r] for r in pref.ranks)
-
-
 def find_coalitional_manipulation(rule, domain: DomainDescriptor,
                                   semantics: str = "truthful",
                                   cap: int = DEFAULT_EVAL_CAP):
@@ -321,15 +397,16 @@ def find_coalitional_manipulation(rule, domain: DomainDescriptor,
     deviation in ballot order).
 
     One exact search finds it without enumerating profiles.  A voter's gain
-    set for an anchor (its top; None under literal semantics) and outcome is
-    the union of the strictly-better sets over the preferences it may hold
-    from that anchor.  Preference choices are independent across voters, so a
-    prefix of chosen preference indices admits a witness iff some starting
-    ballot tuple with the given truthful outcome and some coalition of the
-    given size have a common gain (exact sets for chosen voters, gain sets
-    for the others) meeting the outcomes the coalition can force.  For each
-    size and truthful outcome the profile is then fixed voter by voter with
-    the smallest index that still admits a witness, without backtracking.
+    set for an anchor (its top; under literal semantics any ballot) and
+    outcome is the union of the strictly-better sets over the preferences it
+    may hold from that anchor (``DomainDescriptor.gain_masks``).  Preference
+    choices are independent across voters, so a prefix of chosen preference
+    indices admits a witness iff some starting ballot tuple with the given
+    truthful outcome and some coalition of the given size have a common gain
+    (exact sets for chosen voters, gain sets for the others) meeting the
+    outcomes the coalition can force.  For each size and truthful outcome
+    the profile is then fixed voter by voter with the smallest index that
+    still admits a witness, without backtracking.
     """
     if semantics not in ("truthful", "literal"):
         raise ValueError(f"unknown semantics {semantics!r}")
@@ -361,20 +438,16 @@ def find_coalitional_manipulation(rule, domain: DomainDescriptor,
             f"coalition search of {origin_mass * deviation_mass} deviations and "
             f"{scan_mass} preference scans exceeds the evaluation cap {cap}")
 
-    better = [[_better_masks(p) for p in prefs] for prefs in pref_sets]
+    better, gain = domain.gain_masks()
+    if literal:    # one anchor: the union over every preference
+        gain = [dict.fromkeys(spaces[i], [
+            functools.reduce(operator.or_, masks)
+            for masks in zip(*gain[i].values())]) for i in range(n)]
     # (ballot, table offset) per voter: every ballot under literal semantics,
     # the distinct tops under truthful semantics
     starts = [[(b, pos_of[i][b] * strides[i])
                for b in (spaces[i] if literal else dict.fromkeys(tops[i]))]
               for i in range(n)]
-    gain = []
-    for i in range(n):
-        gain_i = {}
-        for k, t in enumerate(tops[i]):
-            anchor = None if literal else t
-            for o in range(lat.m):
-                gain_i[anchor, o] = gain_i.get((anchor, o), 0) | better[i][k][o]
-        gain.append(gain_i)
     members_of = [[i for i in range(n) if mask >> i & 1] for mask in range(1 << n)]
     masks_by_size = [[] for _ in range(n + 1)]
     for mask in range(1, 1 << n):
@@ -411,7 +484,7 @@ def find_coalitional_manipulation(rule, domain: DomainDescriptor,
                                                  if s[0] == tops[i][k]]
                 options.append([(b, off, better[i][k][o_t]) for b, off in own])
             else:
-                options.append([(b, off, gain[i][None if literal else b, o_t])
+                options.append([(b, off, gain[i][b][o_t])
                                 for b, off in starts[i]])
         for start in itertools.product(*options):
             idx = 0

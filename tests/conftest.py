@@ -1,8 +1,11 @@
 import itertools
+import json
+from importlib import resources
 
 import pytest
 from hypothesis import strategies as st
 
+from medianvoting.cli import parse_lattice
 from medianvoting.lattice import (
     build_boolean_hypercube,
     build_chain,
@@ -12,6 +15,12 @@ from medianvoting.lattice import (
 )
 from medianvoting.preorders import TotalPreorder, enumerate_topped_preorders
 from medianvoting.verify import MonotonicityWitness
+
+
+def bundled_lattice(name):
+    """One of the lattices shipped in the package's ``data/`` directory."""
+    text = resources.files("medianvoting").joinpath(f"data/{name}.json").read_text()
+    return parse_lattice(json.loads(text))
 
 
 @pytest.fixture(scope="session")

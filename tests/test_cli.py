@@ -4,11 +4,11 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from conftest import bundled_lattice
 
 from medianvoting import suites
 from medianvoting.cli import (
     SUITE_NAMES,
-    bundled_lattice,
     canonical_order,
     parse_lattice,
     parse_lattice_file,

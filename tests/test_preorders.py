@@ -2,7 +2,8 @@ import itertools
 import random
 
 import pytest
-from conftest import lsu_witness_oracle, seeded_ideal_lattice, small_posets
+from conftest import (bundled_lattice, lsu_witness_oracle, seeded_ideal_lattice,
+                      small_posets)
 from hypothesis import assume, given, settings
 
 from medianvoting.errors import (
@@ -11,7 +12,6 @@ from medianvoting.errors import (
     NotHypercubeError,
     TooLargeError,
 )
-from medianvoting.cli import bundled_lattice
 from medianvoting.lattice import build_boolean_hypercube, build_chain, build_ideal_lattice
 from medianvoting.preorders import (
     TotalPreorder,

@@ -225,6 +225,22 @@ class TestMonotonicity:
         spaces = random_spaces(rng, lat, n)
         assert_sweep_matches_oracle(random_rule(rng, lat, spaces, kind), lat, spaces)
 
+    def test_matches_brute_force_oracle_on_uneven_lines(self, square, chain4,
+                                                       cube3, grid3x3):
+        # one voter with a single ballot (a line of length 1) in every
+        # position, and three voters with pairwise different space sizes
+        rng = random.Random(1406)
+        shapes = [(1, 3), (3, 1), (1, 1), (1, 2, 3), (2, 1, 4), (4, 3, 1),
+                  (2, 3, 4), (4, 2, 3), (3, 4, 1)]
+        found = 0
+        for case in range(108):
+            lat = (square, chain4, cube3, grid3x3)[case % 4]
+            sizes = shapes[case // 4 % len(shapes)]
+            spaces = [tuple(sorted(rng.sample(range(lat.m), k))) for k in sizes]
+            rule = random_rule(rng, lat, spaces, ("random", "mixed", "median")[case % 3])
+            found += assert_sweep_matches_oracle(rule, lat, spaces) is not None
+        assert 30 <= found < 100
+
     def test_cap_refusal_names_estimate_and_cap(self, square):
         rule = extended_median_rule(square, 2)
         with pytest.raises(TooLargeError) as err:
@@ -351,6 +367,71 @@ class TestStrategyProofness:
             found += witness is not None
         # both answers occur, so neither side can pass by always agreeing on one
         assert 20 <= found <= 60
+
+    @settings(max_examples=60, deadline=None)
+    @given(poset=small_posets(), n=st.integers(min_value=1, max_value=2),
+           seed=st.integers(min_value=0, max_value=2 ** 16),
+           factory=st.sampled_from((DomainDescriptor.full_unimodal,
+                                    DomainDescriptor.full_lsu)),
+           kind=st.sampled_from(("random", "median")))
+    def test_matches_brute_force_oracle_on_random_lattices(self, poset, n, seed,
+                                                           factory, kind):
+        lat = build_ideal_lattice(*poset)
+        assume(2 <= lat.m <= 6)
+        rng = random.Random(seed)
+        spaces = random_spaces(rng, lat, n)
+        domain = factory(lat, n, spaces=spaces)
+        profiles = 1
+        for prefs in domain.preference_sets:
+            profiles *= len(prefs)
+        assume(profiles <= 10_000)
+        rule = random_rule(rng, lat, spaces, kind)
+        assert find_strategy_violation(rule, domain) == \
+            brute_force_strategy_violation(rule, domain)
+
+    def test_matches_brute_force_oracle_on_shared_tops(self, square, chain4):
+        # each ballot is the top of a unimodal preference, listed first, and
+        # of one or two arbitrary topped preorders with other better-sets;
+        # under a monotone rule only the later ones can gain, so a sweep that
+        # skipped a top on its first preference alone would miss them
+        rng = random.Random(8)
+        carriers = [square, chain4] + [seeded_ideal_lattice(rng, m) for m in (5, 6)]
+        pools = [(enumerate_unimodal(lat), enumerate_topped_preorders(lat))
+                 for lat in carriers]
+        found = 0
+        for case in range(60):
+            lat = carriers[case % len(carriers)]
+            unimodal, topped = pools[case % len(carriers)]
+            n = rng.choice((1, 2, 2, 3) if lat.m <= 4 else (1, 2))
+            spaces = random_spaces(rng, lat, n)
+            prefs = []
+            for space in spaces:
+                held = []
+                for t in space:
+                    held.append(rng.choice([p for p in unimodal if p.top == t]))
+                    held += rng.sample([p for p in topped if p.top == t],
+                                       rng.randint(1, 2))
+                prefs.append(held)
+            domain = DomainDescriptor.custom(lat, spaces, prefs)
+            rule = random_rule(rng, lat, spaces, ("median", "mixed")[case % 2])
+            witness = find_strategy_violation(rule, domain)
+            assert witness == brute_force_strategy_violation(rule, domain), case
+            found += witness is not None
+        assert 10 <= found < 60
+
+    def test_cap_refusal_and_gain_masks_built_once(self, square):
+        rule = extended_median_rule(square, 2)
+        domain = DomainDescriptor.full_unimodal(square, 2)
+        with pytest.raises(TooLargeError) as err:
+            find_strategy_violation(rule, domain, cap=20)
+        # 12 preferences per voter, each over 4 contexts times 4 deviations
+        assert str(err.value) == ("strategy-proofness sweep of 384 evaluations "
+                                  "exceeds the evaluation cap 20")
+        assert find_strategy_violation(rule, domain) is None
+        masks = domain.gain_masks()
+        assert find_coalitional_manipulation(rule, domain) is not None
+        find_strategy_violation(rule, domain)
+        assert domain.gain_masks() is masks
 
 
 class TestCoalitionSearch:
