@@ -19,9 +19,10 @@ DEFAULT_ENUM_CAP = 7
 
 
 class TotalPreorder:
-    """Topped total preorder as a canonical rank vector."""
+    """Topped total preorder as a canonical rank vector; ``top`` is the
+    strictly best element, stored at construction."""
 
-    __slots__ = ("ranks",)
+    __slots__ = ("ranks", "top")
 
     def __init__(self, ranks):
         ranks = tuple(int(r) for r in ranks)
@@ -33,14 +34,11 @@ class TotalPreorder:
         if ranks.count(0) != 1:
             raise InvalidSizeError("a topped preorder needs exactly one best element")
         self.ranks = ranks
+        self.top = ranks.index(0)
 
     @property
     def m(self) -> int:
         return len(self.ranks)
-
-    @property
-    def top(self) -> int:
-        return self.ranks.index(0)
 
     def rank(self, element: int) -> int:
         return self.ranks[element]

@@ -4,11 +4,16 @@ Three interconvertible forms: explicit tables over per-voter ballot spaces,
 committee lattice polynomials (join of capped coalition meets), and nested
 median trees given by the rule's values on bottom/top corner profiles.
 ``tabulate`` materializes any of them as a table for the exhaustive sweeps.
+Trees and committee rules are tabulated by running the median tree-automaton
+on every profile at once: one fold over the voters on Birkhoff codes
+(``Lattice._code``, where join is ``|`` and meet is ``&``) turns the 2^n
+corner leaves into the whole table, decoded once at the end.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from .errors import (
     ArityMismatchError,
@@ -45,7 +50,8 @@ class ExplicitRule:
                 raise InvalidSizeError(f"voter {i} lists a ballot twice")
             size *= len(s)
         if size > EXPLICIT_TABLE_CAP:
-            raise TooLargeError(f"table of {size} entries exceeds cap")
+            raise TooLargeError(
+                f"table of {size} entries exceeds cap {EXPLICIT_TABLE_CAP}")
         self.table = tuple(table)
         if len(self.table) != size:
             raise InvalidSizeError(
@@ -215,13 +221,72 @@ def tree_to_committee(tree: MedianTree, lat: Lattice) -> CommitteeRule:
     return CommitteeRule(n, terms)
 
 
+def _tree_cells(lows, highs, xs):
+    """One tree node over every profile: med(l, x, h) = l&h | x&(l|h)."""
+    ands = [l & h for l, h in zip(lows, highs)]
+    ors = [l | h for l, h in zip(lows, highs)]
+    return [a | x & o for x in xs for a, o in zip(ands, ors)]
+
+
+def _committee_cells(lows, highs, xs):
+    """One committee split over every profile: the terms without the voter,
+    joined with the voter's ballot met with the terms that include it."""
+    return [l | x & h for x in xs for l, h in zip(lows, highs)]
+
+
+def _fold(leaves, lat: Lattice, spaces, cells) -> tuple:
+    """Fold 2^n leaf codes into the row-major table over ``spaces``.
+
+    Voter k splits each block of leaves into the halves where its bit (the
+    (n-1-k)-th, so voter 0 is the most significant) is 0 and 1; the two
+    sub-tables over voters k+1..n-1 merge cell by cell for each of voter
+    k's ballots, in space order.  Level k makes 2^k tables of
+    prod(|spaces[k:]|) cells.
+    """
+    code = lat._code
+    tables = [[c] for c in leaves]
+    for k in range(len(spaces) - 1, -1, -1):
+        xs = [code[b] for b in spaces[k]]
+        tables = [cells(tables[j], tables[j + 1], xs)
+                  for j in range(0, len(tables), 2)]
+    return tuple(map(lat._decode.__getitem__, tables[0]))
+
+
 def tabulate(rule, lat: Lattice, spaces=None):
-    """Materialize a rule as (spaces, row-major table) for exhaustive sweeps."""
+    """Materialize a rule as (spaces, row-major table) for exhaustive sweeps.
+
+    A median tree or committee rule is tabulated by ``_fold``: the tree
+    automaton run on all profiles at once, about sum of 2^k * m^(n-k)
+    bitwise operations for m ballots per voter instead of m^n per-profile
+    evaluations.  A committee rule's leaf T is the join of the constants of
+    its terms with coalition T (voter i is bit n-1-i of T, the corner order
+    of ``tree_to_committee``), and its nodes are l v (x ^ h).  Any other rule
+    is evaluated cell by cell.  Tables beyond ``EXPLICIT_TABLE_CAP`` cells,
+    and folds over more leaves than that, are refused before any is built.
+    """
     if spaces is None:
         spaces = rule.ballot_spaces(lat)
     spaces = tuple(tuple(s) for s in spaces)
     if isinstance(rule, ExplicitRule) and spaces == rule.spaces:
         return spaces, rule.table
-    table = tuple(rule.evaluate(lat, ballots)
-                  for ballots in itertools.product(*spaces))
-    return spaces, table
+    size = math.prod(len(s) for s in spaces)
+    if size > EXPLICIT_TABLE_CAP:
+        raise TooLargeError(
+            f"table of {size} entries exceeds cap {EXPLICIT_TABLE_CAP}")
+    if not isinstance(rule, (MedianTree, CommitteeRule)):
+        return spaces, tuple(rule.evaluate(lat, ballots)
+                             for ballots in itertools.product(*spaces))
+    n = rule.n
+    if len(spaces) != n:
+        raise ArityMismatchError(f"expected {n} ballot spaces, got {len(spaces)}")
+    if n >= EXPLICIT_TABLE_CAP.bit_length():
+        raise TooLargeError(
+            f"fold over 2^{n} corner leaves exceeds cap {EXPLICIT_TABLE_CAP}")
+    code = lat._code
+    if isinstance(rule, MedianTree):
+        leaves = [code[v] for v in rule.corner_values()]
+        return spaces, _fold(leaves, lat, spaces, _tree_cells)
+    leaves = [0] * (1 << n)
+    for coalition, constant in rule.terms:
+        leaves[sum(1 << (n - 1 - i) for i in coalition)] |= code[constant]
+    return spaces, _fold(leaves, lat, spaces, _committee_cells)

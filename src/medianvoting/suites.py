@@ -516,27 +516,36 @@ def theorem2_suite(lat: Lattice) -> VerificationReport:
 
 
 def _quota_tables(lat, n):
-    """(constants, full table) per quota rule, sharing the subset-meet sweep."""
-    m = lat.m
-    vectors = nondecreasing_tuples(lat, n + 1)
-    tables = {v: [] for v in vectors}
-    sizes = list(range(1, n + 1))
-    for ballots in itertools.product(range(m), repeat=n):
-        meet_by_mask = [lat.top] * (1 << n)
-        best = [lat.bottom] * (n + 1)
-        for mask in range(1, 1 << n):
-            low = mask & -mask
-            voter = low.bit_length() - 1
-            value = lat.meet(meet_by_mask[mask ^ low], ballots[voter])
-            meet_by_mask[mask] = value
-            count = bin(mask).count("1")
-            best[count] = lat.join(best[count], value)
-        for vector in vectors:
-            out = vector[0]
-            for s in sizes:
-                out = lat.join(out, lat.meet(best[s], vector[s]))
-            tables[vector].append(out)
-    return [(v, tuple(tables[v])) for v in vectors]
+    """(constants, full table) per quota rule, sharing one sweep of profiles.
+
+    On Birkhoff codes (``Lattice._code``) the join over size-s coalitions of
+    their ballots' meet, best_s, holds exactly the join-irreducibles below at
+    least s ballots, so one pass over a profile's ballots fills
+    best_1..best_n.  Profiles are interned by that tuple, each quota vector
+    is joined once per distinct tuple, and the results are mapped back
+    through the per-profile ids.
+    """
+    code, decode = lat._code, lat._decode
+    top = code[lat.top]
+    ids = []
+    index = {}
+    for ballots in itertools.product(code, repeat=n):
+        best = [top] + [0] * n      # best[s]: bits below at least s ballots
+        for x in ballots:
+            for s in range(n, 0, -1):
+                best[s] |= best[s - 1] & x
+        ids.append(index.setdefault(tuple(best[1:]), len(index)))
+    out = []
+    for vector in nondecreasing_tuples(lat, n + 1):
+        first, *rest = (code[v] for v in vector)
+        values = []
+        for best in index:
+            joined = first
+            for b, v in zip(best, rest):
+                joined |= b & v
+            values.append(decode[joined])
+        out.append((vector, tuple(map(values.__getitem__, ids))))
+    return out
 
 
 def _targeted_prefs(lat, x, z, branch, domain):

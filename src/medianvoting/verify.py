@@ -565,13 +565,20 @@ class AxiomCheck:
                 self.efficient)
 
 
+def _local_cells(local, strides):
+    """Row-major table indices of the ballot tuples over ``local``, in
+    ``itertools.product(local, repeat=n)`` order."""
+    cells = [0]
+    for s in strides:
+        cells = [c + b * s for c in cells for b in local]
+    return cells
+
+
 def find_local_sovereignty_gap(table, lat: Lattice, local, n: int):
     """The elements of ``local`` that no ballot tuple over ``local`` reaches,
     in the order given, or None when the full-carrier table reaches them all."""
-    strides = _strides([lat.m] * n)
-    reached = set()
-    for ballots in itertools.product(local, repeat=n):
-        reached.add(table[sum(b * s for b, s in zip(ballots, strides))])
+    cells = _local_cells(local, _strides([lat.m] * n))
+    reached = set(map(table.__getitem__, cells))
     unreachable = [z for z in local if z not in reached]
     return unreachable or None
 
@@ -581,15 +588,17 @@ def find_local_neutrality_violation(table, lat: Lattice, local, n: int):
     join-irreducibles j < k of ``local`` does not commute with the
     full-carrier table, or None."""
     strides = _strides([lat.m] * n)
+    direct = [table[c] for c in _local_cells(local, strides)]
     ji_local = sorted(lat.join_irreducibles & set(local))
     for j, k in itertools.combinations(ji_local, 2):
         swap = list(range(lat.m))
         swap[j], swap[k] = k, j
-        for ballots in itertools.product(local, repeat=n):
-            image = table[sum(swap[b] * s for b, s in zip(ballots, strides))]
-            direct = table[sum(b * s for b, s in zip(ballots, strides))]
-            if image != swap[direct]:
-                return ballots, (j, k)
+        image = _local_cells([swap[b] for b in local], strides)
+        for pos, (c, out) in enumerate(zip(image, direct)):
+            if table[c] != swap[out]:
+                width = len(local)
+                return (tuple(local[pos // width ** (n - 1 - v) % width]
+                              for v in range(n)), (j, k))
     return None
 
 

@@ -83,6 +83,13 @@ def seeded_ideal_lattice(rng, m):
             return lat
 
 
+def evaluate_table(rule, lat, spaces):
+    """Naive tabulation: the rule's own evaluator on every ballot tuple,
+    row-major over ``spaces``."""
+    return tuple(rule.evaluate(lat, ballots)
+                 for ballots in itertools.product(*spaces))
+
+
 def monotonicity_violations(rule, lat, spaces):
     """Naive sweep, in the documented order: ballot tuples row-major, voters
     ascending, deviations in space order.  Yields every (ballots, voter,

@@ -1,5 +1,6 @@
 import functools
 import json
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from medianvoting.preorders import (
     is_separable,
 )
 from medianvoting.rules import (
+    EXPLICIT_TABLE_CAP,
     CommitteeRule,
     ExplicitRule,
     build_canonical_median_tree,
@@ -174,6 +176,18 @@ class TestCommands:
         assert run(["rule", "check", "--rule", proj,
                     "--lattice", square_file]) == 0
         capsys.readouterr()
+
+    def test_rule_check_refuses_a_huge_table_before_building_it(self, tmp_path,
+                                                                 capsys):
+        rule = write_json(tmp_path / "wide.json", {
+            "kind": "committee", "n": 30,
+            "terms": [{"coalition": [0, 1], "constant": "1"}]})
+        start = time.perf_counter()
+        assert run(["rule", "check", "--cap", "1000", "--rule", rule,
+                    "--lattice", bundled_path("boolean_square")]) == 2
+        assert time.perf_counter() - start < 5
+        err = capsys.readouterr().err
+        assert f"table of {4 ** 30} entries exceeds cap {EXPLICIT_TABLE_CAP}" in err
 
     def test_prefs_enum_and_check(self, tmp_path, square_file, capsys):
         assert run(["prefs", "enum", "--lattice", square_file,

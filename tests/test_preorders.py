@@ -76,6 +76,12 @@ class TestTotalPreorder:
         assert p.ranks == (1, 2, 0, 1)
         assert p.strictly_prefers(2, 0)
 
+    def test_top_is_stored_and_identity_is_the_ranks(self):
+        p, q = TotalPreorder([2, 1, 0, 1]), TotalPreorder((2, 1, 0, 1))
+        assert p.top == 2 and "top" in TotalPreorder.__slots__
+        assert p == q and hash(p) == hash((2, 1, 0, 1))
+        assert p != TotalPreorder([0, 1, 2, 1])
+
 
 class TestEnumeration:
     @pytest.mark.parametrize("m,count", [(2, 2), (3, 9), (4, 52)])

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from conftest import small_posets
+from conftest import evaluate_table, small_posets
 from hypothesis import assume, given, settings, strategies as st
 
 from medianvoting.errors import (
@@ -10,9 +10,11 @@ from medianvoting.errors import (
     BallotOutOfSpaceError,
     CornerNotInBallotSpaceError,
     InvalidSizeError,
+    TooLargeError,
 )
 from medianvoting.lattice import build_ideal_lattice
 from medianvoting.rules import (
+    EXPLICIT_TABLE_CAP,
     CommitteeRule,
     ExplicitRule,
     MedianTree,
@@ -43,6 +45,26 @@ def nested_median(lat, values, ballots, k=0):
     return lat.median(nested_median(lat, values[:half], ballots, k + 1),
                       ballots[k],
                       nested_median(lat, values[half:], ballots, k + 1))
+
+
+FIXTURES = ("square", "chain4", "cube3", "grid3x3", "corner_square")
+
+
+def random_terms(rng, lat, n, count):
+    return [(frozenset(rng.sample(range(n), rng.randint(0, n))),
+             rng.randrange(lat.m)) for _ in range(count)]
+
+
+def random_spaces(rng, lat, n):
+    """Per voter, a nonempty subset of the carrier in a random order."""
+    return tuple(tuple(rng.sample(range(lat.m), rng.randint(1, lat.m)))
+                 for _ in range(n))
+
+
+def assert_tabulate_matches_evaluate(rule, lat, spaces):
+    spaces = tuple(tuple(s) for s in spaces)
+    assert tabulate(rule, lat, spaces) == (spaces,
+                                           evaluate_table(rule, lat, spaces))
 
 
 def assert_fold_matches_oracle(lat, n, rng):
@@ -250,3 +272,86 @@ class TestCornersAndConversion:
             for big, other in by_coalition.items():
                 if small < big:
                     assert square.leq(value, other)
+
+
+class TestBulkTabulate:
+    """``tabulate`` folds trees and committee rules over all profiles at
+    once; the rules' own per-cell evaluators are the oracle."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_trees_match_per_cell_evaluation(self, fixture, n, request):
+        lat = request.getfixturevalue(fixture)
+        rng = random.Random(f"tree-{fixture}-{n}")
+        for _ in range(4):
+            tree = MedianTree(n, [rng.randrange(lat.m) for _ in range(2 ** n)])
+            assert_tabulate_matches_evaluate(tree, lat, full_spaces(lat, n))
+            assert_tabulate_matches_evaluate(tree, lat, random_spaces(rng, lat, n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_committee_rules_match_per_cell_evaluation(self, fixture, n, request):
+        lat = request.getfixturevalue(fixture)
+        rng = random.Random(f"committee-{fixture}-{n}")
+        everyone = frozenset(range(n))
+        cases = [
+            [],                                            # the bottom rule
+            [(frozenset(), rng.randrange(lat.m))],         # empty coalition
+            [(everyone, rng.randrange(lat.m)),             # repeated coalition
+             (everyone, rng.randrange(lat.m))],
+        ]
+        cases += [random_terms(rng, lat, n, rng.randint(1, 5)) for _ in range(4)]
+        for terms in cases:
+            rule = CommitteeRule(n, terms)
+            assert_tabulate_matches_evaluate(rule, lat, full_spaces(lat, n))
+            assert_tabulate_matches_evaluate(rule, lat, random_spaces(rng, lat, n))
+
+    @settings(max_examples=40, deadline=None)
+    @given(poset=small_posets(), data=st.data())
+    def test_bulk_tabulate_matches_per_cell_on_random_lattices(self, poset, data):
+        lat = build_ideal_lattice(*poset)
+        n = data.draw(st.integers(1, 3 if lat.m <= 8 else 2 if lat.m <= 32 else 1))
+        element = st.integers(0, lat.m - 1)
+        tree = MedianTree(n, data.draw(
+            st.lists(element, min_size=2 ** n, max_size=2 ** n)))
+        committee = CommitteeRule(n, data.draw(st.lists(
+            st.tuples(st.frozensets(st.integers(0, n - 1)), element), max_size=5)))
+        reordered = [data.draw(st.lists(element, min_size=1, unique=True))
+                     for _ in range(n)]
+        for rule in (tree, committee):
+            assert_tabulate_matches_evaluate(rule, lat, full_spaces(lat, n))
+            assert_tabulate_matches_evaluate(rule, lat, reordered)
+
+    def test_arity_mismatch_is_still_raised(self, square):
+        for rule in (MedianTree(2, [0, 1, 2, 3]),
+                     CommitteeRule(2, [(frozenset({0}), 3)])):
+            for spaces in ((), full_spaces(square, 1), full_spaces(square, 3)):
+                with pytest.raises(ArityMismatchError):
+                    tabulate(rule, square, spaces)
+
+    def test_does_not_fall_back_to_per_cell_evaluation(self, square, monkeypatch):
+        tree = MedianTree(2, [0, 1, 2, 3])
+        committee = CommitteeRule(2, [(frozenset({0, 1}), 3), (frozenset({1}), 1)])
+        spaces = full_spaces(square, 2)
+        expected = [evaluate_table(rule, square, spaces) for rule in (tree, committee)]
+
+        def refuse(self, lat, ballots):
+            raise AssertionError("per-cell evaluation")
+
+        monkeypatch.setattr(MedianTree, "evaluate", refuse)
+        monkeypatch.setattr(CommitteeRule, "evaluate", refuse)
+        assert [tabulate(rule, square)[1] for rule in (tree, committee)] == expected
+
+    def test_cap_refusal_names_size_and_cap(self, square):
+        # refused before any leaf or cell is built
+        rule = CommitteeRule(30, [(frozenset({0, 1}), square.top)])
+        with pytest.raises(TooLargeError,
+                           match=f"{4 ** 30} entries exceeds cap {EXPLICIT_TABLE_CAP}"):
+            tabulate(rule, square)
+        one_ballot = ((square.top,),) * 21
+        with pytest.raises(TooLargeError,
+                           match=f"2\\^21 corner leaves exceeds cap {EXPLICIT_TABLE_CAP}"):
+            tabulate(CommitteeRule(21, []), square, one_ballot)
+        with pytest.raises(TooLargeError,
+                           match=f"{4 ** 11} entries exceeds cap {EXPLICIT_TABLE_CAP}"):
+            ExplicitRule(full_spaces(square, 11), ())

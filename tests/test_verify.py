@@ -4,7 +4,12 @@ import random
 from dataclasses import replace
 
 import pytest
-from conftest import monotonicity_violations, seeded_ideal_lattice, small_posets
+from conftest import (
+    evaluate_table,
+    monotonicity_violations,
+    seeded_ideal_lattice,
+    small_posets,
+)
 from hypothesis import assume, given, settings, strategies as st
 
 from medianvoting.errors import (
@@ -56,6 +61,31 @@ from medianvoting.verify import (
     sample_monotone_rule,
     strategy_witness_from,
 )
+
+
+def local_sovereignty_gap_oracle(table, lat, local, n):
+    """Cell-by-cell oracle of ``find_local_sovereignty_gap``."""
+    strides = [lat.m ** (n - 1 - v) for v in range(n)]
+    reached = set()
+    for ballots in itertools.product(local, repeat=n):
+        reached.add(table[sum(b * s for b, s in zip(ballots, strides))])
+    unreachable = [z for z in local if z not in reached]
+    return unreachable or None
+
+
+def local_neutrality_violation_oracle(table, lat, local, n):
+    """Cell-by-cell oracle of ``find_local_neutrality_violation``."""
+    strides = [lat.m ** (n - 1 - v) for v in range(n)]
+    ji_local = sorted(lat.join_irreducibles & set(local))
+    for j, k in itertools.combinations(ji_local, 2):
+        swap = list(range(lat.m))
+        swap[j], swap[k] = k, j
+        for ballots in itertools.product(local, repeat=n):
+            image = table[sum(swap[b] * s for b, s in zip(ballots, strides))]
+            direct = table[sum(b * s for b, s in zip(ballots, strides))]
+            if image != swap[direct]:
+                return ballots, (j, k)
+    return None
 
 
 def remark3_rule(chain4):
@@ -617,6 +647,30 @@ class TestAxioms:
                 seen.add((gap is None, broken is None))
         assert len(seen) == 4
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("fixture", ["square", "cube3", "grid3x3"])
+    def test_local_helpers_match_cell_by_cell_oracles(self, fixture, n, request):
+        lat = request.getfixturevalue(fixture)
+        x, z = sorted(lat.atoms)[:2]
+        rng = random.Random(f"local-{fixture}-{n}")
+        tables = [tabulate(extended_median_rule(lat, n), lat)[1]]
+        for _ in range(6):
+            tables.append(random_explicit_rule(lat, n, rng).table)
+            tables.append(sample_monotone_rule(lat, n, rng).table)
+            outputs = rng.sample(range(lat.m), rng.randint(1, 3))
+            tables.append(tuple(rng.choice(outputs) for _ in range(lat.m ** n)))
+        seen = set()
+        for local in ([lat.bottom, x, z, lat.join(x, z)],
+                      [lat.join(x, z), z, lat.bottom, x]):
+            for table in tables:
+                gap = local_sovereignty_gap_oracle(table, lat, local, n)
+                broken = local_neutrality_violation_oracle(table, lat, local, n)
+                assert find_local_sovereignty_gap(table, lat, local, n) == gap
+                assert find_local_neutrality_violation(table, lat, local, n) == broken
+                seen.add((gap is None, broken is None))
+        assert {gap for gap, _ in seen} == {True, False}
+        assert {broken for _, broken in seen} == {True, False}
+
 
 class TestSuites:
     def test_claim1_all_lattices(self, square, chain4, cube3, grid3x3):
@@ -680,6 +734,10 @@ class TestSuites:
         lat = request.getfixturevalue(fixture)
         assert _quota_tables(lat, n) == [
             (c, tabulate(rule, lat)[1]) for c, rule in enumerate_quota_rules(lat, n)]
+        spaces = full_spaces(lat, n)
+        assert _quota_tables(lat, n) == [
+            (c, evaluate_table(rule, lat, spaces))
+            for c, rule in enumerate_quota_rules(lat, n)]
 
     @settings(max_examples=30, deadline=None)
     @given(poset=small_posets(), n=st.integers(min_value=1, max_value=2))
@@ -688,6 +746,10 @@ class TestSuites:
         assume(lat.m ** n <= 64)
         assert _quota_tables(lat, n) == [
             (c, tabulate(rule, lat)[1]) for c, rule in enumerate_quota_rules(lat, n)]
+        spaces = full_spaces(lat, n)
+        assert _quota_tables(lat, n) == [
+            (c, evaluate_table(rule, lat, spaces))
+            for c, rule in enumerate_quota_rules(lat, n)]
 
     def test_battery_looks_suites_up_when_called(self, monkeypatch):
         # the benchmark's tracer patches the suites.*_suite attributes
