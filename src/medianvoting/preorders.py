@@ -59,6 +59,8 @@ class TotalPreorder:
         ranks = [None] * size
         for r, cl in enumerate(classes):
             for e in cl:
+                if not 0 <= e < size:
+                    raise InvalidSizeError(f"element {e} is out of range for {size} elements")
                 if ranks[e] is not None:
                     raise InvalidSizeError(f"element {e} listed twice")
                 ranks[e] = r

@@ -32,39 +32,52 @@ def full_spaces(lat: Lattice, n: int) -> tuple:
     return (space,) * n
 
 
+def check_table_size(size: int) -> None:
+    """Refuse a table of more than ``EXPLICIT_TABLE_CAP`` cells; callers ask
+    before they build any cell or profile of it."""
+    if size > EXPLICIT_TABLE_CAP:
+        # past the int-to-str digit limit a size is named by its bit length
+        shown = size if size.bit_length() <= 4096 else f"at least 2^{size.bit_length() - 1}"
+        raise TooLargeError(f"table of {shown} entries exceeds cap {EXPLICIT_TABLE_CAP}")
+
+
+def _strides(sizes) -> tuple:
+    """Row-major strides of a table over spaces of the given sizes."""
+    out = [1] * len(sizes)
+    for i in range(len(sizes) - 2, -1, -1):
+        out[i] = out[i + 1] * sizes[i + 1]
+    return tuple(out)
+
+
 class ExplicitRule:
     """Rule given as a row-major table over the product of ballot spaces."""
 
     __slots__ = ("n", "spaces", "table", "_pos", "_strides")
 
     def __init__(self, spaces, table):
-        self.spaces = tuple(tuple(s) for s in spaces)
+        self.spaces = tuple(map(tuple, spaces))
         self.n = len(self.spaces)
         if self.n == 0:
             raise InvalidSizeError("a rule needs at least one voter")
-        size = 1
-        for i, s in enumerate(self.spaces):
-            if not s:
+        self._pos = tuple({b: i for i, b in enumerate(s)} for s in self.spaces)
+        sizes = list(map(len, self.spaces))
+        for i, (size, pos) in enumerate(zip(sizes, self._pos)):
+            if not size:
                 raise InvalidSizeError("empty ballot space")
-            if len(set(s)) != len(s):
+            if len(pos) != size:
                 raise InvalidSizeError(f"voter {i} lists a ballot twice")
-            size *= len(s)
-        if size > EXPLICIT_TABLE_CAP:
-            raise TooLargeError(
-                f"table of {size} entries exceeds cap {EXPLICIT_TABLE_CAP}")
+        size = math.prod(sizes)
+        check_table_size(size)
         self.table = tuple(table)
         if len(self.table) != size:
             raise InvalidSizeError(
                 f"table has {len(self.table)} entries, expected {size}")
-        self._pos = tuple({b: i for i, b in enumerate(s)} for s in self.spaces)
-        strides = [1] * self.n
-        for i in range(self.n - 2, -1, -1):
-            strides[i] = strides[i + 1] * len(self.spaces[i + 1])
-        self._strides = tuple(strides)
+        self._strides = _strides(sizes)
 
     @classmethod
     def from_function(cls, spaces, fn) -> "ExplicitRule":
         spaces = tuple(tuple(s) for s in spaces)
+        check_table_size(math.prod(map(len, spaces)))
         table = [fn(ballots) for ballots in itertools.product(*spaces)]
         return cls(spaces, table)
 
@@ -269,10 +282,7 @@ def tabulate(rule, lat: Lattice, spaces=None):
     spaces = tuple(tuple(s) for s in spaces)
     if isinstance(rule, ExplicitRule) and spaces == rule.spaces:
         return spaces, rule.table
-    size = math.prod(len(s) for s in spaces)
-    if size > EXPLICIT_TABLE_CAP:
-        raise TooLargeError(
-            f"table of {size} entries exceeds cap {EXPLICIT_TABLE_CAP}")
+    check_table_size(math.prod(len(s) for s in spaces))
     if not isinstance(rule, (MedianTree, CommitteeRule)):
         return spaces, tuple(rule.evaluate(lat, ballots)
                              for ballots in itertools.product(*spaces))

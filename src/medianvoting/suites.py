@@ -28,9 +28,9 @@ from .preorders import (
     is_unimodal,
 )
 from .rules import (
-    CommitteeRule,
     ExplicitRule,
     build_canonical_median_tree,
+    check_table_size,
     corners,
     extended_median,
     extended_median_rule,
@@ -69,120 +69,72 @@ def _names(lat, elements):
 
 
 def claim1_suite(lat: Lattice, label: str = "") -> VerificationReport:
-    """Exhaustive betweenness axioms, median laws, and the metric picture."""
+    """Exhaustive betweenness axioms, median laws, and the metric picture.
+
+    Each check scans its tuples in ``itertools.product`` order and reports
+    the first that fails, by element names."""
     t0 = time.perf_counter()
     m = lat.m
     rng = range(m)
+    between = lat.between
     checks = []
 
-    def add(claim, witness):
+    def add(claim, failures):
+        witness = next(failures, None)
+        if witness is not None:
+            witness = _names(lat, witness)
         checks.append(CheckResult(claim, witness is None,
                                   witness=witness, detail=f"{m} elements"))
 
-    w = None
-    for x, z, y in itertools.product(rng, repeat=3):
-        if lat.between(x, z, y) and not lat.between(y, z, x):
-            w = _names(lat, (x, z, y))
-            break
-    add("betweenness-symmetry", w)
+    def tuples(k):
+        return itertools.product(rng, repeat=k)
 
-    w = None
-    for x, y in itertools.product(rng, repeat=2):
-        if not (lat.between(x, x, y) and lat.between(x, y, y)):
-            w = _names(lat, (x, y))
-            break
-    add("betweenness-closure", w)
-
-    w = None
-    for x, y in itertools.product(rng, repeat=2):
-        if lat.between(x, y, x) and y != x:
-            w = _names(lat, (x, y))
-            break
-    add("betweenness-idempotence", w)
-
-    w = None
-    for x, y in itertools.product(rng, repeat=2):
-        seg = lat.interval(x, y)
-        for u, v in itertools.product(seg, repeat=2):
-            for z in lat.interval(u, v):
-                if not lat.between(x, z, y):
-                    w = _names(lat, (x, u, v, z, y))
-                    break
-            if w:
-                break
-        if w:
-            break
-    add("betweenness-convexity", w)
-
-    w = None
-    for x, y, z in itertools.product(rng, repeat=3):
-        if lat.between(x, y, z) and lat.between(y, x, z) and x != y:
-            w = _names(lat, (x, y, z))
-            break
-    add("betweenness-antisymmetry", w)
+    add("betweenness-symmetry",
+        ((x, z, y) for x, z, y in tuples(3) if between(x, z, y) and not between(y, z, x)))
+    add("betweenness-closure",
+        ((x, y) for x, y in tuples(2) if not (between(x, x, y) and between(x, y, y))))
+    add("betweenness-idempotence",
+        ((x, y) for x, y in tuples(2) if between(x, y, x) and y != x))
+    add("betweenness-convexity",
+        ((x, u, v, z, y) for x, y in tuples(2)
+         for u, v in itertools.product(lat.interval(x, y), repeat=2)
+         for z in lat.interval(u, v) if not between(x, z, y)))
+    add("betweenness-antisymmetry",
+        ((x, y, z) for x, y, z in tuples(3)
+         if between(x, y, z) and between(y, x, z) and x != y))
 
     med = [[[lat.median(a, b, c) for c in rng] for b in rng] for a in rng]
-
-    w = None
-    for a in rng:
-        if med[lat.bottom][a][lat.top] != a:
-            w = _names(lat, (a,))
-            break
-    add("median-absorbs-bounds", w)
-
-    w = None
-    for a, b in itertools.product(rng, repeat=2):
-        if med[a][b][a] != a:
-            w = _names(lat, (a, b))
-            break
-    add("median-majority-of-repeats", w)
-
-    w = None
-    for a, b, c in itertools.product(rng, repeat=3):
-        if not med[a][b][c] == med[b][a][c] == med[b][c][a]:
-            w = _names(lat, (a, b, c))
-            break
-    add("median-symmetry", w)
-
-    w = None
-    for a, b, c in itertools.product(rng, repeat=3):
-        if w:
-            break
-        mabc = med[a][b][c]
-        for d, e in itertools.product(rng, repeat=2):
-            if med[mabc][d][e] != med[med[a][d][e]][b][med[c][d][e]]:
-                w = _names(lat, (a, b, c, d, e))
-                break
-    add("median-redistribution", w)
-
-    w = None
-    for x, z, y in itertools.product(rng, repeat=3):
-        if lat.between(x, z, y) != (med[x][y][z] == z):
-            w = _names(lat, (x, z, y))
-            break
-    add("median-defines-betweenness", w)
-
-    w = None
-    for a, b in itertools.product(rng, repeat=2):
-        if med[a][b][lat.top] != lat.join(a, b) or med[a][b][lat.bottom] != lat.meet(a, b):
-            w = _names(lat, (a, b))
-            break
-    add("join-meet-are-medians", w)
-
-    val = lat.rank_valuation()
-    w = None
-    for x, y, z in itertools.product(rng, repeat=3):
-        geodesic = val.distance(x, z) == val.distance(x, y) + val.distance(y, z)
-        if lat.between(x, y, z) != geodesic:
-            w = _names(lat, (x, y, z))
-            break
-    add("valuation-metric-geodesics", w)
+    add("median-absorbs-bounds",
+        ((a,) for a in rng if med[lat.bottom][a][lat.top] != a))
+    add("median-majority-of-repeats",
+        ((a, b) for a, b in tuples(2) if med[a][b][a] != a))
+    add("median-symmetry",
+        ((a, b, c) for a, b, c in tuples(3)
+         if not med[a][b][c] == med[b][a][c] == med[b][c][a]))
+    add("median-redistribution",
+        ((a, b, c, d, e) for a, b, c in tuples(3)
+         for ma, mc, mabc in [(med[a], med[c], med[med[a][b][c]])]
+         for d, e in tuples(2) if mabc[d][e] != med[ma[d][e]][b][mc[d][e]]))
+    add("median-defines-betweenness",
+        ((x, z, y) for x, z, y in tuples(3) if between(x, z, y) != (med[x][y][z] == z)))
+    add("join-meet-are-medians",
+        ((a, b) for a, b in tuples(2)
+         if med[a][b][lat.top] != lat.join(a, b) or med[a][b][lat.bottom] != lat.meet(a, b)))
+    dist = lat.rank_valuation().distance
+    add("valuation-metric-geodesics",
+        ((x, y, z) for x, y, z in tuples(3)
+         if between(x, y, z) != (dist(x, z) == dist(x, y) + dist(y, z))))
 
     name = f"claim1:{label}" if label else "claim1"
     return _finish(name, checks, t0)
 
 
 # -- monotonicity <-> strategy-proofness, and representations -----------------------------
+
+
+def _full_domains(lat, n):
+    """The full unimodal and full LSU domains of n voters, in that order."""
+    return DomainDescriptor.full_unimodal(lat, n), DomainDescriptor.full_lsu(lat, n)
 
 
 def _rule_pool(lat, n, samples, seed):
@@ -220,6 +172,31 @@ def _strategy_proof(rule, violation, domain):
                 and witness.preference in domain.preference_sets[witness.voter])
 
 
+def _monotone_and_sp(rule, lat, domains):
+    """(monotone, strategy-proof on the unimodal domain, on the strict one)."""
+    violation = find_monotonicity_violation(rule, lat)
+    dom_u, dom_s = domains
+    return (violation is None, _strategy_proof(rule, violation, dom_u),
+            _strategy_proof(rule, violation, dom_s))
+
+
+def _monotone_iff(pool, flags, keys, what):
+    """One ``monotone-iff-<key>`` check per key: ``flags(rule)`` gives
+    monotonicity and then one flag per key, and a check's witness is the
+    kind of the first rule in ``pool`` whose flag differs from monotonicity."""
+    offender = dict.fromkeys(keys)
+    monotone_count = 0
+    for kind, rule in pool:
+        monotone, *values = flags(rule)
+        monotone_count += monotone
+        for key, value in zip(keys, values):
+            if value != monotone and offender[key] is None:
+                offender[key] = kind
+    detail = f"{len(pool)} {what}, {monotone_count} monotone"
+    return [CheckResult(f"monotone-iff-{key}", bad is None, bad, detail)
+            for key, bad in offender.items()]
+
+
 def lemma1_suite(lat: Lattice, n: int = 2, samples: int = 120,
                  seed: int = 0) -> VerificationReport:
     """Interval monotonicity iff strategy-proofness, on both full domains.
@@ -229,24 +206,10 @@ def lemma1_suite(lat: Lattice, n: int = 2, samples: int = 120,
     "Monotone implies strategy-proof" is proved by an exhaustive sweep.
     """
     t0 = time.perf_counter()
-    dom_u = DomainDescriptor.full_unimodal(lat, n)
-    dom_s = DomainDescriptor.full_lsu(lat, n)
-    bad_u = bad_s = None
-    monotone_count = 0
-    pool = _rule_pool(lat, n, samples, seed)
-    for kind, rule in pool:
-        violation = find_monotonicity_violation(rule, lat)
-        monotone = violation is None
-        monotone_count += monotone
-        if monotone != _strategy_proof(rule, violation, dom_u) and bad_u is None:
-            bad_u = kind
-        if monotone != _strategy_proof(rule, violation, dom_s) and bad_s is None:
-            bad_s = kind
-    detail = f"{len(pool)} rules, {monotone_count} monotone"
-    checks = [
-        CheckResult("monotone-iff-sp-on-unimodal", bad_u is None, bad_u, detail),
-        CheckResult("monotone-iff-sp-on-strict", bad_s is None, bad_s, detail),
-    ]
+    pool = _rule_pool(lat, n, samples, seed)    # refuses an oversized table first
+    domains = _full_domains(lat, n)
+    checks = _monotone_iff(pool, lambda rule: _monotone_and_sp(rule, lat, domains),
+                           ("sp-on-unimodal", "sp-on-strict"), "rules")
     return _finish("lemma1", checks, t0)
 
 
@@ -307,41 +270,20 @@ def theorem1_suite(lat: Lattice, n: int = 2, samples: int = 200,
     strategy witness, and a monotone rule by an exhaustive sweep.
     """
     t0 = time.perf_counter()
-    checks = []
-    dom_u = DomainDescriptor.full_unimodal(lat, n)
-    dom_s = DomainDescriptor.full_lsu(lat, n)
-    pool = _rule_pool(lat, n, samples, seed)
-    bad = {key: None for key in
-           ("sp-unimodal", "sp-strict", "tree-form", "committee-form")}
-    monotone_count = 0
-    for kind, rule in pool:
-        violation = find_monotonicity_violation(rule, lat)
-        monotone = violation is None
-        monotone_count += monotone
-        sp_u = _strategy_proof(rule, violation, dom_u)
-        sp_s = _strategy_proof(rule, violation, dom_s)
-        tree_ok, committee_ok = _roundtrips_exact(rule, lat)
-        for key, value in (("sp-unimodal", sp_u), ("sp-strict", sp_s),
-                           ("tree-form", tree_ok), ("committee-form", committee_ok)):
-            if value != monotone and bad[key] is None:
-                bad[key] = kind
-    detail = f"{len(pool)} sampled rules, {monotone_count} monotone"
-    for key, offender in bad.items():
-        checks.append(CheckResult(f"monotone-iff-{key}", offender is None,
-                                  offender, detail))
+    pool = _rule_pool(lat, n, samples, seed)    # refuses an oversized table first
+    domains = _full_domains(lat, n)
+    checks = _monotone_iff(
+        pool, lambda rule: _monotone_and_sp(rule, lat, domains) + _roundtrips_exact(rule, lat),
+        ("sp-unimodal", "sp-strict", "tree-form", "committee-form"), "sampled rules")
 
     quota_bad = None
     quota_count = 0
     for nn in range(1, COMMITTEE_MAX_N + 1):
-        d_u = DomainDescriptor.full_unimodal(lat, nn)
-        d_s = DomainDescriptor.full_lsu(lat, nn)
+        quota_domains = _full_domains(lat, nn)
         for constants, rule in enumerate_quota_rules(lat, nn):
             quota_count += 1
-            violation = find_monotonicity_violation(rule, lat)
-            results = (violation is None,
-                       _strategy_proof(rule, violation, d_u),
-                       _strategy_proof(rule, violation, d_s),
-                       *_roundtrips_exact(rule, lat))
+            results = (_monotone_and_sp(rule, lat, quota_domains)
+                       + _roundtrips_exact(rule, lat))
             if not all(results):
                 quota_bad = {"n": nn, "constants": _names(lat, constants),
                              "results": results}
@@ -352,13 +294,8 @@ def theorem1_suite(lat: Lattice, n: int = 2, samples: int = 200,
                               quota_bad, f"{quota_count} quota rules, n <= {COMMITTEE_MAX_N}"))
 
     chain, blocked = _blocked_pair_rule()
-    b_dom_u = DomainDescriptor.full_unimodal(chain, 2)
-    b_dom_s = DomainDescriptor.full_lsu(chain, 2)
-    violation = find_monotonicity_violation(blocked, chain)
-    flags = (violation is None,
-             _strategy_proof(blocked, violation, b_dom_u),
-             _strategy_proof(blocked, violation, b_dom_s),
-             *_roundtrips_exact(blocked, chain))
+    flags = (_monotone_and_sp(blocked, chain, _full_domains(chain, 2))
+             + _roundtrips_exact(blocked, chain))
     checks.append(CheckResult("blocked-pair-rule-fails-all-five",
                               not any(flags), flags,
                               "crosswise four-chain rule on full ballot spaces"))
@@ -402,6 +339,24 @@ def _dummy_pool(lat):
     return [_ranked(lat, [[t]]) for t in range(lat.m)]
 
 
+def _sp_yet_manipulable(rule, lat, domains, name, scope=""):
+    """Checks that ``rule`` is strategy-proof on both ``domains`` (unimodal,
+    then strict) and that each has a validated coalition witness.
+    Strategy-proofness is swept, as ``strategy_witness_from`` takes only
+    full domains."""
+    checks = [CheckResult(f"{name}-sp-on-{tag}{scope}",
+                          find_strategy_violation(rule, dom) is None)
+              for tag, dom in zip(("unimodal", "strict"), domains)]
+    for tag, dom in zip(("unimodal", "strict"), domains):
+        witness = find_coalitional_manipulation(rule, dom)
+        good = witness is not None and witness.validate(rule, lat)
+        checks.append(CheckResult(
+            f"{name}-coalition-witness-{tag}", good,
+            None if good else "no witness",
+            str(witness.describe(lat)) if witness else ""))
+    return checks
+
+
 def theorem2_suite(lat: Lattice) -> VerificationReport:
     """Constructions that are strategy-proof yet coalitionally manipulable:
     a restricted two-ballot rule over a blocked pair, and (off chains) the
@@ -436,10 +391,8 @@ def theorem2_suite(lat: Lattice) -> VerificationReport:
     q_top_a = _ranked(lat, [[a], [b], [c]])
     q_top_d = _ranked(lat, [[d], [b], [c]])
     pool = _dummy_pool(lat)
-    dom_u = DomainDescriptor.custom(lat, (pair, pair, carrier),
-                                    ((p_top_a, p_top_d), (p_top_a, p_top_d), pool))
-    dom_s = DomainDescriptor.custom(lat, (pair, pair, carrier),
-                                    ((q_top_a, q_top_d), (q_top_a, q_top_d), pool))
+    domains = [DomainDescriptor.custom(lat, (pair, pair, carrier), (tops, tops, pool))
+               for tops in ((p_top_a, p_top_d), (q_top_a, q_top_d))]
 
     checks.append(CheckResult(
         "restricted-subdomain-preferences-unimodal",
@@ -457,19 +410,7 @@ def theorem2_suite(lat: Lattice) -> VerificationReport:
             "restricted-rule-interval-monotone", violation is None,
             violation.describe(lat) if violation else None,
             "diamond host: the corner rule restricts a monotone rule"))
-    checks.append(CheckResult(
-        "restricted-rule-sp-on-unimodal-subdomain",
-        find_strategy_violation(restricted, dom_u) is None))
-    checks.append(CheckResult(
-        "restricted-rule-sp-on-strict-subdomain",
-        find_strategy_violation(restricted, dom_s) is None))
-    for tag, dom in (("unimodal", dom_u), ("strict", dom_s)):
-        witness = find_coalitional_manipulation(restricted, dom)
-        good = witness is not None and witness.validate(restricted, lat)
-        checks.append(CheckResult(
-            f"restricted-rule-coalition-witness-{tag}", good,
-            None if good else "no witness",
-            str(witness.describe(lat)) if witness else ""))
+    checks += _sp_yet_manipulable(restricted, lat, domains, "restricted-rule", "-subdomain")
 
     if lat.is_chain():
         checks.append(CheckResult(
@@ -494,21 +435,7 @@ def theorem2_suite(lat: Lattice) -> VerificationReport:
     checks.append(CheckResult(
         "diamond-rule-interval-monotone",
         find_monotonicity_violation(tree, sub) is None))
-    sdom_u = DomainDescriptor.full_unimodal(sub, 2)
-    sdom_s = DomainDescriptor.full_lsu(sub, 2)
-    checks.append(CheckResult(
-        "diamond-rule-sp-on-unimodal",
-        find_strategy_violation(tree, sdom_u) is None))
-    checks.append(CheckResult(
-        "diamond-rule-sp-on-strict",
-        find_strategy_violation(tree, sdom_s) is None))
-    for tag, dom in (("unimodal", sdom_u), ("strict", sdom_s)):
-        witness = find_coalitional_manipulation(tree, dom)
-        good = witness is not None and witness.validate(tree, sub)
-        checks.append(CheckResult(
-            f"diamond-rule-coalition-witness-{tag}", good,
-            None if good else "no witness",
-            str(witness.describe(sub)) if witness else ""))
+    checks += _sp_yet_manipulable(tree, sub, _full_domains(sub, 2), "diamond-rule")
     return _finish("theorem2", checks, t0)
 
 
@@ -525,6 +452,7 @@ def _quota_tables(lat, n):
     is joined once per distinct tuple, and the results are mapped back
     through the per-profile ids.
     """
+    check_table_size(lat.m ** n)
     code, decode = lat._code, lat._decode
     top = code[lat.top]
     ids = []
@@ -671,20 +599,20 @@ def chain_equivalence_suite(lat: Lattice, n: int = 2, samples: int = 100,
     t0 = time.perf_counter()
     if not lat.is_chain():
         raise NotAChainError("carrier is not a chain")
+    check_table_size(lat.m ** n)    # every pooled rule is swept on the full table
     rng = random.Random(seed)
     pool = [(f"quota{_names(lat, constants)}", rule)
             for constants, rule in enumerate_quota_rules(lat, n)]
     pool += [(f"sampled-{i}", sample_monotone_rule(lat, n, rng))
              for i in range(samples)]
-    dom_u = DomainDescriptor.full_unimodal(lat, n)
-    dom_s = DomainDescriptor.full_lsu(lat, n)
+    domains = _full_domains(lat, n)
     not_monotone = None
     witnesses = {"unimodal": None, "strict": None}
     for tag, rule in pool:
         if find_monotonicity_violation(rule, lat) is not None:
             not_monotone = tag
             break
-        for domain, dom in (("unimodal", dom_u), ("strict", dom_s)):
+        for domain, dom in zip(witnesses, domains):
             if witnesses[domain] is None:
                 found = find_coalitional_manipulation(rule, dom)
                 if found is not None:
@@ -751,18 +679,14 @@ def boolean_square_suite() -> VerificationReport:
 
     unimodal = enumerate_unimodal(lat)
     strict = enumerate_lsu(lat)
-    per_top = {t: sum(1 for p in unimodal if p.top == t) for t in range(4)}
-    checks.append(CheckResult(
-        "twelve-unimodal-three-per-top",
-        len(unimodal) == 12 and set(per_top.values()) == {3}
-        and set(unimodal) == square_templates(lat, strict=False),
-        detail=f"{len(unimodal)} unimodal"))
-    per_top_s = {t: sum(1 for p in strict if p.top == t) for t in range(4)}
-    checks.append(CheckResult(
-        "twelve-strict-three-per-top",
-        len(strict) == 12 and set(per_top_s.values()) == {3}
-        and set(strict) == square_templates(lat, strict=True),
-        detail=f"{len(strict)} locally strictly unimodal"))
+    for tag, family, kind in (("unimodal", unimodal, "unimodal"),
+                              ("strict", strict, "locally strictly unimodal")):
+        per_top = {sum(1 for p in family if p.top == t) for t in range(4)}
+        checks.append(CheckResult(
+            f"twelve-{tag}-three-per-top",
+            len(family) == 12 and per_top == {3}
+            and set(family) == square_templates(lat, strict=tag == "strict"),
+            detail=f"{len(family)} {kind}"))
     checks.append(CheckResult(
         "families-disjoint", not set(unimodal) & set(strict)))
     separable = {p for p in enumerate_topped_preorders(lat) if is_separable(p, lat)}
@@ -782,8 +706,7 @@ def boolean_square_suite() -> VerificationReport:
                f"{len(trivial)} trivial"))
 
     maj5 = extended_median_rule(lat, 5)
-    dom_u = DomainDescriptor.full_unimodal(lat, 5)
-    dom_s = DomainDescriptor.full_lsu(lat, 5)
+    dom_u, dom_s = _full_domains(lat, 5)
     checks.append(CheckResult(
         "majority-interval-monotone",
         find_monotonicity_violation(maj5, lat) is None))

@@ -18,17 +18,10 @@ from .errors import CarrierMismatchError, InvalidSizeError, TooLargeError
 from .lattice import Lattice
 from .preorders import (TotalPreorder, build_lsu_witness, build_three_class_witness,
                         enumerate_lsu, enumerate_unimodal)
-from .rules import (CommitteeRule, ExplicitRule, build_canonical_median_tree,
-                    full_spaces, tabulate)
+from .rules import (CommitteeRule, ExplicitRule, _strides, build_canonical_median_tree,
+                    check_table_size, full_spaces, tabulate)
 
 DEFAULT_EVAL_CAP = 10 ** 8
-
-
-def _strides(sizes):
-    out = [1] * len(sizes)
-    for i in range(len(sizes) - 2, -1, -1):
-        out[i] = out[i + 1] * sizes[i + 1]
-    return tuple(out)
 
 
 # -- domains ------------------------------------------------------------------------
@@ -659,25 +652,24 @@ def check_axioms(rule, lat: Lattice, local_set, unimodal_pool=None,
 
     if unimodal_pool is None:
         unimodal_pool = enumerate_unimodal(lat)
-    dominance = [[set() for _ in range(m)] for _ in range(m)]  # [top][outcome]
+    # dominance[t][o]: bitmask of the elements some preference with top t
+    # ranks above o; the outcome is dominated by every element in all the
+    # voters' masks, and the witness is the lowest of them
+    dominance = [[0] * m for _ in range(m)]
     for p in unimodal_pool:
-        t = p.top
-        for o in range(m):
-            for x in range(m):
-                if p.ranks[x] < p.ranks[o]:
-                    dominance[t][o].add(x)
+        row = dominance[p.top]
+        for o, mask in enumerate(_better_masks(p)):
+            row[o] |= mask
     efficient = True
-    for idx, tops in enumerate(itertools.product(*(range(m),) * n)):
+    for idx, tops in enumerate(itertools.product(range(m), repeat=n)):
         o = table[idx]
-        for x in range(m):
-            if x != o and all(x in dominance[t][o] for t in tops):
-                efficient = False
-                witnesses["efficient"] = {
-                    "tops": [lat.names[t] for t in tops],
-                    "outcome": lat.names[o],
-                    "dominated_by": lat.names[x]}
-                break
-        if not efficient:
+        common = functools.reduce(operator.and_, [dominance[t][o] for t in tops])
+        if common:
+            efficient = False
+            witnesses["efficient"] = {
+                "tops": [lat.names[t] for t in tops],
+                "outcome": lat.names[o],
+                "dominated_by": lat.names[(common & -common).bit_length() - 1]}
             break
 
     return AxiomCheck(anonymous, neutral, sovereign, idempotent, efficient,
@@ -774,6 +766,6 @@ def sample_monotone_rule(lat: Lattice, n: int, rng) -> ExplicitRule:
 
 
 def random_explicit_rule(lat: Lattice, n: int, rng) -> ExplicitRule:
-    spaces = full_spaces(lat, n)
     size = lat.m ** n
-    return ExplicitRule(spaces, [rng.randrange(lat.m) for _ in range(size)])
+    check_table_size(size)
+    return ExplicitRule(full_spaces(lat, n), [rng.randrange(lat.m) for _ in range(size)])

@@ -189,6 +189,24 @@ class TestCommands:
         err = capsys.readouterr().err
         assert f"table of {4 ** 30} entries exceeds cap {EXPLICIT_TABLE_CAP}" in err
 
+    @pytest.mark.parametrize("suite", ["lemma1", "theorem1", "lemma2", "corollary1",
+                                       "theorem3"])
+    def test_verify_refuses_a_huge_voter_count_before_building_tables(self, suite,
+                                                                      capsys):
+        start = time.perf_counter()
+        assert run(["verify", suite, "--n", "12"]) == 2
+        assert time.perf_counter() - start < 5
+        err = capsys.readouterr().err
+        assert f"table of {4 ** 12} entries exceeds cap {EXPLICIT_TABLE_CAP}" in err
+
+    @pytest.mark.parametrize("suite", ["lemma1", "theorem1", "corollary1", "theorem3"])
+    def test_verify_names_an_astronomic_table_by_its_bit_length(self, suite, capsys):
+        start = time.perf_counter()
+        assert run(["verify", suite, "--n", "200000"]) == 2
+        assert time.perf_counter() - start < 5
+        err = capsys.readouterr().err
+        assert f"table of at least 2^400000 entries exceeds cap {EXPLICIT_TABLE_CAP}" in err
+
     def test_prefs_enum_and_check(self, tmp_path, square_file, capsys):
         assert run(["prefs", "enum", "--lattice", square_file,
                     "--kind", "unimodal"]) == 0

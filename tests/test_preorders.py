@@ -76,6 +76,11 @@ class TestTotalPreorder:
         assert p.ranks == (1, 2, 0, 1)
         assert p.strictly_prefers(2, 0)
 
+    @pytest.mark.parametrize("bad", [-1, 3, 7])
+    def test_from_classes_refuses_out_of_range_ids(self, bad):
+        with pytest.raises(InvalidSizeError, match=f"element {bad} is out of range"):
+            TotalPreorder.from_classes([[0], [1], [bad]], m=3)
+
     def test_top_is_stored_and_identity_is_the_ranks(self):
         p, q = TotalPreorder([2, 1, 0, 1]), TotalPreorder((2, 1, 0, 1))
         assert p.top == 2 and "top" in TotalPreorder.__slots__

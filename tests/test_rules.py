@@ -93,6 +93,18 @@ class TestExplicitRule:
             assert proj.evaluate(square, ballots) == ballots[0]
             assert const.evaluate(square, ballots) == square.top
 
+    def test_from_function_refuses_before_calling_the_function(self, square):
+        def refuse(ballots):
+            raise AssertionError("a cell was built")
+
+        with pytest.raises(TooLargeError,
+                           match=f"table of {4 ** 11} entries exceeds cap {EXPLICIT_TABLE_CAP}"):
+            ExplicitRule.from_function(full_spaces(square, 11), refuse)
+        # 4^20000 has more digits than int-to-str conversion allows
+        with pytest.raises(TooLargeError,
+                           match=f"table of at least 2\\^40000 entries exceeds cap {EXPLICIT_TABLE_CAP}"):
+            ExplicitRule.from_function(full_spaces(square, 20000), refuse)
+
 
 class TestCommitteeRule:
     def test_majority_values(self, square):

@@ -26,6 +26,7 @@ from medianvoting.preorders import (
     enumerate_unimodal,
 )
 from medianvoting.rules import (
+    EXPLICIT_TABLE_CAP,
     CommitteeRule,
     ExplicitRule,
     build_canonical_median_tree,
@@ -86,6 +87,94 @@ def local_neutrality_violation_oracle(table, lat, local, n):
             if image != swap[direct]:
                 return ballots, (j, k)
     return None
+
+
+def efficiency_oracle(table, lat, n, pool):
+    """Set-by-set oracle of ``check_axioms``' efficiency sweep: (efficient,
+    witness or None)."""
+    m = lat.m
+    dominance = [[set() for _ in range(m)] for _ in range(m)]  # [top][outcome]
+    for p in pool:
+        for o in range(m):
+            for x in range(m):
+                if p.ranks[x] < p.ranks[o]:
+                    dominance[p.top][o].add(x)
+    for idx, tops in enumerate(itertools.product(range(m), repeat=n)):
+        o = table[idx]
+        for x in range(m):
+            if x != o and all(x in dominance[t][o] for t in tops):
+                return False, {"tops": [lat.names[t] for t in tops],
+                               "outcome": lat.names[o],
+                               "dominated_by": lat.names[x]}
+    return True, None
+
+
+class SkewedLattice:
+    """A lattice whose ``between`` (flipped) or ``median`` (shifted) answers
+    wrong on the chosen tuples; everything else is the wrapped lattice's."""
+
+    def __init__(self, lat, method, bad):
+        self._lat, self._method, self._bad = lat, method, set(bad)
+
+    def __getattr__(self, name):
+        return getattr(self._lat, name)
+
+    def between(self, x, z, y):
+        truth = self._lat.between(x, z, y)
+        return truth != (self._method == "between" and (x, z, y) in self._bad)
+
+    def median(self, a, b, c):
+        truth = self._lat.median(a, b, c)
+        if self._method == "median" and (a, b, c) in self._bad:
+            return (truth + 1) % self._lat.m
+        return truth
+
+
+def first_failure(lat, arity, fails):
+    """Names of the first tuple in ``itertools.product`` order that fails."""
+    for t in itertools.product(range(lat.m), repeat=arity):
+        if fails(*t):
+            return [lat.names[e] for e in t]
+    return None
+
+
+def claim1_oracle(lat):
+    """Each claim1 check's first failing tuple, by naive loops."""
+    btw, med = lat.between, lat.median
+    dist = lat.rank_valuation().distance
+    convexity = None
+    for x, y in itertools.product(range(lat.m), repeat=2):
+        for u, v in itertools.product(lat.interval(x, y), repeat=2):
+            for z in lat.interval(u, v):
+                if convexity is None and not btw(x, z, y):
+                    convexity = [lat.names[e] for e in (x, u, v, z, y)]
+    return {
+        "betweenness-symmetry": first_failure(
+            lat, 3, lambda x, z, y: btw(x, z, y) and not btw(y, z, x)),
+        "betweenness-closure": first_failure(
+            lat, 2, lambda x, y: not (btw(x, x, y) and btw(x, y, y))),
+        "betweenness-idempotence": first_failure(
+            lat, 2, lambda x, y: btw(x, y, x) and y != x),
+        "betweenness-convexity": convexity,
+        "betweenness-antisymmetry": first_failure(
+            lat, 3, lambda x, y, z: btw(x, y, z) and btw(y, x, z) and x != y),
+        "median-absorbs-bounds": first_failure(
+            lat, 1, lambda a: med(lat.bottom, a, lat.top) != a),
+        "median-majority-of-repeats": first_failure(
+            lat, 2, lambda a, b: med(a, b, a) != a),
+        "median-symmetry": first_failure(
+            lat, 3, lambda a, b, c: not med(a, b, c) == med(b, a, c) == med(b, c, a)),
+        "median-redistribution": first_failure(
+            lat, 5, lambda a, b, c, d, e:
+            med(med(a, b, c), d, e) != med(med(a, d, e), b, med(c, d, e))),
+        "median-defines-betweenness": first_failure(
+            lat, 3, lambda x, z, y: btw(x, z, y) != (med(x, y, z) == z)),
+        "join-meet-are-medians": first_failure(
+            lat, 2, lambda a, b: med(a, b, lat.top) != lat.join(a, b)
+            or med(a, b, lat.bottom) != lat.meet(a, b)),
+        "valuation-metric-geodesics": first_failure(
+            lat, 3, lambda x, y, z: btw(x, y, z) != (dist(x, z) == dist(x, y) + dist(y, z))),
+    }
 
 
 def remark3_rule(chain4):
@@ -619,6 +708,30 @@ class TestAxioms:
         assert not axioms.locally_ji_neutral
 
 
+    @pytest.mark.parametrize("fixture", ["square", "chain4", "cube3", "grid3x3"])
+    def test_efficiency_matches_the_dominance_set_oracle(self, fixture, request):
+        lat = request.getfixturevalue(fixture)
+        rng = random.Random(f"efficiency-{fixture}")
+        full_pool = enumerate_unimodal(lat, cap=lat.m)
+        verdicts = set()
+        for n in (1, 2, 3):
+            spaces = full_spaces(lat, n)
+            rules = [extended_median_rule(lat, n),
+                     ExplicitRule.from_function(spaces, lambda b: b[-1])]
+            for _ in range(4):
+                rules.append(random_explicit_rule(lat, n, rng))
+                rules.append(sample_monotone_rule(lat, n, rng))
+                # unanimous profiles keep their ballot, the rest is random
+                rules.append(ExplicitRule.from_function(
+                    spaces, lambda b: b[0] if len(set(b)) == 1 else rng.randrange(lat.m)))
+            for rule in rules:
+                for pool in (full_pool, rng.sample(full_pool, len(full_pool) // 2)):
+                    axioms = check_axioms(rule, lat, range(lat.m), unimodal_pool=pool)
+                    expected = efficiency_oracle(tabulate(rule, lat)[1], lat, n, pool)
+                    assert (axioms.efficient, axioms.witnesses.get("efficient")) == expected
+                    verdicts.add(axioms.efficient)
+        assert verdicts == {True, False}
+
     def test_local_helpers_match_naive_sweeps(self, square):
         o, x, y, i = (square.element(s) for s in "0xy1")
         swap = {x: y, y: x}
@@ -750,6 +863,34 @@ class TestSuites:
         assert _quota_tables(lat, n) == [
             (c, evaluate_table(rule, lat, spaces))
             for c, rule in enumerate_quota_rules(lat, n)]
+
+    def test_oversized_tables_are_refused_before_any_is_built(self, square):
+        class NoDraws:
+            def randrange(self, *args):
+                raise AssertionError("a cell was drawn")
+
+        message = f"table of {4 ** 11} entries exceeds cap {EXPLICIT_TABLE_CAP}"
+        with pytest.raises(TooLargeError, match=message):
+            random_explicit_rule(square, 11, NoDraws())
+        with pytest.raises(TooLargeError, match=message):
+            _quota_tables(square, 11)
+
+    @pytest.mark.parametrize("fixture", ["square", "chain4"])
+    @pytest.mark.parametrize("method, bad", [
+        ("between", [(0, 1, 3)]), ("between", [(0, 1, 3), (3, 2, 0)]),
+        ("between", [(1, 0, 2), (2, 3, 1)]), ("between", [(3, 3, 0), (0, 2, 2)]),
+        ("between", [(0, 1, 0), (2, 0, 2)]), ("median", [(0, 1, 3)]),
+        ("median", [(1, 2, 3), (3, 1, 0)]), ("median", [(2, 2, 0), (0, 3, 3)]),
+        ("median", [(3, 0, 1), (1, 3, 2)]), ("median", [(1, 0, 1), (0, 2, 0)])])
+    def test_claim1_witnesses_are_the_first_failing_tuples(self, fixture, method,
+                                                           bad, request):
+        lat = SkewedLattice(request.getfixturevalue(fixture), method, bad)
+        report = claim1_suite(lat)
+        expected = claim1_oracle(lat)
+        assert [c.claim for c in report.checks] == list(expected)
+        assert {c.claim: c.witness for c in report.checks} == expected
+        assert all(c.passed == (c.witness is None) for c in report.checks)
+        assert not report.passed()
 
     def test_battery_looks_suites_up_when_called(self, monkeypatch):
         # the benchmark's tracer patches the suites.*_suite attributes
