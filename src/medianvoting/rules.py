@@ -139,9 +139,24 @@ class CommitteeRule:
         return full_spaces(lat, self.n)
 
 
+def _held_by(codes, top: int, k: int) -> list:
+    """held[s], s = 0..k: the code bits set in at least s of ``codes``, the
+    join over size-s coalitions of their meet (``top``, the top's code, at 0)."""
+    held = [top] + [0] * k
+    for x in codes:
+        for s in range(k, 0, -1):
+            held[s] |= held[s - 1] & x
+    return held
+
+
 def extended_median(lat: Lattice, ballots) -> int:
-    """Simple majority: join of meets over all strict-majority coalitions."""
-    return extended_median_rule(lat, len(ballots)).evaluate(lat, ballots)
+    """Simple majority: join of meets over all strict-majority coalitions,
+    the join-irreducibles below at least n // 2 + 1 of the n ballots."""
+    if not ballots:
+        raise InvalidSizeError("a rule needs at least one voter")
+    quota = len(ballots) // 2 + 1
+    code = lat._code
+    return lat._decode[_held_by([code[b] for b in ballots], code[lat.top], quota)[quota]]
 
 
 def extended_median_rule(lat: Lattice, n: int) -> CommitteeRule:

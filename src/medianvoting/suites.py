@@ -29,6 +29,7 @@ from .preorders import (
 )
 from .rules import (
     ExplicitRule,
+    _held_by,
     build_canonical_median_tree,
     check_table_size,
     corners,
@@ -43,14 +44,12 @@ from .verify import (
     DomainDescriptor,
     ManipulationWitness,
     VerificationReport,
-    enumerate_quota_rules,
     find_coalitional_manipulation,
     find_local_neutrality_violation,
     find_local_sovereignty_gap,
     find_monotonicity_violation,
     find_strategy_violation,
     check_axioms,
-    nondecreasing_tuples,
     random_explicit_rule,
     sample_monotone_rule,
     strategy_witness_from,
@@ -216,6 +215,7 @@ def lemma1_suite(lat: Lattice, n: int = 2, samples: int = 120,
 def lemma2_suite(lat: Lattice, n: int = 3, label: str = "") -> VerificationReport:
     """Pointwise medians of monotone rules stay monotone."""
     t0 = time.perf_counter()
+    check_table_size(lat.m ** n)    # before the n-entry spaces are built
     spaces = full_spaces(lat, n)
     pool = [tabulate(ExplicitRule.from_function(spaces, lambda b, i=i: b[i]), lat)[1]
             for i in range(n)]
@@ -257,7 +257,7 @@ def _blocked_pair_rule():
 
 
 # voter counts up to which theorem1 sweeps every quota rule
-COMMITTEE_MAX_N = 3
+QUOTA_MAX_N = 3
 
 
 def theorem1_suite(lat: Lattice, n: int = 2, samples: int = 200,
@@ -267,7 +267,9 @@ def theorem1_suite(lat: Lattice, n: int = 2, samples: int = 200,
 
     Strategy-proofness follows ``lemma1_suite``: a rule with a monotonicity
     violation is shown not strategy-proof by a constructed and validated
-    strategy witness, and a monotone rule by an exhaustive sweep.
+    strategy witness, and a monotone rule by an exhaustive sweep.  The quota
+    rules start from ``_quota_tables``' code-space tables, so their tree and
+    committee round-trips rebuild both forms from tables no committee built.
     """
     t0 = time.perf_counter()
     pool = _rule_pool(lat, n, samples, seed)    # refuses an oversized table first
@@ -278,10 +280,11 @@ def theorem1_suite(lat: Lattice, n: int = 2, samples: int = 200,
 
     quota_bad = None
     quota_count = 0
-    for nn in range(1, COMMITTEE_MAX_N + 1):
+    for nn in range(1, QUOTA_MAX_N + 1):
         quota_domains = _full_domains(lat, nn)
-        for constants, rule in enumerate_quota_rules(lat, nn):
+        for constants, table in _quota_tables(lat, nn):
             quota_count += 1
+            rule = ExplicitRule(full_spaces(lat, nn), table)
             results = (_monotone_and_sp(rule, lat, quota_domains)
                        + _roundtrips_exact(rule, lat))
             if not all(results):
@@ -291,7 +294,7 @@ def theorem1_suite(lat: Lattice, n: int = 2, samples: int = 200,
         if quota_bad:
             break
     checks.append(CheckResult("quota-rules-satisfy-all-five", quota_bad is None,
-                              quota_bad, f"{quota_count} quota rules, n <= {COMMITTEE_MAX_N}"))
+                              quota_bad, f"{quota_count} quota rules, n <= {QUOTA_MAX_N}"))
 
     chain, blocked = _blocked_pair_rule()
     flags = (_monotone_and_sp(blocked, chain, _full_domains(chain, 2))
@@ -442,15 +445,28 @@ def theorem2_suite(lat: Lattice) -> VerificationReport:
 # -- impossibility for anonymous rules --------------------------------------------------------
 
 
+def nondecreasing_tuples(lat: Lattice, length: int):
+    """All lattice-order-nondecreasing tuples over the carrier, lexicographic."""
+    out = [()]
+    for _ in range(length):
+        out = [t + (e,) for t in out for e in range(lat.m) if not t or lat.leq(t[-1], e)]
+    return out
+
+
 def _quota_tables(lat, n):
     """(constants, full table) per quota rule, sharing one sweep of profiles.
 
-    On Birkhoff codes (``Lattice._code``) the join over size-s coalitions of
-    their ballots' meet, best_s, holds exactly the join-irreducibles below at
-    least s ballots, so one pass over a profile's ballots fills
-    best_1..best_n.  Profiles are interned by that tuple, each quota vector
-    is joined once per distinct tuple, and the results are mapped back
-    through the per-profile ids.
+    A quota rule joins, for each coalition size s, the constant c_s met with
+    the meet of every size-s coalition's ballots; its constants are
+    nondecreasing in s, the empty coalition first.  This is the program's
+    one quota-rule generator: ``theorem1_suite``, ``theorem3_suite`` and
+    ``chain_equivalence_suite`` wrap its tables as ``ExplicitRule``s.
+
+    On Birkhoff codes (``Lattice._code``) one pass over a profile's ballots
+    (``_held_by``) gives best_1..best_n, best_s being the join over size-s
+    coalitions of their meet.  Profiles are interned by that tuple, each
+    quota vector is joined once per distinct tuple, and the results are
+    mapped back through the per-profile ids.
     """
     check_table_size(lat.m ** n)
     code, decode = lat._code, lat._decode
@@ -458,11 +474,7 @@ def _quota_tables(lat, n):
     ids = []
     index = {}
     for ballots in itertools.product(code, repeat=n):
-        best = [top] + [0] * n      # best[s]: bits below at least s ballots
-        for x in ballots:
-            for s in range(n, 0, -1):
-                best[s] |= best[s - 1] & x
-        ids.append(index.setdefault(tuple(best[1:]), len(index)))
+        ids.append(index.setdefault(tuple(_held_by(ballots, top, n)[1:]), len(index)))
     out = []
     for vector in nondecreasing_tuples(lat, n + 1):
         first, *rest = (code[v] for v in vector)
@@ -599,10 +611,9 @@ def chain_equivalence_suite(lat: Lattice, n: int = 2, samples: int = 100,
     t0 = time.perf_counter()
     if not lat.is_chain():
         raise NotAChainError("carrier is not a chain")
-    check_table_size(lat.m ** n)    # every pooled rule is swept on the full table
     rng = random.Random(seed)
-    pool = [(f"quota{_names(lat, constants)}", rule)
-            for constants, rule in enumerate_quota_rules(lat, n)]
+    pool = [(f"quota{_names(lat, constants)}", ExplicitRule(full_spaces(lat, n), table))
+            for constants, table in _quota_tables(lat, n)]
     pool += [(f"sampled-{i}", sample_monotone_rule(lat, n, rng))
              for i in range(samples)]
     domains = _full_domains(lat, n)

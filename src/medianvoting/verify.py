@@ -18,7 +18,7 @@ from .errors import CarrierMismatchError, InvalidSizeError, TooLargeError
 from .lattice import Lattice
 from .preorders import (TotalPreorder, build_lsu_witness, build_three_class_witness,
                         enumerate_lsu, enumerate_unimodal)
-from .rules import (CommitteeRule, ExplicitRule, _strides, build_canonical_median_tree,
+from .rules import (ExplicitRule, _strides, build_canonical_median_tree,
                     check_table_size, full_spaces, tabulate)
 
 DEFAULT_EVAL_CAP = 10 ** 8
@@ -723,37 +723,7 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-# -- rule generators ---------------------------------------------------------------------
-
-
-def nondecreasing_tuples(lat: Lattice, length: int):
-    """All lattice-order-nondecreasing tuples over the carrier, lexicographic."""
-    out = []
-
-    def rec(prefix):
-        if len(prefix) == length:
-            out.append(tuple(prefix))
-            return
-        last = prefix[-1] if prefix else None
-        for e in range(lat.m):
-            if last is None or lat.leq(last, e):
-                rec(prefix + [e])
-
-    rec([])
-    return out
-
-
-def enumerate_quota_rules(lat: Lattice, n: int):
-    """Anonymous committee rules whose constants depend only on coalition size,
-    nondecreasing in size (the empty coalition first).  Returns
-    (constant-vector, CommitteeRule) pairs."""
-    rules = []
-    for constants in nondecreasing_tuples(lat, n + 1):
-        terms = [(frozenset(coalition), constants[size])
-                 for size in range(n + 1)
-                 for coalition in itertools.combinations(range(n), size)]
-        rules.append((constants, CommitteeRule(n, terms)))
-    return rules
+# -- random rule generators (quota rules: suites._quota_tables) ----------------------
 
 
 def sample_monotone_rule(lat: Lattice, n: int, rng) -> ExplicitRule:

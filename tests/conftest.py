@@ -14,6 +14,8 @@ from medianvoting.lattice import (
     build_product,
 )
 from medianvoting.preorders import TotalPreorder, enumerate_topped_preorders
+from medianvoting.rules import CommitteeRule
+from medianvoting.suites import nondecreasing_tuples
 from medianvoting.verify import MonotonicityWitness
 
 
@@ -88,6 +90,19 @@ def evaluate_table(rule, lat, spaces):
     row-major over ``spaces``."""
     return tuple(rule.evaluate(lat, ballots)
                  for ballots in itertools.product(*spaces))
+
+
+def enumerate_quota_rules(lat, n):
+    """Anonymous committee rules whose constants depend only on coalition size,
+    nondecreasing in size (the empty coalition first).  Returns
+    (constant-vector, CommitteeRule) pairs."""
+    rules = []
+    for constants in nondecreasing_tuples(lat, n + 1):
+        terms = [(frozenset(coalition), constants[size])
+                 for size in range(n + 1)
+                 for coalition in itertools.combinations(range(n), size)]
+        rules.append((constants, CommitteeRule(n, terms)))
+    return rules
 
 
 def monotonicity_violations(rule, lat, spaces):

@@ -233,7 +233,7 @@ def test_a06_equivalence_sweep(square):
 
     quota_exceptions = 0
     quota_count = 0
-    from medianvoting.verify import enumerate_quota_rules
+    from conftest import enumerate_quota_rules
     for n in (1, 2, 3):
         d_u = DomainDescriptor.full_unimodal(square, n)
         d_s = DomainDescriptor.full_lsu(square, n)

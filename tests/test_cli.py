@@ -199,7 +199,8 @@ class TestCommands:
         err = capsys.readouterr().err
         assert f"table of {4 ** 12} entries exceeds cap {EXPLICIT_TABLE_CAP}" in err
 
-    @pytest.mark.parametrize("suite", ["lemma1", "theorem1", "corollary1", "theorem3"])
+    @pytest.mark.parametrize("suite", ["lemma1", "theorem1", "lemma2", "corollary1",
+                                       "theorem3"])
     def test_verify_names_an_astronomic_table_by_its_bit_length(self, suite, capsys):
         start = time.perf_counter()
         assert run(["verify", suite, "--n", "200000"]) == 2

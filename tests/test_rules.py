@@ -1,5 +1,6 @@
 import itertools
 import random
+import signal
 
 import pytest
 from conftest import evaluate_table, small_posets
@@ -12,6 +13,7 @@ from medianvoting.errors import (
     InvalidSizeError,
     TooLargeError,
 )
+from medianvoting import rules
 from medianvoting.lattice import build_ideal_lattice
 from medianvoting.rules import (
     EXPLICIT_TABLE_CAP,
@@ -159,6 +161,49 @@ class TestExtendedMedian:
     def test_needs_a_ballot(self, square):
         with pytest.raises(InvalidSizeError):
             extended_median(square, ())
+
+    @pytest.mark.parametrize("fixture", ["square", "chain4", "cube3", "grid3x3"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_the_majority_committee_rule(self, fixture, n, request):
+        lat = request.getfixturevalue(fixture)
+        rule = extended_median_rule(lat, n)
+        if lat.m ** n <= 4096:
+            profiles = itertools.product(range(lat.m), repeat=n)
+        else:
+            rng = random.Random(n)
+            profiles = [tuple(rng.randrange(lat.m) for _ in range(n)) for _ in range(2000)]
+        for ballots in profiles:
+            assert extended_median(lat, ballots) == rule.evaluate(lat, ballots)
+
+    @settings(max_examples=40, deadline=None)
+    @given(poset=small_posets(), data=st.data())
+    def test_matches_the_majority_committee_rule_on_random_lattices(self, poset, data):
+        lat = build_ideal_lattice(*poset)
+        ballots = tuple(data.draw(st.lists(st.integers(0, lat.m - 1),
+                                           min_size=1, max_size=5)))
+        rule = extended_median_rule(lat, len(ballots))
+        assert extended_median(lat, ballots) == rule.evaluate(lat, ballots)
+
+    def test_forty_ballots_within_a_second(self, square, monkeypatch):
+        def too_slow(signum, frame):
+            raise TimeoutError("40 ballots took over 1 s")
+
+        def no_terms(*args):
+            raise AssertionError("the 2^n-term majority rule was built")
+
+        # building the committee rule's terms would take hours and gigabytes
+        monkeypatch.setattr(rules, "extended_median_rule", no_terms)
+        o, x, y, i = (square.element(s) for s in "0xy1")
+        # x is below 21 of the 40 ballots and y below 21: the majority is 1
+        ballots = (i,) * 11 + (x,) * 10 + (y,) * 10 + (o,) * 9
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            assert extended_median(square, ballots) == i
+            assert extended_median(square, ballots[1:] + (o,)) == o
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestMedianTree:

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 from conftest import (
+    enumerate_quota_rules,
     evaluate_table,
     monotonicity_violations,
     seeded_ideal_lattice,
@@ -37,6 +38,7 @@ from medianvoting.rules import (
 from medianvoting import cli, suites
 from medianvoting.suites import (
     _quota_tables,
+    _roundtrips_exact,
     boolean_square,
     boolean_square_suite,
     chain_equivalence_suite,
@@ -52,7 +54,6 @@ from medianvoting.verify import (
     ManipulationWitness,
     StrategyWitness,
     check_axioms,
-    enumerate_quota_rules,
     find_coalitional_manipulation,
     find_local_neutrality_violation,
     find_local_sovereignty_gap,
@@ -874,6 +875,55 @@ class TestSuites:
             random_explicit_rule(square, 11, NoDraws())
         with pytest.raises(TooLargeError, match=message):
             _quota_tables(square, 11)
+
+    def test_lemma2_refuses_before_building_its_spaces(self, square, monkeypatch):
+        def no_spaces(*args):
+            raise AssertionError("ballot spaces were built")
+
+        monkeypatch.setattr(suites, "full_spaces", no_spaces)
+        with pytest.raises(TooLargeError, match=f"exceeds cap {EXPLICIT_TABLE_CAP}"):
+            lemma2_suite(square, n=200000)
+
+    @pytest.mark.parametrize("suite, fixture, claim", [
+        ("theorem1", "square", "quota-rules-satisfy-all-five"),
+        ("corollary1", "chain4", "pool-is-interval-monotone")])
+    def test_a_corrupt_quota_table_is_named(self, suite, fixture, claim, request,
+                                            monkeypatch):
+        lat = request.getfixturevalue(fixture)
+        target = (lat.bottom, lat.bottom, lat.top)    # the meet of two ballots
+        original = suites._quota_tables
+
+        def corrupted(on, n):
+            # the all-bottom profile (cell 0, as element 0 is the bottom)
+            # now gives the top, so the rule is no longer monotone
+            return [(c, (on.top,) + table[1:] if c == target else table)
+                    for c, table in original(on, n)]
+
+        monkeypatch.setattr(suites, "_quota_tables", corrupted)
+        assert lat.bottom == 0
+        report = suites.suite_function(suite)(lat, n=2, samples=0)
+        check = {c.claim: c for c in report.checks}[claim]
+        assert not check.passed
+        names = [lat.names[e] for e in target]
+        if suite == "theorem1":
+            assert check.witness["n"] == 2 and check.witness["constants"] == names
+        else:
+            assert check.witness == f"quota{names}"
+
+    @settings(max_examples=30, deadline=None)
+    @given(poset=small_posets(), n=st.integers(min_value=1, max_value=3))
+    def test_quota_tables_are_monotone_and_round_trip(self, poset, n):
+        # Theorem 1's "only if" on the quota rules, from tables no committee built
+        lat = build_ideal_lattice(*poset)
+        assume(lat.m ** n <= 64)
+        tables = _quota_tables(lat, n)
+        assert [c for c, _ in tables] == [
+            c for c in itertools.product(range(lat.m), repeat=n + 1)
+            if all(lat.leq(a, b) for a, b in zip(c, c[1:]))]
+        for _, table in tables:
+            rule = ExplicitRule(full_spaces(lat, n), table)
+            assert find_monotonicity_violation(rule, lat) is None
+            assert _roundtrips_exact(rule, lat) == (True, True)
 
     @pytest.mark.parametrize("fixture", ["square", "chain4"])
     @pytest.mark.parametrize("method, bad", [
