@@ -277,13 +277,9 @@ def _cmd_prefs(args):
         return 0
     prefs = parse_preorder_file(args.prefs, lat)
     rows = []
-    hypercube = True
+    hypercube = lat.is_boolean()
     for p in prefs:
-        try:
-            sep = is_separable(p, lat)
-        except MedianVotingError:
-            hypercube = False
-            sep = None
+        sep = is_separable(p, lat) if hypercube else None
         rows.append({"preorder": serialize_preorder(p, lat),
                      "top": lat.names[p.top],
                      "unimodal": is_unimodal(p, lat),

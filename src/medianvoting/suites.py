@@ -245,8 +245,8 @@ def _blocked_pair_rule():
     restricted to the ends of the chain's middle segment it returns interior
     elements crosswise, which breaks interval monotonicity."""
     chain = chain4()
-    a, b, d, c = (chain.element(s) for s in "abdc")
-    value = {(a, a): a, (a, d): b, (d, a): c, (d, d): d}
+    a, b, c, d = (chain.element(s) for s in "abcd")
+    value = _corner_rule((a, b, c, d))
 
     def clamp(e):
         return a if chain.leq(e, b) else d
@@ -316,6 +316,13 @@ _CORNER_TABLE = {
 }
 
 
+def _corner_rule(elements):
+    """``_CORNER_TABLE`` with its letters a, b, c, d mapped onto ``elements``,
+    as {(ballot, ballot): outcome}."""
+    id_of = dict(zip("abcd", elements))
+    return {(id_of[u], id_of[v]): id_of[o] for (u, v), o in _CORNER_TABLE.items()}
+
+
 def _four_chain_labels(lat):
     """Lexicographically first four-element cover path, labelled bottom-up."""
     for z0 in range(lat.m):
@@ -363,7 +370,12 @@ def _sp_yet_manipulable(rule, lat, domains, name, scope=""):
 def theorem2_suite(lat: Lattice) -> VerificationReport:
     """Constructions that are strategy-proof yet coalitionally manipulable:
     a restricted two-ballot rule over a blocked pair, and (off chains) the
-    diamond-sublattice rule built from its corner values."""
+    diamond-sublattice rule built from its corner values.
+
+    There is no construction-failure check: a distributive lattice with at
+    least four elements and no four-element cover path has height 2, so it
+    is the Boolean square, whose two atoms form a diamond.  Every carrier
+    the suite accepts therefore has one labelling or the other."""
     t0 = time.perf_counter()
     if lat.m < 4:
         raise NoSuitableSublatticeError("need at least four elements")
@@ -372,17 +384,9 @@ def theorem2_suite(lat: Lattice) -> VerificationReport:
     chain_labels = _four_chain_labels(lat)
     if chain_labels is not None:
         a, b, d, c = chain_labels    # chain a < b < d < c
-    else:
-        diamond = _diamond_labels(lat)
-        if diamond is None:
-            checks.append(CheckResult("restricted-rule-construction", False,
-                                      detail="no four-element sublattice found"))
-            return _finish("theorem2", checks, t0)
-        d, b, c, a = diamond         # bottom, the two incomparables, their join
-    name_of = {x: s for x, s in zip((a, b, c, d), "abcd")}
-    table4 = {(u, v): next(e for e in (a, b, c, d)
-                           if name_of[e] == _CORNER_TABLE[(name_of[u], name_of[v])])
-              for u in (a, b, c, d) for v in (a, b, c, d)}
+    else:    # height 2, so the square (see above)
+        d, b, c, a = _diamond_labels(lat)    # bottom, the two incomparables, their join
+    table4 = _corner_rule((a, b, c, d))
 
     pair = tuple(sorted((a, d)))
     carrier = tuple(range(lat.m))
@@ -423,15 +427,10 @@ def theorem2_suite(lat: Lattice) -> VerificationReport:
 
     dd, bb, cc, aa = _diamond_labels(lat)
     sub = lat.sublattice([dd, bb, cc, aa])
-    sname = {sub.element(lat.names[e]): s
-             for e, s in ((aa, "a"), (bb, "b"), (cc, "c"), (dd, "d"))}
-    by_letter = {s: e for e, s in sname.items()}
-    sa, sb, sc, sd = (by_letter[s] for s in "abcd")
+    sa, sb, sc, sd = (sub.element(lat.names[e]) for e in (aa, bb, cc, dd))
     tree = build_canonical_median_tree([sd, sc, sb, sa], 2)
-    table_ok = all(
-        tree.evaluate(sub, (u, v))
-        == by_letter[_CORNER_TABLE[(sname[u], sname[v])]]
-        for u in range(4) for v in range(4))
+    table_ok = all(tree.evaluate(sub, cell) == out
+                   for cell, out in _corner_rule((sa, sb, sc, sd)).items())
     checks.append(CheckResult(
         "diamond-rule-table-matches-corner-expansion", table_ok,
         detail=f"sublattice {{{', '.join(sub.names)}}}"))
@@ -488,62 +487,39 @@ def _quota_tables(lat, n):
     return out
 
 
-def _targeted_prefs(lat, x, z, branch, domain):
-    """The impossibility proof's hand-built profiles for the quota branch."""
+def _targeted_prefs(lat, x, z, low, domain):
+    """The impossibility proof's first, second and third preferences: the
+    atom x or z on top, then the coalition's target, bottom when the quota
+    is at most half the voters (``low``) and x|z otherwise."""
     bottom, xz = lat.bottom, lat.join(x, z)
+    near, far = (bottom, xz) if low else (xz, bottom)
     if domain == "unimodal":
-        if branch == "low":          # quota at most half the voters
-            first = _ranked(lat, [[x], [bottom]])
-            second = _ranked(lat, [[z], [bottom]])
-        else:
-            first = _ranked(lat, [[x], [xz]])
-            second = _ranked(lat, [[z], [xz]])
-        third = _ranked(lat, [[bottom]])
+        orders = ([x, near], [z, near], [bottom])
     else:
-        if branch == "low":
-            first = _ranked(lat, [[x], [bottom], [xz], [z]])
-            second = _ranked(lat, [[z], [bottom], [xz], [x]])
-        else:
-            first = _ranked(lat, [[x], [xz], [bottom], [z]])
-            second = _ranked(lat, [[z], [xz], [bottom], [x]])
-        third = _ranked(lat, [[bottom], [x], [z], [xz]])
-    return first, second, third
+        orders = ([x, near, far, z], [z, near, far, x], [bottom, x, z, xz])
+    return tuple(_ranked(lat, [[e] for e in order]) for order in orders)
 
 
 def _targeted_witness(lat, rule, n, q, x, z, domain):
     """Try the proof's profile and joint deviation; None when inapplicable."""
-    bottom, xz = lat.bottom, lat.join(x, z)
-    branch = "low" if 2 * q <= n else "high"
-    first, second, third = _targeted_prefs(lat, x, z, branch, domain)
+    low = 2 * q <= n
+    first, second, third = _targeted_prefs(lat, x, z, low, domain)
     valid = (is_unimodal if domain == "unimodal" else is_locally_strictly_unimodal)
     if not all(valid(p, lat) for p in (first, second, third)):
         return None
-    k = n // 2
-    if branch == "low":
-        if n % 2:
-            profile = (first,) * k + (second,) * k + (third,)
-            coalition = tuple(range(n - 1))
-        else:
-            profile = (first,) * k + (second,) * k
-            coalition = tuple(range(n))
-        deviation = (bottom,) * len(coalition)
-    else:
-        if n % 2:
-            profile = (first,) * k + (second,) * k + (third,)
-        else:
-            profile = (first,) * k + (second,) * (k - 1) + (third,)
-        coalition = tuple(range(n - 1))
-        deviation = (xz,) * len(coalition)
+    # n//2 firsts, then seconds, then at most one third; every voter but
+    # the third joins the coalition and votes the target
+    thirds = 0 if low and n % 2 == 0 else 1
+    profile = ((first,) * (n // 2) + (second,) * (n - n // 2 - thirds)
+               + (third,) * thirds)
+    coalition = tuple(range(n - thirds))
+    deviation = (lat.bottom if low else lat.join(x, z),) * len(coalition)
     tops = tuple(p.top for p in profile)
-    truthful = rule.evaluate(lat, tops)
-    ballots = list(tops)
-    for i, b in zip(coalition, deviation):
-        ballots[i] = b
-    deviant = rule.evaluate(lat, ballots)
+    context = tops[len(coalition):]
     witness = ManipulationWitness(
-        profile=profile, coalition=coalition,
-        context_ballots=tuple(tops[j] for j in range(n) if j not in coalition),
-        deviation=deviation, outcome_truthful=truthful, outcome_deviant=deviant)
+        profile=profile, coalition=coalition, context_ballots=context,
+        deviation=deviation, outcome_truthful=rule.evaluate(lat, tops),
+        outcome_deviant=rule.evaluate(lat, deviation + context))
     return witness if witness.validate(rule, lat) else None
 
 
@@ -670,15 +646,18 @@ def square_templates(lat: Lattice, strict: bool):
     for top in range(lat.m):
         anti = lat.complement(top)
         b, b2 = sorted(set(range(lat.m)) - {top, anti})
-        if strict:
-            out.add(_ranked(lat, [[top], [b], [b2], [anti]]))
-            out.add(_ranked(lat, [[top], [b2], [b], [anti]]))
-            out.add(_ranked(lat, [[top], [b, b2], [anti]]))
-        else:
-            out.add(_ranked(lat, [[top], [b], [b2, anti]]))
-            out.add(_ranked(lat, [[top], [b2], [b, anti]]))
-            out.add(_ranked(lat, [[top], [b, b2, anti]]))
+        for middle in ([[b], [b2]], [[b2], [b]], [[b, b2]]):
+            # strict: the complement ranks alone, last; otherwise it ties
+            # with the last middle class in _ranked's leftover class
+            out.add(_ranked(lat, [[top], *middle, [anti]] if strict
+                            else [[top], *middle[:-1]]))
     return out
+
+
+def _support(lat, ballots, med):
+    """How many ballots lie below ``med``, and how many above it."""
+    return (sum(lat.leq(v, med) for v in ballots),
+            sum(lat.leq(med, v) for v in ballots))
 
 
 def boolean_square_suite() -> VerificationReport:
@@ -748,8 +727,7 @@ def boolean_square_suite() -> VerificationReport:
         "anonymous, locally neutral/sovereign/idempotent, efficient"))
 
     med = extended_median(lat, (I, X, Y))
-    below = sum(1 for v in (I, X, Y) if lat.leq(v, med))
-    above = sum(1 for v in (I, X, Y) if lat.leq(med, v))
+    below, above = _support(lat, (I, X, Y), med)
     checks.append(CheckResult(
         "support-balance-fails-on-square",
         med == I and below == 3 and above == 1,
@@ -757,14 +735,8 @@ def boolean_square_suite() -> VerificationReport:
                "majority threshold 2"))
 
     chain = chain4()
-    balanced = True
-    for ballots in itertools.product(range(4), repeat=3):
-        cm = extended_median(chain, ballots)
-        lo = sum(1 for v in ballots if chain.leq(v, cm))
-        hi = sum(1 for v in ballots if chain.leq(cm, v))
-        if min(lo, hi) < 2:
-            balanced = False
-            break
+    balanced = all(min(_support(chain, ballots, extended_median(chain, ballots))) >= 2
+                   for ballots in itertools.product(range(4), repeat=3))
     checks.append(CheckResult(
         "support-balance-holds-on-four-chain", balanced, detail="4^3 profiles"))
 

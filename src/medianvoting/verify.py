@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -204,7 +205,10 @@ class ManipulationWitness:
         return tuple(ballots)
 
     def validate(self, rule, lat: Lattice) -> bool:
-        """Re-evaluate the rule and re-check every member's strict gain."""
+        """Re-evaluate the rule and re-check every member's strict gain.
+        An empty coalition manipulates nothing, so it never validates."""
+        if not self.coalition:
+            return False
         truthful = rule.evaluate(lat, self.truthful_ballots())
         deviant = rule.evaluate(lat, self.deviant_ballots())
         if truthful != self.outcome_truthful or deviant != self.outcome_deviant:
@@ -213,7 +217,7 @@ class ManipulationWitness:
                    for i in self.coalition)
 
     def describe(self, lat: Lattice) -> dict:
-        return {
+        out = {
             "coalition": list(self.coalition),
             "coalition_tops": [lat.names[self.profile[i].top] for i in self.coalition],
             "context_ballots": [lat.names[b] for b in self.context_ballots],
@@ -221,6 +225,9 @@ class ManipulationWitness:
             "outcome_truthful": lat.names[self.outcome_truthful],
             "outcome_deviant": lat.names[self.outcome_deviant],
         }
+        if self.origin_ballots is not None:
+            out["origin_ballots"] = [lat.names[b] for b in self.origin_ballots]
+        return out
 
 
 # -- interval monotonicity -------------------------------------------------------------
@@ -411,20 +418,13 @@ def find_coalitional_manipulation(rule, domain: DomainDescriptor,
     strides = _strides(sizes)
     pos_of = [{b: q for q, b in enumerate(s)} for s in spaces]
 
-    space_product = 1
-    for k in sizes:
-        space_product *= k
-    deviation_mass = 1
-    for k in sizes:
-        deviation_mass *= (k + 1)
-    origin_mass = space_product if literal else 1
+    deviation_mass = math.prod(k + 1 for k in sizes)
+    origin_mass = math.prod(sizes) if literal else 1
     pref_sets = domain.preference_sets
     tops = [[p.top for p in prefs] for prefs in pref_sets]
     # the voter-by-voter fix-up never enumerates profiles: each tried
     # preference costs one first_hit scan over at most start_mass start tuples
-    start_mass = 1
-    for i in range(n):
-        start_mass *= sizes[i] if literal else len(set(tops[i]))
+    start_mass = math.prod(sizes) if literal else math.prod(len(set(t)) for t in tops)
     scan_mass = start_mass * sum(len(prefs) for prefs in pref_sets)
     if origin_mass * deviation_mass > cap or scan_mass > cap:
         raise TooLargeError(

@@ -208,6 +208,32 @@ class TestCommands:
         err = capsys.readouterr().err
         assert f"table of at least 2^400000 entries exceeds cap {EXPLICIT_TABLE_CAP}" in err
 
+    def test_rule_check_literal_witness_names_its_origin_ballots(self, tmp_path,
+                                                                 chain4, capsys):
+        a, b = chain4.element("a"), chain4.element("b")
+        rule = ExplicitRule(((a, b), (a, b)), [a, a, a, b])
+        rule_file = write_json(tmp_path / "rule.json", serialize_rule(rule, chain4))
+        out_path = tmp_path / "check.json"
+        lattice = bundled_path("chain4")
+        assert run(["rule", "check", "--semantics", "literal", "--rule", rule_file,
+                    "--lattice", lattice, "--json", str(out_path)]) == 1
+        witness = json.loads(out_path.read_text())["coalition_proof_unimodal"]["witness"]
+        assert witness["origin_ballots"] == ["a", "a"]
+        # the witness replays: origin a,a gives a, the deviation b,b gives b
+        origin = tuple(chain4.element(s) for s in witness["origin_ballots"])
+        deviant = tuple(chain4.element(s) for s in witness["deviation"])
+        assert chain4.names[rule.evaluate(chain4, origin)] == witness["outcome_truthful"]
+        assert chain4.names[rule.evaluate(chain4, deviant)] == witness["outcome_deviant"]
+        capsys.readouterr()
+
+    def test_verify_theorem3_with_one_voter_fails(self, capsys):
+        # the one-voter identity rule is coalition-proof, so the quota-1
+        # rule has no manipulation to show
+        assert run(["verify", "theorem3", "--n", "1"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] q1-manipulable-unimodal" in out
+        assert "'coalition': []" not in out
+
     def test_prefs_enum_and_check(self, tmp_path, square_file, capsys):
         assert run(["prefs", "enum", "--lattice", square_file,
                     "--kind", "unimodal"]) == 0

@@ -37,6 +37,8 @@ from medianvoting.rules import (
 )
 from medianvoting import cli, suites
 from medianvoting.suites import (
+    _diamond_labels,
+    _four_chain_labels,
     _quota_tables,
     _roundtrips_exact,
     boolean_square,
@@ -601,6 +603,16 @@ class TestCoalitionSearch:
             outcome_truthful=o, outcome_deviant=i)
         assert witness.validate(rule, square)
 
+    def test_an_empty_coalition_never_validates(self, square):
+        # the one-voter identity rule is coalition-proof; an empty coalition
+        # "gains" vacuously and must not count as a manipulation
+        rule = ExplicitRule.from_function(full_spaces(square, 1), lambda b: b[0])
+        voter = enumerate_unimodal(square)[0]
+        witness = ManipulationWitness(
+            profile=(voter,), coalition=(), context_ballots=(voter.top,),
+            deviation=(), outcome_truthful=voter.top, outcome_deviant=voter.top)
+        assert not witness.validate(rule, square)
+
     def test_literal_semantics_is_stronger(self, chain4):
         # on a chain the median is coalition-proof in the truthful sense but
         # the literal quantification over arbitrary origins flags it
@@ -817,6 +829,15 @@ class TestSuites:
     def test_theorem3_requires_atoms(self):
         with pytest.raises(NotEnoughAtomsError):
             theorem3_suite(build_chain(4), 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(poset=small_posets())
+    def test_every_theorem2_carrier_has_a_chain_or_a_diamond(self, poset):
+        # why theorem2 needs no construction-failure check
+        lat = build_ideal_lattice(*poset)
+        assume(lat.m >= 4)
+        assert (_four_chain_labels(lat) is not None
+                or _diamond_labels(lat) is not None)
 
     def test_theorem3_small(self, square):
         report = theorem3_suite(square, 3)
