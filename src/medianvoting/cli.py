@@ -9,13 +9,18 @@ usage, I/O or validation errors.
 every entry and takes only ``--seed`` and ``--json``.  ``verify <suite>``
 with no flag runs that suite's entries; ``--lattice``, ``--n``, ``--samples``
 and ``--seed`` put their values into those entries (a lattice replaces the
-entry's own and drops its label), and equal calls run once.  A flag whose
-parameter the suite's function does not have exits 2.
+entry's own and drops its label), and equal calls run once.
+
+Each action and each verify suite has its own sub-parser, which declares
+only the flags its handler reads (for a suite, those its function has a
+parameter for).  Flags go after the action (``verify theorem3 --n 3``), and
+any other flag exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import heapq
 import inspect
 import json
@@ -44,6 +49,7 @@ from .rules import (
 )
 from . import suites
 from .verify import (
+    DEFAULT_EVAL_CAP,
     DomainDescriptor,
     find_coalitional_manipulation,
     find_monotonicity_violation,
@@ -230,7 +236,7 @@ def parse_preorder_file(path, lat: Lattice):
 
 
 def _emit(args, payload, text):
-    if getattr(args, "json", None):
+    if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
@@ -342,22 +348,10 @@ def _cmd_rule(args):
     return 0 if all(ok for ok, _ in checks.values()) else 1
 
 
-# verify's flags and the suite parameters they fill
-_SUITE_FLAGS = (("lattice", "lat"), ("n", "n"), ("samples", "samples"),
-                ("seed", "seed"))
-
-
 def _suite_reports(args):
-    suite = args.suite
-    given = {param: getattr(args, flag) for flag, param in _SUITE_FLAGS
-             if getattr(args, flag) is not None}
-    if suite == "all":
-        params = {"seed"}
-    else:
-        params = inspect.signature(suites.suite_function(suite)).parameters
-    for flag, param in _SUITE_FLAGS:
-        if param in given and param not in params:
-            raise FormatError(f"verify {suite} does not take --{flag}")
+    suite = args.action
+    given = {param: value for param, value in vars(args).items()
+             if param in ("lat", "n", "samples", "seed") and value is not None}
     if given.get("n", 1) < 1 or given.get("samples", 0) < 0:
         raise FormatError(f"verify {suite} needs --n >= 1 and --samples >= 0")
     if "lat" in given:
@@ -384,53 +378,68 @@ def _cmd_verify(args):
 # -- argument parsing -------------------------------------------------------------------
 
 
+_PATH = {"metavar": "PATH"}
+_INPUT = {"required": True, **_PATH}
+# command -> (handler, add_parser keywords, {action: {flag: add_argument
+# keywords}}); an action declares exactly the flags its handler reads
+_COMMANDS = {
+    "lattice": (_cmd_lattice, {"help": "build or inspect a lattice file"}, dict.fromkeys(
+        ("build", "inspect"), {"covers": _INPUT, "json": _PATH})),
+    "prefs": (_cmd_prefs, {"help": "enumerate or check preorders"}, {
+        "enum": {"lattice": _INPUT, "kind": {"default": "topped", "choices": (
+                     "topped", "unimodal", "strict", "separable")},
+                 "cap": {"type": int, "default": DEFAULT_ENUM_CAP}, "json": _PATH},
+        "check": {"lattice": _INPUT, "prefs": _INPUT, "json": _PATH}}),
+    "rule": (_cmd_rule, {"help": "evaluate, convert or check a rule"}, {
+        "eval": {"rule": _INPUT, "lattice": _INPUT,
+                 "ballots": {"required": True, "metavar": "CSV"}},
+        "convert": {"rule": _INPUT, "lattice": _INPUT, "to": {
+                        "required": True, "choices": ("committee", "tree", "explicit")},
+                    "json": _PATH},
+        "check": {"rule": _INPUT, "lattice": _INPUT, "semantics": {
+                      "default": "truthful", "choices": ("truthful", "literal")},
+                  "cap": {"type": int, "default": DEFAULT_EVAL_CAP}, "json": _PATH}}),
+}
+# verify's flags, each filling the suite parameter named by its dest
+_SUITE_FLAGS = {
+    "lattice": {"dest": "lat", "metavar": "PATH",
+                "help": "lattice put into the entries (labels dropped)"},
+    "n": {"dest": "n", "type": int, "help": "voter count put into the entries"},
+    "samples": {"dest": "samples", "type": int,
+                "help": "sampled rule count put into the entries"},
+    "seed": {"dest": "seed", "type": int,
+             "help": "seed put into the seeded entries (default 0)"},
+}
+
+
+@functools.cache
 def _build_parser():
+    """The one parser, built on first use.  A suite takes the flags that its
+    function's signature names (``all``: ``suites.run_all``'s)."""
+    suite_actions = {}
+    for suite in SUITE_NAMES:
+        function = suites.run_all if suite == "all" else suites.suite_function(suite)
+        params = inspect.signature(function).parameters
+        suite_actions[suite] = {flag: keywords for flag, keywords in _SUITE_FLAGS.items()
+                                if keywords["dest"] in params} | {"json": _PATH}
+    verify = (_cmd_verify, {"help": "run a verification suite", "description":
+              "With no flag a suite runs its battery entries.  A flag puts its value "
+              "into them; a flag the suite does not take exits 2, and 'all' takes "
+              "only --seed and --json."}, suite_actions)
     parser = argparse.ArgumentParser(
         prog="medianvoting",
         description="Distributive-lattice voting workbench: build lattices, "
                     "enumerate single-peaked preference domains, evaluate and "
                     "convert voting rules, and run the verification suites.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_lat = sub.add_parser("lattice", help="build or inspect a lattice file")
-    p_lat.add_argument("action", choices=("build", "inspect"))
-    p_lat.add_argument("--covers", required=True, metavar="PATH")
-    p_lat.add_argument("--json", metavar="PATH")
-
-    p_prefs = sub.add_parser("prefs", help="enumerate or check preorders")
-    p_prefs.add_argument("action", choices=("enum", "check"))
-    p_prefs.add_argument("--lattice", required=True, metavar="PATH")
-    p_prefs.add_argument("--prefs", metavar="PATH")
-    p_prefs.add_argument("--kind", default="topped",
-                         choices=("topped", "unimodal", "strict", "separable"))
-    p_prefs.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP)
-    p_prefs.add_argument("--json", metavar="PATH")
-
-    p_rule = sub.add_parser("rule", help="evaluate, convert or check a rule")
-    p_rule.add_argument("action", choices=("eval", "convert", "check"))
-    p_rule.add_argument("--rule", required=True, metavar="PATH")
-    p_rule.add_argument("--lattice", required=True, metavar="PATH")
-    p_rule.add_argument("--ballots", metavar="CSV")
-    p_rule.add_argument("--to", choices=("committee", "tree", "explicit"))
-    p_rule.add_argument("--semantics", default="truthful",
-                        choices=("truthful", "literal"))
-    p_rule.add_argument("--cap", type=int, default=10 ** 8)
-    p_rule.add_argument("--json", metavar="PATH")
-
-    p_verify = sub.add_parser(
-        "verify", help="run a verification suite",
-        description="With no flag a suite runs its battery entries.  A flag "
-                    "puts its value into them; a flag the suite does not take "
-                    "exits 2, and 'all' takes only --seed and --json.")
-    p_verify.add_argument("suite", choices=SUITE_NAMES)
-    p_verify.add_argument("--lattice", metavar="PATH",
-                          help="lattice put into the entries (labels dropped)")
-    p_verify.add_argument("--n", type=int, help="voter count put into the entries")
-    p_verify.add_argument("--samples", type=int,
-                          help="sampled rule count put into the entries")
-    p_verify.add_argument("--seed", type=int,
-                          help="seed put into the seeded entries (default 0)")
-    p_verify.add_argument("--json", metavar="PATH")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, (handler, keywords, actions) in {**_COMMANDS, "verify": verify}.items():
+        sub = commands.add_parser(command, **keywords).add_subparsers(
+            dest="action", required=True)
+        for action, flags in actions.items():
+            p = sub.add_parser(action)
+            for flag, flag_keywords in flags.items():
+                p.add_argument(f"--{flag}", **flag_keywords)
+            p.set_defaults(handler=handler)
     return parser
 
 
@@ -439,26 +448,9 @@ def run(argv) -> int:
     try:
         args, extra = parser.parse_known_args(argv)
         if extra:
-            where = (f"verify {args.suite}" if args.command == "verify"
-                     else args.command)
-            parser.error(f"{where} does not take {' '.join(extra)}")
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        if args.command == "lattice":
-            return _cmd_lattice(args)
-        if args.command == "prefs":
-            if args.action == "check" and not args.prefs:
-                parser.error("prefs check requires --prefs")
-            return _cmd_prefs(args)
-        if args.command == "rule":
-            if args.action == "eval" and args.ballots is None:
-                parser.error("rule eval requires --ballots")
-            if args.action == "convert" and args.to is None:
-                parser.error("rule convert requires --to")
-            return _cmd_rule(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
+            parser.error(f"{args.command} {args.action} does not take "
+                         f"{' '.join(extra)}")
+        return args.handler(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     except MedianVotingError as exc:
@@ -469,7 +461,6 @@ def run(argv) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 def main():

@@ -508,8 +508,9 @@ def _targeted_witness(lat, rule, n, q, x, z, domain):
     if not all(valid(p, lat) for p in (first, second, third)):
         return None
     # n//2 firsts, then seconds, then at most one third; every voter but
-    # the third joins the coalition and votes the target
-    thirds = 0 if low and n % 2 == 0 else 1
+    # the third joins the coalition and votes the target.  A majority quota
+    # of all n voters (n = 2) takes no third: one voter cannot move the meet
+    thirds = 0 if (low and n % 2 == 0) or q == n // 2 + 1 == n else 1
     profile = ((first,) * (n // 2) + (second,) * (n - n // 2 - thirds)
                + (third,) * thirds)
     coalition = tuple(range(n - thirds))
@@ -521,6 +522,14 @@ def _targeted_witness(lat, rule, n, q, x, z, domain):
         deviation=deviation, outcome_truthful=rule.evaluate(lat, tops),
         outcome_deviant=rule.evaluate(lat, deviation + context))
     return witness if witness.validate(rule, lat) else None
+
+
+def _quota_threshold(lat, constants, target):
+    """The least s >= 1 with ``target`` <= c_s, or None.  With s voters at a
+    join-irreducible x and the rest at bottom, a quota rule gives
+    c_0 | (c_s & x), and x lies below that iff x <= c_s, because c_0 <= c_s."""
+    return next((s for s in range(1, len(constants))
+                 if lat.leq(target, constants[s])), None)
 
 
 def theorem3_suite(lat: Lattice, n: int = 5) -> VerificationReport:
@@ -550,12 +559,7 @@ def theorem3_suite(lat: Lattice, n: int = 5) -> VerificationReport:
 
     majority = n // 2 + 1
     for constants, rule in survivors:
-        q = next((s for s in range(1, n + 1)
-                  if lat.leq(x, rule.evaluate(
-                      lat, tuple(x if i < s else lat.bottom for i in range(n))))
-                  and lat.leq(z, rule.evaluate(
-                      lat, tuple(z if i < s else lat.bottom for i in range(n))))),
-                 None)
+        q = _quota_threshold(lat, constants, xz)
         tag = f"q{q}" if q is not None else "q-none"
         for domain in ("unimodal", "strict"):
             witness = None

@@ -653,13 +653,11 @@ def check_axioms(rule, lat: Lattice, local_set, unimodal_pool=None,
     if unimodal_pool is None:
         unimodal_pool = enumerate_unimodal(lat)
     # dominance[t][o]: bitmask of the elements some preference with top t
-    # ranks above o; the outcome is dominated by every element in all the
+    # ranks above o (a one-voter domain's gain masks; zero for a top the
+    # pool lacks); the outcome is dominated by every element in all the
     # voters' masks, and the witness is the lowest of them
-    dominance = [[0] * m for _ in range(m)]
-    for p in unimodal_pool:
-        row = dominance[p.top]
-        for o, mask in enumerate(_better_masks(p)):
-            row[o] |= mask
+    gain = DomainDescriptor(lat, [range(m)], [unimodal_pool]).gain_masks()[1][0]
+    dominance = [gain.get(t, [0] * m) for t in range(m)]
     efficient = True
     for idx, tops in enumerate(itertools.product(range(m), repeat=n)):
         o = table[idx]

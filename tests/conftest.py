@@ -13,7 +13,12 @@ from medianvoting.lattice import (
     build_ideal_lattice,
     build_product,
 )
-from medianvoting.preorders import TotalPreorder, enumerate_topped_preorders
+from medianvoting.preorders import (
+    TotalPreorder,
+    enumerate_topped_preorders,
+    is_locally_strictly_unimodal,
+    is_unimodal,
+)
 from medianvoting.rules import CommitteeRule
 from medianvoting.suites import nondecreasing_tuples
 from medianvoting.verify import MonotonicityWitness
@@ -48,6 +53,15 @@ def cube3_topped(cube3):
     """All 378,344 topped preorders on 8 elements, built once per session.
     The list depends only on the carrier size."""
     return enumerate_topped_preorders(cube3, cap=cube3.m)
+
+
+@pytest.fixture(scope="session")
+def cube3_filtered(cube3, cube3_topped):
+    """(unimodal, locally strictly unimodal) sublists of ``cube3_topped``, in
+    enumeration order, filtered once per session.  The bundled ``cube3``
+    has the same ids and covers, so the lists serve it too."""
+    return ([p for p in cube3_topped if is_unimodal(p, cube3)],
+            [p for p in cube3_topped if is_locally_strictly_unimodal(p, cube3)])
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,7 @@
 import functools
 import json
+import subprocess
+import sys
 import time
 from importlib import resources
 from pathlib import Path
@@ -7,7 +9,7 @@ from pathlib import Path
 import pytest
 from conftest import bundled_lattice
 
-from medianvoting import suites
+from medianvoting import cli, suites
 from medianvoting.cli import (
     SUITE_NAMES,
     canonical_order,
@@ -234,6 +236,13 @@ class TestCommands:
         assert "[FAIL] q1-manipulable-unimodal" in out
         assert "'coalition': []" not in out
 
+    def test_verify_theorem3_with_two_voters_targets_the_majority(self, capsys):
+        # the majority quota is 2 = n: both voters join the coalition
+        assert run(["verify", "theorem3", "--n", "2"]) == 0
+        out = capsys.readouterr().out
+        for domain in ("unimodal", "strict"):
+            assert f"[ok  ] q2-manipulable-{domain} -- targeted-profile" in out
+
     def test_prefs_enum_and_check(self, tmp_path, square_file, capsys):
         assert run(["prefs", "enum", "--lattice", square_file,
                     "--kind", "unimodal"]) == 0
@@ -350,9 +359,59 @@ class TestCommands:
         assert captured.out == ""
         assert flag in captured.err and f"verify {argv[0]}" in captured.err
 
+    @pytest.mark.parametrize("action, flags", [
+        pytest.param(action, flags, id=f"{action} {flags[0]}")
+        for action, flags in [
+            ("rule eval", ["--semantics", "literal"]),
+            ("rule eval", ["--cap", "5"]),
+            ("rule eval", ["--to", "tree"]),
+            ("rule eval", ["--json", "out.json"]),
+            ("rule convert", ["--cap", "5"]),
+            ("rule convert", ["--semantics", "literal"]),
+            ("rule convert", ["--ballots", "x"]),
+            ("rule check", ["--to", "tree"]),
+            ("rule check", ["--ballots", "x"]),
+            ("prefs check", ["--kind", "unimodal"]),
+            ("prefs check", ["--cap", "5"]),
+            ("prefs enum", ["--prefs", "prefs.json"])]])
+    def test_actions_reject_flags_their_handler_does_not_read(
+            self, action, flags, tmp_path, square_file, majority_file, capsys,
+            monkeypatch):
+        # each call is valid without the extra flag
+        monkeypatch.chdir(tmp_path)
+        prefs = write_json(tmp_path / "prefs.json", [["x"], ["1"], ["0", "y"]])
+        inputs = {
+            "rule eval": ["--rule", majority_file, "--lattice", square_file,
+                          "--ballots", "x,x,y,y,0"],
+            "rule convert": ["--rule", majority_file, "--lattice", square_file,
+                             "--to", "committee"],
+            "rule check": ["--rule", majority_file, "--lattice", square_file],
+            "prefs check": ["--lattice", square_file, "--prefs", prefs],
+            "prefs enum": ["--lattice", square_file],
+        }[action]
+        assert run([*action.split(), *inputs, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{action} does not take {flags[0]}" in captured.err
+        assert not (tmp_path / "out.json").exists()
+
+    def test_parser_is_built_once_and_not_at_import(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        script = (f"import sys; sys.path.insert(0, {src!r})\n"
+                  "import medianvoting.cli as cli\n"
+                  "print(cli._build_parser.cache_info().currsize)\n"
+                  "for _ in range(2):\n"
+                  "    cli.run(['verify', 'claim1', '--seed', '1'])\n"
+                  "print(cli._build_parser.cache_info().misses)\n")
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.split() == ["0", "1"]
+
     def test_usage_errors_exit_2(self, capsys):
         assert run(["verify", "unknown-suite"]) == 2
         assert run(["rule", "eval", "--rule", "x", "--lattice", "y"]) == 2
+        assert run(["rule", "convert", "--rule", "x", "--lattice", "y"]) == 2
+        assert run(["prefs", "check", "--lattice", "y"]) == 2
         # verify has no --cap or --semantics; rule check keeps its own
         assert run(["verify", "theorem3", "--n", "3", "--cap", "1"]) == 2
         assert run(["verify", "theorem3", "--n", "3", "--semantics", "literal"]) == 2

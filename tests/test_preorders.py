@@ -44,18 +44,17 @@ def order_key(p):
     return (p.top,) + tuple(sum(1 << e for e in c) for c in p.classes()[1:])
 
 
-def filter_oracle(lat, cap, pool=None):
-    """Generate every topped preorder (or take ``pool``, the topped list of
-    an equal-sized carrier), then filter: the reference for the direct
-    enumerators, as ordered lists."""
-    if pool is None:
-        pool = enumerate_topped_preorders(lat, cap=cap)
+def filter_oracle(lat, cap):
+    """Generate every topped preorder, then filter: the reference for the
+    direct enumerators, as ordered lists."""
+    pool = enumerate_topped_preorders(lat, cap=cap)
     return ([p for p in pool if is_unimodal(p, lat)],
             [p for p in pool if is_locally_strictly_unimodal(p, lat)])
 
 
-def assert_direct_matches_filter(lat, cap=7, pool=None):
-    unimodal, strict = filter_oracle(lat, cap, pool)
+def assert_direct_matches_filter(lat, cap=7, filtered=None):
+    """``filtered``: the oracle's lists when a fixture has them already."""
+    unimodal, strict = filtered or filter_oracle(lat, cap)
     assert enumerate_unimodal(lat, cap=cap) == unimodal
     assert enumerate_lsu(lat, cap=cap) == strict
     return len(unimodal), len(strict)
@@ -141,11 +140,13 @@ class TestDirectEnumeration:
         for m in (5, 6, 7, 7):
             assert_direct_matches_filter(seeded_ideal_lattice(rng, m))
 
-    def test_cube3_above_the_default_cap(self, cube3_topped):
+    def test_cube3_above_the_default_cap(self, cube3, cube3_filtered):
         cube = bundled_lattice("cube3")
+        # the fixture's lists were filtered on the built cube: same ids
+        assert (cube.names, sorted(cube.covers)) == (cube3.names, sorted(cube3.covers))
         # generate-then-filter counts on the 3-cube
         assert assert_direct_matches_filter(cube, cap=8,
-                                            pool=cube3_topped) == (104, 1784)
+                                            filtered=cube3_filtered) == (104, 1784)
         for enumerate_family in (enumerate_unimodal, enumerate_lsu):
             with pytest.raises(TooLargeError,
                                match="enumeration over 8 elements exceeds cap 7"):
@@ -205,9 +206,12 @@ class TestSinglePeakedness:
     @pytest.mark.parametrize("k", [2, 3])
     def test_separable_equals_lsu_on_hypercubes(self, k, request):
         cube = build_boolean_hypercube(k)
-        pool = (request.getfixturevalue("cube3_topped") if k == 3
-                else enumerate_topped_preorders(cube, cap=cube.m))
-        lsu = {p.ranks for p in pool if is_locally_strictly_unimodal(p, cube)}
+        if k == 3:
+            pool = request.getfixturevalue("cube3_topped")
+            lsu = {p.ranks for p in request.getfixturevalue("cube3_filtered")[1]}
+        else:
+            pool = enumerate_topped_preorders(cube, cap=cube.m)
+            lsu = {p.ranks for p in pool if is_locally_strictly_unimodal(p, cube)}
         separable = {p.ranks for p in pool if is_separable(p, cube)}
         assert lsu == separable
 

@@ -40,6 +40,7 @@ from medianvoting.suites import (
     _diamond_labels,
     _four_chain_labels,
     _quota_tables,
+    _quota_threshold,
     _roundtrips_exact,
     boolean_square,
     boolean_square_suite,
@@ -838,6 +839,24 @@ class TestSuites:
         assume(lat.m >= 4)
         assert (_four_chain_labels(lat) is not None
                 or _diamond_labels(lat) is not None)
+
+    @settings(max_examples=40, deadline=None)
+    @given(poset=small_posets(), n=st.integers(min_value=1, max_value=4))
+    def test_quota_threshold_matches_the_evaluation_probe(self, poset, n):
+        lat = build_ideal_lattice(*poset)
+        assume(len(lat.atoms) >= 2 and lat.m ** n <= 1296)
+        x, z = sorted(lat.atoms)[:2]
+
+        def reached(rule, s, atom):
+            # s voters at the atom, the rest at bottom
+            ballots = tuple(atom if i < s else lat.bottom for i in range(n))
+            return lat.leq(atom, rule.evaluate(lat, ballots))
+
+        for constants, table in _quota_tables(lat, n):
+            rule = ExplicitRule(full_spaces(lat, n), table)
+            probe = next((s for s in range(1, n + 1)
+                          if reached(rule, s, x) and reached(rule, s, z)), None)
+            assert _quota_threshold(lat, constants, lat.join(x, z)) == probe
 
     def test_theorem3_small(self, square):
         report = theorem3_suite(square, 3)
