@@ -248,18 +248,24 @@ def find_monotonicity_violation(rule, lat: Lattice, spaces=None,
     between the voter's ballot and the deviant outcome, or None.
 
     The witness is the first in the order ballot tuples row-major, voters
-    ascending, deviations in space order.  One pass per voter decides every
-    deviation at once.  On Birkhoff codes (``Lattice._code``) o lies in
-    [x, d] iff x&d <= o <= x|d, and along voter i's line (the cells that
-    differ only in i's ballot) the unions and intersections satisfy
-    U(x&d) = x&U(d) and I(x|d) = x|I(d).  So the cell with ballot x and
-    outcome o survives every deviation of voter i iff x&U <= o <= x|I, with
-    U and I the union and the intersection of the outcome codes on the line.
-    The sweep keeps the smallest failing (cell index, voter) pair, the lower
-    voter on a tie, and rescans only that line in space order to name the
-    deviation.  That is the pair and the deviation the cell-by-cell order
-    meets first, so the witness is unchanged, found in O(n*|table|) steps
-    instead of O(|table|*sum of space sizes).
+    ascending, deviations in space order.  On Birkhoff codes
+    (``Lattice._code``) o lies in [x, d] iff x&d <= o <= x|d, and along voter
+    i's line (the cells that differ only in i's ballot) U(x&d) = x&U(d) and
+    I(x|d) = x|I(d) for the union U and intersection I of the outcome codes.
+    So the cell with ballot x and outcome o survives every deviation of
+    voter i iff x&U <= o <= x|I.
+
+    One big int T (``cells``) holds the table's codes in row-major order, one
+    lane of w = max(1, ceil(|J|/8)) bytes per cell.  Voter i's line (space
+    size k, stride s) has its lanes s apart, its head where i casts its
+    first ballot.  OR-ing (AND-ing) T with T shifted down by q*s lanes,
+    0 < q < k, leaves U (I) in each head lane, the mask B0 (``heads``) of
+    head lanes drops the rest, and k-1 shifts up broadcast U and I along
+    the line.  With X (``ballots``) holding i's ballot code in every lane,
+    ``X & U & ~T | T & ~(X | I)`` is nonzero in exactly the failing lanes.
+    Lanes never interfere: AND, OR and NOT act bit by bit, shifts move whole
+    lanes, and a head meets only its own line.  So the lowest failing lane
+    over the voters (the lower voter on a tie) is the witness cell above.
     """
     spaces, table = tabulate(rule, lat, spaces)
     n = len(spaces)
@@ -270,30 +276,31 @@ def find_monotonicity_violation(rule, lat: Lattice, spaces=None,
         raise TooLargeError(
             f"monotonicity sweep of {estimate} evaluations exceeds the "
             f"evaluation cap {cap}")
-    code = lat._code
-    codes = [code[o] for o in table]
-    first = (len(table), None, None)    # (cell index, voter, line offset)
+    w = max(1, -(-len(lat._irreducibles) // 8))
+    lane = [c.to_bytes(w, "little") for c in lat._code]
+    cells = int.from_bytes(b"".join(map(lane.__getitem__, table)), "little")
+    first = (len(table), n)    # (cell index, voter)
     for i in range(n):
         k, s = sizes[i], strides[i]
-        ballots = [code[b] for b in spaces[i]]
-        for off, line in _lines(codes, k, s):
-            if off >= first[0]:
-                break
-            union = functools.reduce(operator.or_, line)
-            inter = functools.reduce(operator.and_, line)
-            if union == inter:    # a constant line passes
-                continue
-            for q, x in enumerate(ballots):
-                o = line[q]
-                if x & union & ~o or o & ~(x | inter):
-                    if off + q * s < first[0]:
-                        first = (off + q * s, i, off)
-                    break
-    idx, i, off = first
-    if i is None:
+        reps, span = len(table) // (k * s), w * s    # span: bytes between line cells
+        heads = int.from_bytes((b"\xff" * span + bytes(span * (k - 1))) * reps, "little")
+        ballots = int.from_bytes(b"".join(lane[b] * s for b in spaces[i]) * reps, "little")
+        union = inter = cells
+        for q in range(1, k):
+            shifted = cells >> 8 * span * q
+            union, inter = union | shifted, inter & shifted
+        union, inter = union & heads, inter & heads
+        for _ in range(1, k):
+            union, inter = union | union << 8 * span, inter | inter << 8 * span
+        fail = ballots & union & ~cells | cells & ~(ballots | inter)
+        if fail:
+            first = min(first, (((fail & -fail).bit_length() - 1) // (8 * w), i))
+    idx, i = first
+    if i == n:
         return None
     cell = tuple(spaces[j][idx // strides[j] % sizes[j]] for j in range(n))
     out = table[idx]
+    off = idx - idx // strides[i] % sizes[i] * strides[i]
     dev, other = next((dev, other) for dev, other
                       in zip(spaces[i], table[off::strides[i]])
                       if not lat.between(cell[i], out, other))

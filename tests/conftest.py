@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 from importlib import resources
@@ -51,8 +52,14 @@ def cube3():
 @pytest.fixture(scope="session")
 def cube3_topped(cube3):
     """All 378,344 topped preorders on 8 elements, built once per session.
-    The list depends only on the carrier size."""
-    return enumerate_topped_preorders(cube3, cap=cube3.m)
+    The list depends only on the carrier size.  The build makes no cycles,
+    so the collector is off during it: otherwise each full collection in
+    the build would traverse the growing list again."""
+    gc.disable()
+    try:
+        return enumerate_topped_preorders(cube3, cap=cube3.m)
+    finally:
+        gc.enable()
 
 
 @pytest.fixture(scope="session")

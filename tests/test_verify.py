@@ -1,6 +1,8 @@
 import functools
 import itertools
 import random
+import signal
+import time
 from dataclasses import replace
 
 import pytest
@@ -20,7 +22,12 @@ from medianvoting.errors import (
     NotEnoughAtomsError,
     TooLargeError,
 )
-from medianvoting.lattice import build_chain, build_ideal_lattice
+from medianvoting.lattice import (
+    build_boolean_hypercube,
+    build_chain,
+    build_ideal_lattice,
+    build_product,
+)
 from medianvoting.preorders import (
     TotalPreorder,
     enumerate_topped_preorders,
@@ -363,6 +370,47 @@ class TestMonotonicity:
             rule = random_rule(rng, lat, spaces, ("random", "mixed", "median")[case % 3])
             found += assert_sweep_matches_oracle(rule, lat, spaces) is not None
         assert 30 <= found < 100
+
+    def test_matches_brute_force_oracle_on_wide_lanes_and_edge_carriers(self):
+        # 9 and 11 join-irreducibles (chains of 10 and 12, the 5x6 grid, the
+        # 9-cube) need two-byte lanes; the one-element lattice has none
+        rng = random.Random(1407)
+        cube9 = build_boolean_hypercube(9)
+        cases = [(lat, n) for lat in (build_chain(10), build_chain(12),
+                                      build_product(build_chain(5), build_chain(6)))
+                 for n in (1, 2)]
+        found = {"random": 0, "median": 0, "mixed": 0}
+        for lat, n in cases + [(cube9, 1)]:
+            for kind in found:
+                for _ in range(5):
+                    spaces = ([tuple(sorted(rng.sample(range(lat.m), 40)))]
+                              if lat is cube9 else random_spaces(rng, lat, n))
+                    rule = random_rule(rng, lat, spaces, kind)
+                    found[kind] += assert_sweep_matches_oracle(rule, lat, spaces) is not None
+        point = build_chain(1)
+        for n in (1, 2):
+            spaces = full_spaces(point, n)
+            for kind in found:
+                assert assert_sweep_matches_oracle(
+                    random_rule(rng, point, spaces, kind), point, spaces) is None
+        assert found == {"random": 34, "median": 0, "mixed": 32}
+
+    def test_four_to_the_ten_cells_within_three_seconds(self, chain4):
+        def too_slow(signum, frame):
+            raise TimeoutError("sweeping 4^10 cells took over 3 s")
+
+        rule = ExplicitRule(*tabulate(extended_median_rule(chain4, 10), chain4))
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        start = time.perf_counter()
+        signal.setitimer(signal.ITIMER_REAL, 3.0)
+        try:
+            assert find_monotonicity_violation(rule, chain4) is None
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        # an alarm that lands in a garbage-collector callback (hypothesis
+        # installs one) is reported as unraisable and lost, so time it too
+        assert time.perf_counter() - start < 3.0
 
     def test_cap_refusal_names_estimate_and_cap(self, square):
         rule = extended_median_rule(square, 2)
