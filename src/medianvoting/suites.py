@@ -44,6 +44,7 @@ from .verify import (
     DomainDescriptor,
     ManipulationWitness,
     VerificationReport,
+    check_coalition_search_size,
     find_coalitional_manipulation,
     find_local_neutrality_violation,
     find_local_sovereignty_gap,
@@ -594,12 +595,15 @@ def chain_equivalence_suite(lat: Lattice, n: int = 2, samples: int = 100,
     t0 = time.perf_counter()
     if not lat.is_chain():
         raise NotAChainError("carrier is not a chain")
+    check_table_size(lat.m ** n)    # before the n-voter domains are built
+    domains = _full_domains(lat, n)
+    for dom in domains:    # refuse an oversized search before any table
+        check_coalition_search_size(dom)
     rng = random.Random(seed)
     pool = [(f"quota{_names(lat, constants)}", ExplicitRule(full_spaces(lat, n), table))
             for constants, table in _quota_tables(lat, n)]
     pool += [(f"sampled-{i}", sample_monotone_rule(lat, n, rng))
              for i in range(samples)]
-    domains = _full_domains(lat, n)
     not_monotone = None
     witnesses = {"unimodal": None, "strict": None}
     for tag, rule in pool:

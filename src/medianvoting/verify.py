@@ -3,8 +3,8 @@ manipulation search, and the structural axioms of voting rules.
 
 All searches are deterministic: ballot tuples run in row-major order over the
 declared ballot spaces, preference profiles in enumeration-index order, and
-the coalition search visits coalition sizes from largest to smallest (see
-``find_coalitional_manipulation``), so the first witness is reproducible.
+the coalition search decides sizes from largest to smallest before fixing
+the witness (see ``find_coalitional_manipulation``), so it is reproducible.
 """
 
 from __future__ import annotations
@@ -388,6 +388,23 @@ def strategy_witness_from(violation: MonotonicityWitness,
 # -- coalitional manipulation ----------------------------------------------------------
 
 
+def check_coalition_search_size(domain: DomainDescriptor, semantics: str = "truthful",
+                                cap: int = DEFAULT_EVAL_CAP) -> None:
+    """Refuse a coalition search on ``domain`` beyond ``cap`` before any table
+    is built; the fix-up scans every start tuple per tried preference."""
+    literal = semantics == "literal"
+    sizes = [len(s) for s in domain.spaces]
+    prefs = domain.preference_sets
+    origins = math.prod(sizes) if literal else 1
+    deviations = origins * math.prod(k + 1 for k in sizes)
+    starts = origins if literal else math.prod(len({p.top for p in ps}) for ps in prefs)
+    scans = starts * sum(map(len, prefs))
+    if deviations > cap or scans > cap:
+        raise TooLargeError(
+            f"coalition search of {deviations} deviations and "
+            f"{scans} preference scans exceeds the evaluation cap {cap}")
+
+
 def find_coalitional_manipulation(rule, domain: DomainDescriptor,
                                   semantics: str = "truthful",
                                   cap: int = DEFAULT_EVAL_CAP):
@@ -403,56 +420,104 @@ def find_coalitional_manipulation(rule, domain: DomainDescriptor,
     starting ballots under literal semantics, coalition bitmask ascending,
     deviation in ballot order).
 
-    One exact search finds it without enumerating profiles.  A voter's gain
-    set for an anchor (its top; under literal semantics any ballot) and
-    outcome is the union of the strictly-better sets over the preferences it
-    may hold from that anchor (``DomainDescriptor.gain_masks``).  Preference
-    choices are independent across voters, so a prefix of chosen preference
-    indices admits a witness iff some starting ballot tuple with the given
+    A voter's gain set for an anchor (its top; under literal semantics any
+    ballot) and outcome is the union of the strictly-better sets over the
+    preferences it may hold from that anchor (``DomainDescriptor.gain_masks``).
+    Preference choices are independent across voters, so a prefix of chosen
+    preference indices admits a witness iff some start tuple with the given
     truthful outcome and some coalition of the given size have a common gain
     (exact sets for chosen voters, gain sets for the others) meeting the
-    outcomes the coalition can force.  For each size and truthful outcome
-    the profile is then fixed voter by voter with the smallest index that
-    still admits a witness, without backtracking.
+    outcomes the coalition can force.
+
+    Lanes decide existence.  As in ``find_monotonicity_violation``, a big
+    int holds one lane per table cell, here of ceil(m/8) bytes, one bit per
+    outcome: ``onehot`` has bit table[c] in lane c, ``lane_gains[i]`` voter
+    i's gain set at its ballot and the cell's outcome (zero off its anchors),
+    and ``start`` is full where every voter sits at an anchor.  reach(M), the
+    outcomes coalition M can force from each cell, is reach(M minus its
+    lowest member) OR-reduced along that member's lines and broadcast back.
+    Bitwise operations never cross lanes, so lane c of start & reach(M) &
+    AND(lane_gains[i] for i in M) is nonzero iff the test above holds for
+    the empty prefix at cell c.  The first size, from n down, with such a
+    lane, and its lowest truthful outcome there, hold the witness.  The
+    fix-up then names it: voter by voter, the smallest preference index
+    that still admits a witness, found by scanning the start tuples.
     """
     if semantics not in ("truthful", "literal"):
         raise ValueError(f"unknown semantics {semantics!r}")
     literal = semantics == "literal"
-    lat = domain.lattice
-    n = domain.n
+    lat, n = domain.lattice, domain.n
     spaces, table = tabulate(rule, lat, domain.spaces)
+    check_coalition_search_size(domain, semantics, cap)
     sizes = [len(s) for s in spaces]
     strides = _strides(sizes)
-    pos_of = [{b: q for q, b in enumerate(s)} for s in spaces]
-
-    deviation_mass = math.prod(k + 1 for k in sizes)
-    origin_mass = math.prod(sizes) if literal else 1
-    pref_sets = domain.preference_sets
-    tops = [[p.top for p in prefs] for prefs in pref_sets]
-    # the voter-by-voter fix-up never enumerates profiles: each tried
-    # preference costs one first_hit scan over at most start_mass start tuples
-    start_mass = math.prod(sizes) if literal else math.prod(len(set(t)) for t in tops)
-    scan_mass = start_mass * sum(len(prefs) for prefs in pref_sets)
-    if origin_mass * deviation_mass > cap or scan_mass > cap:
-        raise TooLargeError(
-            f"coalition search of {origin_mass * deviation_mass} deviations and "
-            f"{scan_mass} preference scans exceeds the evaluation cap {cap}")
-
     better, gain = domain.gain_masks()
     if literal:    # one anchor: the union over every preference
         gain = [dict.fromkeys(spaces[i], [
             functools.reduce(operator.or_, masks)
             for masks in zip(*gain[i].values())]) for i in range(n)]
+
+    cells, w = len(table), -(-lat.m // 8)
+    lane = [(1 << o).to_bytes(w, "little") for o in range(lat.m)]
+    onehot = int.from_bytes(b"".join(map(lane.__getitem__, table)), "little")
+    # equal[o]: full lanes where the table holds o (bit o moved to each lane's
+    # lowest bit, then filled across the lane)
+    lsb = int.from_bytes((b"\x01" + bytes(w - 1)) * cells, "little")
+    equal = {o: (onehot >> o & lsb) * ((1 << 8 * w) - 1) for o in sorted(set(table))}
+
+    def tile(chunks, reps):    # one line's lanes, repeated over the table
+        return int.from_bytes(b"".join(chunks) * reps, "little")
+
+    heads, lane_gains, start = [], [], -1    # start: ANDed over the voters
+    for i in range(n):
+        k, s = sizes[i], strides[i]
+        reps, span = cells // (k * s), w * s    # span: bytes between line cells
+        rows = [gain[i].get(b) for b in spaces[i]]    # None off the anchors
+        heads.append(tile([b"\xff" * span, bytes(span * (k - 1))], reps))
+        start &= tile((b"\xff" * span if row else bytes(span) for row in rows), reps)
+        lane_gains.append(functools.reduce(operator.or_, [
+            cells_o & tile((row[o].to_bytes(w, "little") * s if row else bytes(span)
+                            for row in rows), reps) for o, cells_o in equal.items()]))
+
+    def spread(lanes, i):
+        """``lanes`` OR-reduced along voter i's lines and broadcast back."""
+        step = 8 * w * strides[i]
+        out = lanes
+        for q in range(1, sizes[i]):
+            out |= lanes >> step * q
+        out &= heads[i]
+        for _ in range(1, sizes[i]):
+            out |= out << step
+        return out
+
+    def hits(size, below=n, lanes=onehot, common=start):
+        """start & reach & gains, ORed over ``size`` more members below ``below``."""
+        if not size:
+            return lanes & common
+        out = 0
+        for i in range(size - 1, below):
+            joint = common & lane_gains[i]
+            if joint:
+                out |= hits(size - 1, i, spread(lanes, i), joint)
+        return out
+
+    for size in range(n, 0, -1):
+        found = hits(size)
+        if found:
+            break
+    else:
+        return None
+    o_t = next(o for o, cells_o in equal.items() if found & cells_o)
+
+    pref_sets = domain.preference_sets
+    tops = [[p.top for p in prefs] for prefs in pref_sets]
     # (ballot, table offset) per voter: every ballot under literal semantics,
     # the distinct tops under truthful semantics
-    starts = [[(b, pos_of[i][b] * strides[i])
+    starts = [[(b, spaces[i].index(b) * strides[i])
                for b in (spaces[i] if literal else dict.fromkeys(tops[i]))]
               for i in range(n)]
-    members_of = [[i for i in range(n) if mask >> i & 1] for mask in range(1 << n)]
-    masks_by_size = [[] for _ in range(n + 1)]
-    for mask in range(1, 1 << n):
-        masks_by_size[len(members_of[mask])].append(mask)
-
+    members_of = {mask: [i for i in range(n) if mask >> i & 1]
+                  for mask in range(1 << n) if mask.bit_count() == size}
     reached = {}
 
     def reach(mask, base):
@@ -473,9 +538,9 @@ def find_coalitional_manipulation(rule, domain: DomainDescriptor,
             reached[key] = hit
         return hit
 
-    def first_hit(choice, size, o_t):
-        """First (start, idx, mask, common) completing the preference prefix
-        ``choice`` into a witness of this size and truthful outcome, or None."""
+    def first_hit(choice):
+        """First (start, idx, mask, common) completing the non-empty
+        preference prefix ``choice`` into a witness, or None."""
         options = []
         for i in range(n):
             if i < len(choice):
@@ -495,56 +560,47 @@ def find_coalitional_manipulation(rule, domain: DomainDescriptor,
                     usable |= 1 << i
             if table[idx] != o_t:
                 continue
-            for mask in masks_by_size[size]:
+            for mask, members in members_of.items():
                 if mask & ~usable:
                     continue
                 common = -1
                 base = idx
-                for i in members_of[mask]:
+                for i in members:
                     common &= start[i][2]
                     base -= start[i][1]
                 if common and common & reach(mask, base):
                     return start, idx, mask, common
         return None
 
-    outcomes = set(table)
-    for size in range(n, 0, -1):
-        for o_t in range(lat.m):
-            if o_t not in outcomes:
+    # fix the profile voter by voter; the lanes guarantee each voter a hit
+    choice = ()
+    for i in range(n):
+        failed = set()    # same top and better set: same completions
+        for k in range(len(pref_sets[i])):
+            signature = (tops[i][k], better[i][k][o_t])
+            if signature in failed:
                 continue
-            hit = first_hit((), size, o_t)
-            if hit is None:
-                continue
-            choice = ()
-            for i in range(n):
-                failed = set()    # same top and better set: same completions
-                for k in range(len(pref_sets[i])):
-                    signature = (tops[i][k], better[i][k][o_t])
-                    if signature in failed:
-                        continue
-                    found = first_hit(choice + (k,), size, o_t)
-                    if found is not None:
-                        choice += (k,)
-                        hit = found
-                        break
-                    failed.add(signature)
-            start, idx, mask, common = hit
-            members = members_of[mask]
-            base = idx - sum(start[i][1] for i in members)
-            for dev in itertools.product(*(range(sizes[i]) for i in members)):
-                o_d = table[base + sum(q * strides[i] for i, q in zip(members, dev))]
-                if common >> o_d & 1:
-                    outsiders = [j for j in range(n) if not mask >> j & 1]
-                    origin = tuple(b for b, _, _ in start)
-                    return ManipulationWitness(
-                        profile=tuple(pref_sets[i][choice[i]] for i in range(n)),
-                        coalition=tuple(members),
-                        context_ballots=tuple(origin[j] for j in outsiders),
-                        deviation=tuple(spaces[i][q] for i, q in zip(members, dev)),
-                        outcome_truthful=o_t,
-                        outcome_deviant=o_d,
-                        origin_ballots=origin if literal else None)
-    return None
+            hit = first_hit(choice + (k,))
+            if hit is not None:
+                choice += (k,)
+                break
+            failed.add(signature)
+    start, idx, mask, common = hit
+    members = members_of[mask]
+    base = idx - sum(start[i][1] for i in members)
+    for dev in itertools.product(*(range(sizes[i]) for i in members)):
+        o_d = table[base + sum(q * strides[i] for i, q in zip(members, dev))]
+        if common >> o_d & 1:
+            outsiders = [j for j in range(n) if not mask >> j & 1]
+            origin = tuple(b for b, _, _ in start)
+            return ManipulationWitness(
+                profile=tuple(pref_sets[i][choice[i]] for i in range(n)),
+                coalition=tuple(members),
+                context_ballots=tuple(origin[j] for j in outsiders),
+                deviation=tuple(spaces[i][q] for i, q in zip(members, dev)),
+                outcome_truthful=o_t,
+                outcome_deviant=o_d,
+                origin_ballots=origin if literal else None)
 
 
 # -- structural axioms ------------------------------------------------------------------

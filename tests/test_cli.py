@@ -201,6 +201,17 @@ class TestCommands:
         err = capsys.readouterr().err
         assert f"table of {4 ** 12} entries exceeds cap {EXPLICIT_TABLE_CAP}" in err
 
+    def test_verify_corollary1_refuses_its_coalition_search_before_any_table(self,
+                                                                            capsys):
+        # 4^10 cells fit the table cap, but the 4^10 start tuples times the
+        # 10 * 24 unimodal preferences exceed the evaluation cap
+        start = time.perf_counter()
+        assert run(["verify", "corollary1", "--n", "10"]) == 2
+        assert time.perf_counter() - start < 5
+        err = capsys.readouterr().err
+        assert ("coalition search of 9765625 deviations and 251658240 preference "
+                "scans exceeds the evaluation cap 100000000") in err
+
     @pytest.mark.parametrize("suite", ["lemma1", "theorem1", "lemma2", "corollary1",
                                        "theorem3"])
     def test_verify_names_an_astronomic_table_by_its_bit_length(self, suite, capsys):

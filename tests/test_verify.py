@@ -3,6 +3,7 @@ import itertools
 import random
 import signal
 import time
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -30,6 +31,8 @@ from medianvoting.lattice import (
 )
 from medianvoting.preorders import (
     TotalPreorder,
+    build_lsu_witness,
+    build_three_class_witness,
     enumerate_topped_preorders,
     enumerate_unimodal,
 )
@@ -254,6 +257,21 @@ def brute_force_manipulation(rule, lat, spaces, preference_sets, literal):
                             outcome_deviant=o_d,
                             origin_ballots=start if literal else None)
     return best
+
+
+def peaked_preferences(rng, lat, space, count):
+    """``count`` or fewer distinct preferences peaked on ballots of ``space``:
+    three-class and LSU witnesses towards random elements, and random ranks
+    below the peak; a ballot may be left without any."""
+    pool = []
+    for peak in space:
+        ref = rng.randrange(lat.m)
+        pool += [build_three_class_witness(lat, peak, ref), build_lsu_witness(lat, peak, ref)]
+        ranks = [0 if e == peak else rng.randint(1, 3) for e in range(lat.m)]
+        dense = {r: i for i, r in enumerate(sorted(set(ranks)))}
+        pool.append(TotalPreorder([dense[r] for r in ranks]))
+    pool = list(dict.fromkeys(pool))
+    return tuple(rng.sample(pool, min(count, len(pool))))
 
 
 def brute_force_strategy_violation(rule, domain):
@@ -721,6 +739,83 @@ class TestCoalitionSearch:
                     sizes.add(len(witness.coalition))
         # both semantics find witnesses, and not only at the largest size
         assert min(found.values()) >= 30 and sizes == {1, 2, 3}
+
+    def test_matches_brute_force_oracle_on_wide_lanes_and_edge_carriers(self):
+        # the 10-chain and the 3x4 grid need two-byte outcome lanes, the
+        # 3-cube fills a one-byte lane up to its top bit, and the one- and
+        # two-element chains are the smallest carriers
+        rng = random.Random(1415)
+        carriers = [build_chain(10), build_product(build_chain(3), build_chain(4)),
+                    build_boolean_hypercube(3), build_chain(1), build_chain(2)]
+        found = {"truthful": 0, "literal": 0}
+        for lat in carriers:
+            for n in (1, 2, 2, 3):
+                spaces = [tuple(rng.sample(range(lat.m), min(lat.m, (4, 3, 2)[n - 1])))
+                          for _ in range(n)]
+                prefs = [peaked_preferences(rng, lat, space, (5, 4, 3)[n - 1])
+                         for space in spaces]
+                domain = DomainDescriptor.custom(lat, spaces, prefs)
+                for kind in ("random", "median", "mixed"):
+                    rule = random_rule(rng, lat, spaces, kind)
+                    for semantics in found:
+                        witness = find_coalitional_manipulation(rule, domain, semantics)
+                        assert witness == brute_force_manipulation(
+                            rule, lat, spaces, prefs, semantics == "literal")
+                        found[semantics] += witness is not None
+        # on a chain, nested medians admit no truthful witness from
+        # single-peaked preferences, so those searches decide every size;
+        # one domain serves twelve rules
+        chain10 = carriers[0]
+        spaces = [tuple(sorted(rng.sample(range(10), 4))) for _ in range(2)]
+        prefs = [tuple({build(chain10, peak, rng.randrange(10)): None
+                        for peak in space
+                        for build in (build_three_class_witness, build_lsu_witness)})
+                 for space in spaces]
+        domain = DomainDescriptor.custom(chain10, spaces, prefs)
+        on_chain = {"truthful": 0, "literal": 0}
+        for _ in range(12):
+            rule = random_rule(rng, chain10, spaces, "median")
+            for semantics in on_chain:
+                witness = find_coalitional_manipulation(rule, domain, semantics)
+                assert witness == brute_force_manipulation(
+                    rule, chain10, spaces, prefs, semantics == "literal")
+                on_chain[semantics] += witness is not None
+        assert found == {"truthful": 29, "literal": 43}
+        assert on_chain == {"truthful": 0, "literal": 12}
+
+    def test_seven_voters_on_chain4_within_half_a_second(self, chain4):
+        def too_slow(signum, frame):
+            raise TimeoutError("two 4^7-cell coalition searches took over 0.5 s")
+
+        rule = ExplicitRule(*tabulate(extended_median_rule(chain4, 7), chain4))
+        domains = [DomainDescriptor.full_unimodal(chain4, 7),
+                   DomainDescriptor.full_lsu(chain4, 7)]
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        start = time.perf_counter()
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        try:
+            found = [find_coalitional_manipulation(rule, dom) for dom in domains]
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        # an alarm that lands in a garbage-collector callback (hypothesis
+        # installs one) is reported as unraisable and lost, so time it too
+        assert time.perf_counter() - start < 0.5
+        assert found == [None, None]
+
+    def test_eight_voter_search_keeps_no_reach_per_coalition(self, chain4):
+        # one lane int of 4^8 cells is 64 KiB; keeping all 255 coalitions'
+        # reach ints would take 16 MiB
+        rule = ExplicitRule(*tabulate(extended_median_rule(chain4, 8), chain4))
+        domain = DomainDescriptor.full_lsu(chain4, 8)
+        domain.gain_masks()
+        tracemalloc.start()
+        try:
+            assert find_coalitional_manipulation(rule, domain) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
     def test_cap_counts_preferences_not_profiles(self, square):
         # 52^5 profiles, but only 4^5 * (5 * 52) preference scans
