@@ -353,7 +353,9 @@ def _suite_reports(args):
     given = {param: value for param, value in vars(args).items()
              if param in ("lat", "n", "samples", "seed") and value is not None}
     if given.get("n", 1) < 1 or given.get("samples", 0) < 0:
-        raise FormatError(f"verify {suite} needs --n >= 1 and --samples >= 0")
+        bounds = {"n": "--n >= 1", "samples": "--samples >= 0"}
+        named = [bound for dest, bound in bounds.items() if dest in vars(args)]
+        raise FormatError(f"verify {suite} needs {' and '.join(named)}")
     if "lat" in given:
         given["lat"] = parse_lattice_file(given["lat"])
     return suites.run_all(seed=given.pop("seed", 0),

@@ -29,7 +29,6 @@ from .preorders import (
 )
 from .rules import (
     ExplicitRule,
-    _held_by,
     build_canonical_median_tree,
     check_table_size,
     corners,
@@ -41,10 +40,12 @@ from .rules import (
 )
 from .verify import (
     CheckResult,
+    CodeLanes,
     DomainDescriptor,
     ManipulationWitness,
     VerificationReport,
     check_coalition_search_size,
+    check_monotonicity_sweep_size,
     find_coalitional_manipulation,
     find_local_neutrality_violation,
     find_local_sovereignty_gap,
@@ -214,28 +215,33 @@ def lemma1_suite(lat: Lattice, n: int = 2, samples: int = 120,
 
 
 def lemma2_suite(lat: Lattice, n: int = 3, label: str = "") -> VerificationReport:
-    """Pointwise medians of monotone rules stay monotone."""
+    """Pointwise medians of monotone rules stay monotone.
+
+    The base rules (the projections, the constants and the extended median)
+    are packed once as ``CodeLanes`` ints, where the pointwise median of
+    three tables is ``fa&fb | fb&fc | fa&fc`` on whole ints.  Each triple's
+    mix is deduplicated on its int (med(a, a, b) = a: most mixes repeat) and
+    swept as one; only a failing mix is decoded, to name its witness.
+    """
     t0 = time.perf_counter()
     check_table_size(lat.m ** n)    # before the n-entry spaces are built
-    spaces = full_spaces(lat, n)
-    pool = [tabulate(ExplicitRule.from_function(spaces, lambda b, i=i: b[i]), lat)[1]
-            for i in range(n)]
-    pool += [tuple([c] * (lat.m ** n)) for c in range(lat.m)]
-    pool.append(tabulate(extended_median_rule(lat, n), lat)[1])
-    m = lat.m
-    median = [lat.median(a, b, c) for a, b, c in itertools.product(range(m), repeat=3)]
+    check_monotonicity_sweep_size(lat.m ** n, [lat.m] * n)    # and any table
+    lanes = CodeLanes(lat, full_spaces(lat, n))
+    pool = [lanes.ballots(i) for i in range(n)]
+    pool += [lanes.broadcast(c) for c in range(lat.m)]
+    pool.append(lanes.pack(tabulate(extended_median_rule(lat, n), lat)[1]))
     witness = None
     tested = 0
-    swept = set()    # med(a, a, b) = a: most mixed tables repeat
+    swept = set()
     for fa, fb, fc in itertools.combinations_with_replacement(pool, 3):
-        mixed = tuple([median[(a * m + b) * m + c] for a, b, c in zip(fa, fb, fc)])
+        mixed = fa & fb | fb & fc | fa & fc
         tested += 1
         if mixed in swept:
             continue
         swept.add(mixed)
-        violation = find_monotonicity_violation(ExplicitRule(spaces, mixed), lat)
-        if violation is not None:
-            witness = violation.describe(lat)
+        if lanes.first_failure(mixed) is not None:
+            rule = ExplicitRule(lanes.spaces, lanes.decoder()(mixed))
+            witness = find_monotonicity_violation(rule, lat).describe(lat)
             break
     checks = [CheckResult("median-of-monotone-rules-is-monotone",
                           witness is None, witness,
@@ -457,7 +463,7 @@ def nondecreasing_tuples(lat: Lattice, length: int):
 
 
 def _quota_tables(lat, n):
-    """(constants, full table) per quota rule, sharing one sweep of profiles.
+    """(constants, full table) per quota rule, all built on ``CodeLanes``.
 
     A quota rule joins, for each coalition size s, the constant c_s met with
     the meet of every size-s coalition's ballots; its constants are
@@ -465,29 +471,28 @@ def _quota_tables(lat, n):
     one quota-rule generator: ``theorem1_suite``, ``theorem3_suite`` and
     ``chain_equivalence_suite`` wrap its tables as ``ExplicitRule``s.
 
-    On Birkhoff codes (``Lattice._code``) one pass over a profile's ballots
-    (``_held_by``) gives best_1..best_n, best_s being the join over size-s
-    coalitions of their meet.  Profiles are interned by that tuple, each
-    quota vector is joined once per distinct tuple, and the results are
-    mapped back through the per-profile ids.
+    On lanes, E[s] is best_s on every profile at once, the join over size-s
+    coalitions of their meet: E[0] is the top in every lane, and each voter
+    i, with ballot lanes P_i, sets ``E[s] |= E[s-1] & P_i`` for s from i+1
+    down to 1.  A rule's table is then ``c_0 | OR_s (E[s] & c_s)`` with each
+    constant broadcast over the lanes, decoded once to element ids
+    (``CodeLanes.decoder``).
     """
     check_table_size(lat.m ** n)
-    code, decode = lat._code, lat._decode
-    top = code[lat.top]
-    ids = []
-    index = {}
-    for ballots in itertools.product(code, repeat=n):
-        ids.append(index.setdefault(tuple(_held_by(ballots, top, n)[1:]), len(index)))
+    lanes = CodeLanes(lat, full_spaces(lat, n))
+    best = [lanes.broadcast(lat.top)] + [0] * n
+    for i in range(n):
+        ballots = lanes.ballots(i)
+        for s in range(i + 1, 0, -1):
+            best[s] |= best[s - 1] & ballots
+    constant = [lanes.broadcast(c) for c in range(lat.m)]
+    decode = lanes.decoder()
     out = []
     for vector in nondecreasing_tuples(lat, n + 1):
-        first, *rest = (code[v] for v in vector)
-        values = []
-        for best in index:
-            joined = first
-            for b, v in zip(best, rest):
-                joined |= b & v
-            values.append(decode[joined])
-        out.append((vector, tuple(map(values.__getitem__, ids))))
+        table = constant[vector[0]]
+        for held, c in zip(best[1:], vector[1:]):
+            table |= held & constant[c]
+        out.append((vector, decode(table)))
     return out
 
 

@@ -13,6 +13,8 @@ import functools
 import itertools
 import math
 import operator
+import struct
+import sys
 from dataclasses import dataclass, field
 
 from .errors import CarrierMismatchError, InvalidSizeError, TooLargeError
@@ -242,6 +244,95 @@ def _lines(table, size, stride):
             for off in range(hi, hi + stride)]
 
 
+class CodeLanes:
+    """Tables over ``spaces`` as lane ints: one little-endian int per table,
+    one lane of w = max(1, ceil(|J|/8)) bytes per cell, in row-major order,
+    holding the cell's Birkhoff code (``Lattice._code``).
+
+    Join, meet and the median act on whole tables bitwise, since no operation
+    carries a bit across lanes: med(A, B, C) = ``A&B | B&C | A&C``.
+    ``decoder`` turns lane ints back into element-id tables.
+    """
+
+    __slots__ = ("lattice", "spaces", "sizes", "strides", "count", "w", "lane", "_lines")
+
+    def __init__(self, lat: Lattice, spaces):
+        self.lattice = lat
+        self.spaces = spaces
+        self.sizes = [len(s) for s in spaces]
+        self.strides = _strides(self.sizes)
+        self.count = math.prod(self.sizes)
+        self.w = max(1, -(-len(lat._irreducibles) // 8))
+        self.lane = [c.to_bytes(self.w, "little") for c in lat._code]
+        # per voter: (space size k, bits between line cells, head-lane mask,
+        # ballot lanes), for ``first_failure`` and ``ballots``
+        self._lines = []
+        for space, k, s in zip(spaces, self.sizes, self.strides):
+            reps, span = self.count // (k * s), self.w * s    # span: bytes between line cells
+            heads = int.from_bytes((b"\xff" * span + bytes(span * (k - 1))) * reps, "little")
+            ballots = int.from_bytes(b"".join(self.lane[b] * s for b in space) * reps, "little")
+            self._lines.append((k, 8 * span, heads, ballots))
+
+    def pack(self, table) -> int:
+        return int.from_bytes(b"".join(map(self.lane.__getitem__, table)), "little")
+
+    def broadcast(self, element: int) -> int:
+        """The constant table of ``element``."""
+        return int.from_bytes(self.lane[element] * self.count, "little")
+
+    def ballots(self, i: int) -> int:
+        """Voter i's ballot code in every lane: the projection onto voter i."""
+        return self._lines[i][3]
+
+    def decoder(self):
+        """The function from a lane int to its element-id table.  One-byte
+        lanes go through one ``bytes.translate``.  Wider lanes are read as
+        native unsigned ints where such a type has w bytes (keyed by each
+        code's lane read in the host's byte order, so big-endian hosts decode
+        too) and as w-byte strings otherwise."""
+        size = self.w * self.count
+        if self.w == 1:
+            ids = bytes(self.lattice._decode.get(c, 0) for c in range(256))
+            return lambda cells: tuple(cells.to_bytes(size, "little").translate(ids))
+        fmt = next((f for f in "HILQ" if struct.calcsize(f) == self.w), None)
+        if fmt is None:
+            key = {b: e for e, b in enumerate(self.lane)}
+            unpack = struct.Struct(f"{self.w}s").iter_unpack
+            split = lambda data: map(operator.itemgetter(0), unpack(data))
+        else:
+            key = {int.from_bytes(b, sys.byteorder): e for e, b in enumerate(self.lane)}
+            split = lambda data: memoryview(data).cast(fmt)
+        return lambda cells: tuple(map(key.__getitem__, split(cells.to_bytes(size, "little"))))
+
+    def first_failure(self, cells: int):
+        """The lowest (cell index, voter) whose cell fails interval
+        monotonicity along that voter's line (the lower voter on a tie), or
+        None; see ``find_monotonicity_violation``."""
+        first = (self.count, len(self.spaces))
+        for i, (k, step, heads, ballots) in enumerate(self._lines):
+            union = inter = cells
+            for q in range(1, k):
+                shifted = cells >> step * q
+                union, inter = union | shifted, inter & shifted
+            union, inter = union & heads, inter & heads
+            for _ in range(1, k):
+                union, inter = union | union << step, inter | inter << step
+            fail = ballots & union & ~cells | cells & ~(ballots | inter)
+            if fail:
+                first = min(first, (((fail & -fail).bit_length() - 1) // (8 * self.w), i))
+        return None if first[1] == len(self.spaces) else first
+
+
+def check_monotonicity_sweep_size(count: int, sizes, cap: int = DEFAULT_EVAL_CAP) -> None:
+    """Refuse a monotonicity sweep of a ``count``-cell table over spaces of
+    the given sizes beyond ``cap`` evaluations, one per cell and deviation."""
+    estimate = count * sum(sizes)
+    if estimate > cap:
+        raise TooLargeError(
+            f"monotonicity sweep of {estimate} evaluations exceeds the "
+            f"evaluation cap {cap}")
+
+
 def find_monotonicity_violation(rule, lat: Lattice, spaces=None,
                                 cap: int = DEFAULT_EVAL_CAP):
     """First (ballots, voter, deviation) whose outcome leaves the segment
@@ -255,50 +346,29 @@ def find_monotonicity_violation(rule, lat: Lattice, spaces=None,
     So the cell with ballot x and outcome o survives every deviation of
     voter i iff x&U <= o <= x|I.
 
-    One big int T (``cells``) holds the table's codes in row-major order, one
-    lane of w = max(1, ceil(|J|/8)) bytes per cell.  Voter i's line (space
-    size k, stride s) has its lanes s apart, its head where i casts its
-    first ballot.  OR-ing (AND-ing) T with T shifted down by q*s lanes,
-    0 < q < k, leaves U (I) in each head lane, the mask B0 (``heads``) of
-    head lanes drops the rest, and k-1 shifts up broadcast U and I along
-    the line.  With X (``ballots``) holding i's ballot code in every lane,
-    ``X & U & ~T | T & ~(X | I)`` is nonzero in exactly the failing lanes.
-    Lanes never interfere: AND, OR and NOT act bit by bit, shifts move whole
-    lanes, and a head meets only its own line.  So the lowest failing lane
-    over the voters (the lower voter on a tie) is the witness cell above.
+    Three steps: pack, sweep, rescan.  ``CodeLanes.pack`` puts the table into
+    one big int T, one code lane per cell, and ``CodeLanes.first_failure``
+    sweeps it.  Voter i's line (space size k, stride s) has its lanes s
+    apart, its head where i casts its first ballot.  OR-ing (AND-ing) T with
+    T shifted down by q*s lanes, 0 < q < k, leaves U (I) in each head lane,
+    the mask of head lanes drops the rest, and k-1 shifts up broadcast U and
+    I along the line.  With X (``CodeLanes.ballots``) holding i's ballot code
+    in every lane, ``X & U & ~T | T & ~(X | I)`` is nonzero in exactly the
+    failing lanes.  Lanes never interfere: AND, OR and NOT act bit by bit,
+    shifts move whole lanes, and a head meets only its own line.  So the
+    lowest failing lane over the voters (the lower voter on a tie) is the
+    witness cell above, and a rescan of its line names the deviation.
+    Callers holding lane ints call ``first_failure`` themselves.
     """
     spaces, table = tabulate(rule, lat, spaces)
-    n = len(spaces)
-    sizes = [len(s) for s in spaces]
-    strides = _strides(sizes)
-    estimate = len(table) * sum(sizes)
-    if estimate > cap:
-        raise TooLargeError(
-            f"monotonicity sweep of {estimate} evaluations exceeds the "
-            f"evaluation cap {cap}")
-    w = max(1, -(-len(lat._irreducibles) // 8))
-    lane = [c.to_bytes(w, "little") for c in lat._code]
-    cells = int.from_bytes(b"".join(map(lane.__getitem__, table)), "little")
-    first = (len(table), n)    # (cell index, voter)
-    for i in range(n):
-        k, s = sizes[i], strides[i]
-        reps, span = len(table) // (k * s), w * s    # span: bytes between line cells
-        heads = int.from_bytes((b"\xff" * span + bytes(span * (k - 1))) * reps, "little")
-        ballots = int.from_bytes(b"".join(lane[b] * s for b in spaces[i]) * reps, "little")
-        union = inter = cells
-        for q in range(1, k):
-            shifted = cells >> 8 * span * q
-            union, inter = union | shifted, inter & shifted
-        union, inter = union & heads, inter & heads
-        for _ in range(1, k):
-            union, inter = union | union << 8 * span, inter | inter << 8 * span
-        fail = ballots & union & ~cells | cells & ~(ballots | inter)
-        if fail:
-            first = min(first, (((fail & -fail).bit_length() - 1) // (8 * w), i))
-    idx, i = first
-    if i == n:
+    check_monotonicity_sweep_size(len(table), [len(s) for s in spaces], cap)
+    lanes = CodeLanes(lat, spaces)
+    first = lanes.first_failure(lanes.pack(table))
+    if first is None:
         return None
-    cell = tuple(spaces[j][idx // strides[j] % sizes[j]] for j in range(n))
+    idx, i = first
+    sizes, strides = lanes.sizes, lanes.strides
+    cell = tuple(spaces[j][idx // strides[j] % sizes[j]] for j in range(len(spaces)))
     out = table[idx]
     off = idx - idx // strides[i] % sizes[i] * strides[i]
     dev, other = next((dev, other) for dev, other
@@ -621,20 +691,22 @@ class AxiomCheck:
                 self.efficient)
 
 
-def _local_cells(local, strides):
-    """Row-major table indices of the ballot tuples over ``local``, in
-    ``itertools.product(local, repeat=n)`` order."""
+@functools.lru_cache(maxsize=16)
+def _local_cells(local: tuple, m: int, n: int) -> tuple:
+    """Row-major indices into an n-voter full-carrier table of the ballot
+    tuples over ``local``, in ``itertools.product(local, repeat=n)`` order.
+    Cached: the quota-rule sweeps ask for the same few (local, n) pairs once
+    per rule."""
     cells = [0]
-    for s in strides:
+    for s in _strides([m] * n):
         cells = [c + b * s for c in cells for b in local]
-    return cells
+    return tuple(cells)
 
 
 def find_local_sovereignty_gap(table, lat: Lattice, local, n: int):
     """The elements of ``local`` that no ballot tuple over ``local`` reaches,
     in the order given, or None when the full-carrier table reaches them all."""
-    cells = _local_cells(local, _strides([lat.m] * n))
-    reached = set(map(table.__getitem__, cells))
+    reached = set(map(table.__getitem__, _local_cells(tuple(local), lat.m, n)))
     unreachable = [z for z in local if z not in reached]
     return unreachable or None
 
@@ -643,13 +715,12 @@ def find_local_neutrality_violation(table, lat: Lattice, local, n: int):
     """First (ballots over ``local``, (j, k)) where swapping the
     join-irreducibles j < k of ``local`` does not commute with the
     full-carrier table, or None."""
-    strides = _strides([lat.m] * n)
-    direct = [table[c] for c in _local_cells(local, strides)]
+    direct = [table[c] for c in _local_cells(tuple(local), lat.m, n)]
     ji_local = sorted(lat.join_irreducibles & set(local))
     for j, k in itertools.combinations(ji_local, 2):
         swap = list(range(lat.m))
         swap[j], swap[k] = k, j
-        image = _local_cells([swap[b] for b in local], strides)
+        image = _local_cells(tuple(swap[b] for b in local), lat.m, n)
         for pos, (c, out) in enumerate(zip(image, direct)):
             if table[c] != swap[out]:
                 width = len(local)

@@ -370,6 +370,19 @@ class TestCommands:
         assert captured.out == ""
         assert flag in captured.err and f"verify {argv[0]}" in captured.err
 
+    @pytest.mark.parametrize("argv, named, unnamed", [
+        (["lemma2", "--n", "0"], ["--n >= 1"], ["--samples"]),
+        (["theorem1", "--samples", "-1"], ["--n >= 1", "--samples >= 0"], []),
+    ])
+    def test_verify_bound_refusal_names_only_the_suites_flags(self, argv, named,
+                                                              unnamed, capsys):
+        assert run(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"verify {argv[0]} needs " in captured.err
+        assert all(flag in captured.err for flag in named)
+        assert not any(flag in captured.err for flag in unnamed)
+
     @pytest.mark.parametrize("action, flags", [
         pytest.param(action, flags, id=f"{action} {flags[0]}")
         for action, flags in [

@@ -63,6 +63,7 @@ from medianvoting.suites import (
     theorem3_suite,
 )
 from medianvoting.verify import (
+    CodeLanes,
     DomainDescriptor,
     ManipulationWitness,
     StrategyWitness,
@@ -101,6 +102,28 @@ def local_neutrality_violation_oracle(table, lat, local, n):
             if image != swap[direct]:
                 return ballots, (j, k)
     return None
+
+
+def lemma2_oracle(lat, n, median_table):
+    """Per-cell oracle of ``lemma2_suite`` with ``median_table`` as its
+    extended median: (the distinct mixed tables swept, in order, the triples
+    tested, the first failing mix's witness or None)."""
+    spaces = full_spaces(lat, n)
+    pool = [tuple(b[i] for b in itertools.product(*spaces)) for i in range(n)]
+    pool += [(c,) * lat.m ** n for c in range(lat.m)]
+    pool.append(tuple(median_table))
+    swept = []
+    tested = 0
+    for triple in itertools.combinations_with_replacement(pool, 3):
+        tested += 1
+        mixed = tuple(lat.median(a, b, c) for a, b, c in zip(*triple))
+        if mixed in swept:
+            continue
+        swept.append(mixed)
+        violation = find_monotonicity_violation(ExplicitRule(spaces, mixed), lat)
+        if violation is not None:
+            return swept, tested, violation.describe(lat)
+    return swept, tested, None
 
 
 def efficiency_oracle(table, lat, n, pool):
@@ -1048,6 +1071,21 @@ class TestSuites:
             (c, evaluate_table(rule, lat, spaces))
             for c, rule in enumerate_quota_rules(lat, n)]
 
+    @pytest.mark.parametrize("lat, n", [
+        pytest.param(build_chain(10), 2, id="chain10-two-byte-lanes"),
+        pytest.param(build_product(build_chain(5), build_chain(6)), 2,
+                     id="chain5xchain6-two-byte-lanes"),
+        pytest.param(build_chain(18), 1, id="chain18-three-byte-lanes"),
+        pytest.param(build_chain(26), 1, id="chain26-four-byte-lanes"),
+        pytest.param(build_chain(58), 1, id="chain58-eight-byte-lanes"),
+        pytest.param(build_chain(1), 2, id="one-element")])
+    def test_quota_tables_match_committee_rules_on_wide_lanes(self, lat, n):
+        tables = _quota_tables(lat, n)
+        expected = enumerate_quota_rules(lat, n)
+        assert tables == [(c, tabulate(rule, lat)[1]) for c, rule in expected]
+        spaces = full_spaces(lat, n)
+        assert tables == [(c, evaluate_table(rule, lat, spaces)) for c, rule in expected]
+
     def test_oversized_tables_are_refused_before_any_is_built(self, square):
         class NoDraws:
             def randrange(self, *args):
@@ -1066,6 +1104,60 @@ class TestSuites:
         monkeypatch.setattr(suites, "full_spaces", no_spaces)
         with pytest.raises(TooLargeError, match=f"exceeds cap {EXPLICIT_TABLE_CAP}"):
             lemma2_suite(square, n=200000)
+
+    def test_lemma2_refuses_its_sweep_before_building_a_base_table(self, monkeypatch):
+        # 80^3 cells fit the table cap, but 80^3 cells times 3 * 80
+        # deviations exceed the evaluation cap
+        def built(*args):
+            raise AssertionError("a base table was built")
+
+        for name in ("full_spaces", "CodeLanes", "tabulate", "extended_median_rule"):
+            monkeypatch.setattr(suites, name, built)
+        with pytest.raises(TooLargeError, match=(
+                "monotonicity sweep of 122880000 evaluations exceeds the "
+                "evaluation cap 100000000")):
+            lemma2_suite(build_chain(80), 3)
+
+    @staticmethod
+    def record_lemma2_sweeps(monkeypatch):
+        """Patch ``suites.CodeLanes`` to record each table lemma2 sweeps."""
+        swept = []
+
+        class Recording(CodeLanes):
+            def first_failure(self, cells):
+                swept.append(self.decoder()(cells))
+                return super().first_failure(cells)
+
+        monkeypatch.setattr(suites, "CodeLanes", Recording)
+        return swept
+
+    def test_lemma2_sweeps_each_distinct_median_once_on_the_cube(self, cube3,
+                                                                  monkeypatch):
+        swept = self.record_lemma2_sweeps(monkeypatch)
+        check, = lemma2_suite(cube3, 3).checks
+        median = tabulate(extended_median_rule(cube3, 3), cube3)[1]
+        expected, tested, witness = lemma2_oracle(cube3, 3, median)
+        assert check.passed and witness is None
+        assert check.detail == "364 rule triples, 12 base rules" and tested == 364
+        assert swept == expected and len(swept) == 132
+
+    @pytest.mark.parametrize("lat, seed", [
+        pytest.param(boolean_square(), 1, id="square"),
+        pytest.param(build_chain(10), 2, id="chain10")])
+    def test_lemma2_names_the_first_failing_mix(self, lat, seed, monkeypatch):
+        # every real base pool is monotone, so a seeded non-monotone rule
+        # stands in for the extended median to reach the witness path
+        n = 2
+        bad = random_explicit_rule(lat, n, random.Random(seed))
+        monkeypatch.setattr(suites, "extended_median_rule", lambda on, k: bad)
+        swept = self.record_lemma2_sweeps(monkeypatch)
+        expected, tested, witness = lemma2_oracle(lat, n, bad.table)
+        assert witness is not None
+        check, = lemma2_suite(lat, n).checks
+        assert not check.passed
+        assert check.witness == witness
+        assert check.detail == f"{tested} rule triples, {n + lat.m + 1} base rules"
+        assert swept == expected
 
     @pytest.mark.parametrize("suite, fixture, claim", [
         ("theorem1", "square", "quota-rules-satisfy-all-five"),
