@@ -13,8 +13,6 @@ import functools
 import itertools
 import math
 import operator
-import struct
-import sys
 from dataclasses import dataclass, field
 
 from .errors import CarrierMismatchError, InvalidSizeError, TooLargeError
@@ -286,23 +284,20 @@ class CodeLanes:
 
     def decoder(self):
         """The function from a lane int to its element-id table.  One-byte
-        lanes go through one ``bytes.translate``.  Wider lanes are read as
-        native unsigned ints where such a type has w bytes (keyed by each
-        code's lane read in the host's byte order, so big-endian hosts decode
-        too) and as w-byte strings otherwise."""
-        size = self.w * self.count
-        if self.w == 1:
+        lanes go through one ``bytes.translate``.  Wider lanes are split into
+        w byte planes (byte j of every lane is ``data[j::w]``) and zipped back
+        into per-lane byte tuples, which key the element ids; nothing reads a
+        lane as a native int, so the host's byte order never enters."""
+        size, w = self.w * self.count, self.w
+        if w == 1:
             ids = bytes(self.lattice._decode.get(c, 0) for c in range(256))
             return lambda cells: tuple(cells.to_bytes(size, "little").translate(ids))
-        fmt = next((f for f in "HILQ" if struct.calcsize(f) == self.w), None)
-        if fmt is None:
-            key = {b: e for e, b in enumerate(self.lane)}
-            unpack = struct.Struct(f"{self.w}s").iter_unpack
-            split = lambda data: map(operator.itemgetter(0), unpack(data))
-        else:
-            key = {int.from_bytes(b, sys.byteorder): e for e, b in enumerate(self.lane)}
-            split = lambda data: memoryview(data).cast(fmt)
-        return lambda cells: tuple(map(key.__getitem__, split(cells.to_bytes(size, "little"))))
+        key = {tuple(b): e for e, b in enumerate(self.lane)}
+
+        def decode(cells):
+            data = cells.to_bytes(size, "little")
+            return tuple(map(key.__getitem__, zip(*[data[j::w] for j in range(w)])))
+        return decode
 
     def first_failure(self, cells: int):
         """The lowest (cell index, voter) whose cell fails interval
