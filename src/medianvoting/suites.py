@@ -170,7 +170,7 @@ def _strategy_proof(rule, violation, domain):
         return find_strategy_violation(rule, domain) is None
     witness = strategy_witness_from(violation, domain)
     return not (witness.validate(rule, domain.lattice)
-                and witness.preference in domain.preference_sets[witness.voter])
+                and domain.holds(witness.voter, witness.preference))
 
 
 def _monotone_and_sp(rule, lat, domains):
@@ -226,7 +226,7 @@ def lemma2_suite(lat: Lattice, n: int = 3, label: str = "") -> VerificationRepor
     t0 = time.perf_counter()
     check_table_size(lat.m ** n)    # before the n-entry spaces are built
     check_monotonicity_sweep_size(lat.m ** n, [lat.m] * n)    # and any table
-    lanes = CodeLanes(lat, full_spaces(lat, n))
+    lanes = CodeLanes.of(lat, full_spaces(lat, n))
     pool = [lanes.ballots(i) for i in range(n)]
     pool += [lanes.broadcast(c) for c in range(lat.m)]
     pool.append(lanes.pack(tabulate(extended_median_rule(lat, n), lat)[1]))
@@ -479,7 +479,7 @@ def _quota_tables(lat, n):
     (``CodeLanes.decoder``).
     """
     check_table_size(lat.m ** n)
-    lanes = CodeLanes(lat, full_spaces(lat, n))
+    lanes = CodeLanes.of(lat, full_spaces(lat, n))
     best = [lanes.broadcast(lat.top)] + [0] * n
     for i in range(n):
         ballots = lanes.ballots(i)

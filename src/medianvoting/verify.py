@@ -5,6 +5,12 @@ All searches are deterministic: ballot tuples run in row-major order over the
 declared ballot spaces, preference profiles in enumeration-index order, and
 the coalition search decides sizes from largest to smallest before fixing
 the witness (see ``find_coalitional_manipulation``), so it is reproducible.
+
+The three sweeps hold tables as lane ints, one lane per cell, and share one
+kernel, ``spread``.  Monotonicity runs on Birkhoff-code lanes (``CodeLanes``,
+kept per lattice and spaces); the strategy sweep, as the size-1 case, and
+the coalition search run on outcome lanes whose table-independent part
+(``OutcomeLanes``) is built once per domain and semantics.
 """
 
 from __future__ import annotations
@@ -41,7 +47,8 @@ def _better_masks(pref) -> tuple:
 class DomainDescriptor:
     """Per-voter ballot spaces and admissible preference sets."""
 
-    __slots__ = ("lattice", "spaces", "preference_sets", "flavor", "_gains")
+    __slots__ = ("lattice", "spaces", "preference_sets", "flavor", "_gains", "_held",
+                 "_lanes")
 
     def __init__(self, lattice: Lattice, spaces, preference_sets, flavor="custom"):
         self.lattice = lattice
@@ -61,7 +68,8 @@ class DomainDescriptor:
                         f"voter {i} holds a preference whose top "
                         f"{lattice.names[p.top]} is outside the ballot space")
         self.flavor = flavor
-        self._gains = None
+        self._gains = self._held = None
+        self._lanes = {}
 
     @property
     def n(self) -> int:
@@ -91,6 +99,17 @@ class DomainDescriptor:
                              for t, group in by_top.items()})
             self._gains = tuple(better), tuple(gain)
         return self._gains
+
+    def holds(self, i: int, pref: TotalPreorder) -> bool:
+        """Whether voter i may hold ``pref``, by a set built on first use."""
+        self._held = self._held or tuple(map(frozenset, self.preference_sets))
+        return pref in self._held[i]
+
+    def lanes(self, semantics: str = "truthful") -> "OutcomeLanes":
+        """The domain's ``OutcomeLanes`` under ``semantics``, built once."""
+        if semantics not in self._lanes:
+            self._lanes[semantics] = OutcomeLanes(self, semantics)
+        return self._lanes[semantics]
 
     @classmethod
     def full_unimodal(cls, lattice: Lattice, n: int, spaces=None) -> "DomainDescriptor":
@@ -230,49 +249,96 @@ class ManipulationWitness:
         return out
 
 
-# -- interval monotonicity -------------------------------------------------------------
+# -- lanes ------------------------------------------------------------------------------
 
 
-def _lines(table, size, stride):
-    """One voter's lines through a row-major table, as (offset, entries)
-    pairs: the offset is the cell with that voter at position 0, and the
-    lines run in row-major order of the other voters."""
-    return [(off, table[off:off + size * stride:stride])
-            for hi in range(0, len(table), size * stride)
-            for off in range(hi, hi + stride)]
+def _line_through(spaces, table, idx: int, i: int):
+    """The ballots of cell ``idx`` and the outcomes along voter i's line
+    through it, in space order."""
+    strides = _strides([len(s) for s in spaces])
+    ballots = tuple(space[idx // s % len(space)] for space, s in zip(spaces, strides))
+    off = idx - spaces[i].index(ballots[i]) * strides[i]
+    return ballots, table[off:off + len(spaces[i]) * strides[i]:strides[i]]
 
 
-class CodeLanes:
+@functools.lru_cache(maxsize=32)
+def _line_masks(sizes: tuple, w: int) -> tuple:
+    """Per voter the (shifts, rest, heads) of ``spread`` for w-byte lanes over
+    spaces of ``sizes``; the heads are where the voter casts its first ballot."""
+    count, out = math.prod(sizes), []
+    for k, s in zip(sizes, _strides(sizes)):
+        d, top = 8 * w * s, 1 << k.bit_length() - 1
+        heads = int.from_bytes((b"\xff" * w * s + bytes(w * s * (k - 1))) * (count // (k * s)),
+                               "little")
+        out.append((tuple(d << j for j in range(top.bit_length() - 1)), (k - top) * d, heads))
+    return tuple(out)
+
+
+def spread(lanes: int, line) -> int:
+    """``lanes`` OR-reduced along every line of one voter and broadcast back
+    over the line, with ``line`` that voter's entry of ``_line_masks``.
+
+    The lane kernel of the three sweeps.  A line's k cells lie d bits apart.
+    With 2^a <= k < 2^(a+1), shifts down by d, 2d, ..., 2^(a-1)d leave in
+    each lane the union of the 2^a cells from it up its line, and one more,
+    by (k - 2^a)d, joins two such windows into exactly the k cells from a
+    head.  The head mask drops the other lanes, and the same shifts up copy
+    each head over its line.  Bitwise operations never carry across lanes,
+    so one pass reduces every line at once.
+    """
+    shifts, rest, heads = line
+    for s in shifts:
+        lanes |= lanes >> s
+    lanes = (lanes | lanes >> rest) & heads
+    for s in shifts:
+        lanes |= lanes << s
+    return lanes | lanes << rest
+
+
+class _Lanes:
     """Tables over ``spaces`` as lane ints: one little-endian int per table,
-    one lane of w = max(1, ceil(|J|/8)) bytes per cell, in row-major order,
-    holding the cell's Birkhoff code (``Lattice._code``).
+    one w-byte lane per cell in row-major order, ``lane[e]`` for element e."""
+
+    def __init__(self, spaces, lane):
+        self.spaces, self.lane, self.w = spaces, lane, len(lane[0])
+        self.sizes = tuple(map(len, spaces))
+        self.strides, self.count = _strides(self.sizes), math.prod(self.sizes)
+
+    def pack(self, table, lane=None) -> int:
+        """The table with ``lane[e]`` (``self.lane`` by default) for element e."""
+        return int.from_bytes(b"".join(map((lane or self.lane).__getitem__, table)), "little")
+
+    def tile(self, i: int, lanes) -> int:
+        """``lanes[b]`` in every lane where voter i casts a key b, else zero."""
+        s, zero = self.strides[i], bytes(self.w)
+        return int.from_bytes(b"".join([lanes.get(b, zero) * s for b in self.spaces[i]])
+                              * (self.count // (self.sizes[i] * s)), "little")
+
+
+class CodeLanes(_Lanes):
+    """``_Lanes`` of w = max(1, ceil(|J|/8)) bytes holding each cell's
+    Birkhoff code (``Lattice._code``).
 
     Join, meet and the median act on whole tables bitwise, since no operation
     carries a bit across lanes: med(A, B, C) = ``A&B | B&C | A&C``.
-    ``decoder`` turns lane ints back into element-id tables.
+    ``decoder`` turns lane ints back into element-id tables.  ``of`` keeps
+    the lanes of the last few (lattice, spaces) pairs.
     """
 
-    __slots__ = ("lattice", "spaces", "sizes", "strides", "count", "w", "lane", "_lines")
-
     def __init__(self, lat: Lattice, spaces):
-        self.lattice = lat
-        self.spaces = spaces
-        self.sizes = [len(s) for s in spaces]
-        self.strides = _strides(self.sizes)
-        self.count = math.prod(self.sizes)
-        self.w = max(1, -(-len(lat._irreducibles) // 8))
-        self.lane = [c.to_bytes(self.w, "little") for c in lat._code]
-        # per voter: (space size k, bits between line cells, head-lane mask,
-        # ballot lanes), for ``first_failure`` and ``ballots``
-        self._lines = []
-        for space, k, s in zip(spaces, self.sizes, self.strides):
-            reps, span = self.count // (k * s), self.w * s    # span: bytes between line cells
-            heads = int.from_bytes((b"\xff" * span + bytes(span * (k - 1))) * reps, "little")
-            ballots = int.from_bytes(b"".join(self.lane[b] * s for b in space) * reps, "little")
-            self._lines.append((k, 8 * span, heads, ballots))
+        w = max(1, -(-len(lat._irreducibles) // 8))
+        super().__init__(spaces, [c.to_bytes(w, "little") for c in lat._code])
+        self.lattice, self.full = lat, (1 << 8 * w * self.count) - 1
+        self.lines = _line_masks((2,) + self.sizes, w)[1:]    # for T stacked on ~T
+        self._ballots = [self.tile(i, {b: self.lane[b] for b in space})
+                         for i, space in enumerate(spaces)]
 
-    def pack(self, table) -> int:
-        return int.from_bytes(b"".join(map(self.lane.__getitem__, table)), "little")
+    @classmethod
+    @functools.lru_cache(maxsize=16)
+    def of(cls, lat: Lattice, spaces: tuple) -> "CodeLanes":
+        """The lanes of (``lat``, ``spaces``), built once per pair: the sweeps
+        ask for the same few pairs once per table."""
+        return cls(lat, spaces)
 
     def broadcast(self, element: int) -> int:
         """The constant table of ``element``."""
@@ -280,7 +346,7 @@ class CodeLanes:
 
     def ballots(self, i: int) -> int:
         """Voter i's ballot code in every lane: the projection onto voter i."""
-        return self._lines[i][3]
+        return self._ballots[i]
 
     def decoder(self):
         """The function from a lane int to its element-id table.  One-byte
@@ -302,20 +368,81 @@ class CodeLanes:
     def first_failure(self, cells: int):
         """The lowest (cell index, voter) whose cell fails interval
         monotonicity along that voter's line (the lower voter on a tie), or
-        None; see ``find_monotonicity_violation``."""
-        first = (self.count, len(self.spaces))
-        for i, (k, step, heads, ballots) in enumerate(self._lines):
-            union = inter = cells
-            for q in range(1, k):
-                shifted = cells >> step * q
-                union, inter = union | shifted, inter & shifted
-            union, inter = union & heads, inter & heads
-            for _ in range(1, k):
-                union, inter = union | union << step, inter | inter << step
-            fail = ballots & union & ~cells | cells & ~(ballots | inter)
+        None; see ``find_monotonicity_violation``.  ``lines`` are those of a
+        table with one more, leading voter of two ballots: T stacked on ~T."""
+        first, bits = (self.count, len(self.spaces)), 8 * self.w * self.count
+        stacked = cells | (cells ^ self.full) << bits
+        for i, (line, ballots) in enumerate(zip(self.lines, self._ballots)):
+            both = spread(stacked, line)
+            fail = ballots & both & ~cells | cells & ~ballots & both >> bits
             if fail:
                 first = min(first, (((fail & -fail).bit_length() - 1) // (8 * self.w), i))
         return None if first[1] == len(self.spaces) else first
+
+
+class OutcomeLanes(_Lanes):
+    """A domain's table-independent outcome lanes under one semantics, kept
+    by ``DomainDescriptor.lanes`` for all its strategy and coalition sweeps.
+
+    Its lanes have w = ceil(m/8) bytes, one bit per outcome (``outcomes``).
+    The gain tile G[i][o] holds voter i's gain set at its
+    ballot and outcome o where that ballot is an anchor (its top; under
+    literal semantics any ballot), zero elsewhere, and ``start`` is full
+    where every voter sits at an anchor (``cells``: where voter i casts b).  They are built on first use, the
+    search ``estimate`` up front.
+    """
+
+    def __init__(self, domain: DomainDescriptor, semantics: str):
+        w, m = -(-domain.lattice.m // 8), domain.lattice.m
+        super().__init__(domain.spaces, [(1 << o).to_bytes(w, "little") for o in range(m)])
+        prefs, literal = domain.preference_sets, semantics == "literal"
+        starts = self.count if literal else math.prod(len({p.top for p in ps}) for ps in prefs)
+        self.estimate = ((self.count if literal else 1) * math.prod(k + 1 for k in self.sizes),
+                         starts * sum(map(len, prefs)))
+        self.gain = domain.gain_masks()[1]
+        if literal:    # one anchor: the union over every preference
+            self.gain = [dict.fromkeys(space, [functools.reduce(operator.or_, masks)
+                                               for masks in zip(*by_top.values())])
+                         for space, by_top in zip(self.spaces, self.gain)]
+        self._tiles, self._cells = [{} for _ in self.spaces], {}
+
+    @property
+    def lines(self) -> tuple:
+        return _line_masks(self.sizes, self.w)
+
+    def cells(self, i: int, ballot: int) -> int:
+        """Full lanes where voter i casts ``ballot``."""
+        if (i, ballot) not in self._cells:
+            self._cells[i, ballot] = self.tile(i, {ballot: b"\xff" * self.w})
+        return self._cells[i, ballot]
+
+    @functools.cached_property
+    def start(self) -> int:
+        return functools.reduce(operator.and_, [
+            self.tile(i, dict.fromkeys(gain, b"\xff" * self.w)) for i, gain in enumerate(self.gain)])
+
+    def outcomes(self, table):
+        """(onehot, equal) of a table over the domain's spaces: bit table[c]
+        in lane c, and per outcome o in the table, in ascending order, the
+        full lanes where the table holds o (bit o moved to each lane's lowest
+        bit, then filled across the lane)."""
+        onehot = self.pack(table)
+        lsb = int.from_bytes((b"\x01" + bytes(self.w - 1)) * len(table), "little")
+        return onehot, {o: (onehot >> o & lsb) * ((1 << 8 * self.w) - 1)
+                        for o in sorted(set(table))}
+
+    def gains(self, i: int, equal) -> int:
+        """Voter i's gain lanes on a table: OR_o (equal[o] & G[i][o])."""
+        tiles, gain, out = self._tiles[i], self.gain[i], 0
+        for o, cells in equal.items():
+            if o not in tiles:
+                tiles[o] = self.tile(i, {b: row[o].to_bytes(self.w, "little")
+                                         for b, row in gain.items()})
+            out |= cells & tiles[o]
+        return out
+
+
+# -- interval monotonicity -------------------------------------------------------------
 
 
 def check_monotonicity_sweep_size(count: int, sizes, cap: int = DEFAULT_EVAL_CAP) -> None:
@@ -342,32 +469,25 @@ def find_monotonicity_violation(rule, lat: Lattice, spaces=None,
     voter i iff x&U <= o <= x|I.
 
     Three steps: pack, sweep, rescan.  ``CodeLanes.pack`` puts the table into
-    one big int T, one code lane per cell, and ``CodeLanes.first_failure``
-    sweeps it.  Voter i's line (space size k, stride s) has its lanes s
-    apart, its head where i casts its first ballot.  OR-ing (AND-ing) T with
-    T shifted down by q*s lanes, 0 < q < k, leaves U (I) in each head lane,
-    the mask of head lanes drops the rest, and k-1 shifts up broadcast U and
-    I along the line.  With X (``CodeLanes.ballots``) holding i's ballot code
-    in every lane, ``X & U & ~T | T & ~(X | I)`` is nonzero in exactly the
-    failing lanes.  Lanes never interfere: AND, OR and NOT act bit by bit,
-    shifts move whole lanes, and a head meets only its own line.  So the
-    lowest failing lane over the voters (the lower voter on a tie) is the
-    witness cell above, and a rescan of its line names the deviation.
-    Callers holding lane ints call ``first_failure`` themselves.
+    one big int T, one code lane per cell.  ``CodeLanes.first_failure``
+    stacks T over its complement ~T and ``spread``s the stack along voter
+    i's lines once, giving U and ~I in every lane.  With X
+    (``CodeLanes.ballots``) holding i's ballot code in every lane,
+    ``X & U & ~T | T & ~X & ~I`` is nonzero in exactly the failing lanes.
+    The lowest over the voters (the lower voter on a tie) is the witness
+    cell, and a rescan of its line names the deviation.  Callers holding
+    lane ints call ``first_failure`` themselves.
     """
     spaces, table = tabulate(rule, lat, spaces)
     check_monotonicity_sweep_size(len(table), [len(s) for s in spaces], cap)
-    lanes = CodeLanes(lat, spaces)
+    lanes = CodeLanes.of(lat, spaces)
     first = lanes.first_failure(lanes.pack(table))
     if first is None:
         return None
     idx, i = first
-    sizes, strides = lanes.sizes, lanes.strides
-    cell = tuple(spaces[j][idx // strides[j] % sizes[j]] for j in range(len(spaces)))
+    cell, line = _line_through(spaces, table, idx, i)
     out = table[idx]
-    off = idx - idx // strides[i] % sizes[i] * strides[i]
-    dev, other = next((dev, other) for dev, other
-                      in zip(spaces[i], table[off::strides[i]])
+    dev, other = next((dev, other) for dev, other in zip(spaces[i], line)
                       if not lat.between(cell[i], out, other))
     return MonotonicityWitness(cell, i, dev, out, other)
 
@@ -381,47 +501,41 @@ def find_strategy_violation(rule, domain: DomainDescriptor,
 
     The witness is the first in the order voters ascending, the voter's
     preferences in index order, the others' ballots row-major, deviations in
-    space order.  For each voter the sweep lists its lines (the others'
-    ballots fixed, as in ``find_monotonicity_violation``) with their reach
-    masks, the outcomes the voter can force there.  A preference with top t
-    gains on a line iff its better-set at the truthful outcome meets the
-    reach mask; a top whose union gain (``DomainDescriptor.gain_masks``)
-    meets no reach mask is skipped with all its preferences, and the rest
-    are scanned in that same order, so the witness is unchanged.
+    space order.  It is the coalition search's size-1 case on the domain's
+    ``OutcomeLanes``: reach_i = ``spread(onehot, line_i)`` holds in each cell
+    the outcomes voter i can force from there, and a preference with top t
+    gains in a cell where i casts t iff its better set at the cell's outcome
+    meets reach_i.  Voter i's gain lanes hold there the union of those sets
+    over i's preferences with top t, so they miss reach_i iff no preference
+    of i gains anywhere: skipping the voter then is exact.  Otherwise each
+    preference, in index order, ANDs its better sets at the outcomes, on the
+    cells where i casts its top, with reach_i.  Those cells, in row-major
+    order, are i's lines through t in row-major order of the other voters,
+    so the lowest set lane is on the first line where the preference gains,
+    and a rescan of that line names the first deviation.
     """
-    lat = domain.lattice
-    spaces, table = tabulate(rule, lat, domain.spaces)
-    n = len(spaces)
-    sizes = [len(s) for s in spaces]
-    strides = _strides(sizes)
-    estimate = sum(len(domain.preference_sets[i])
-                   * (len(table) // sizes[i]) * sizes[i] for i in range(n))
+    spaces, table = tabulate(rule, domain.lattice, domain.spaces)
+    estimate = len(table) * sum(map(len, domain.preference_sets))
     if estimate > cap:
         raise TooLargeError(
             f"strategy-proofness sweep of {estimate} evaluations exceeds the "
             f"evaluation cap {cap}")
-    better, gain = domain.gain_masks()
-    for i in range(n):
-        k, s = sizes[i], strides[i]
-        pos_of = {b: q for q, b in enumerate(spaces[i])}
-        lines = [(off, line, functools.reduce(operator.or_, [1 << o for o in line]))
-                 for off, line in _lines(table, k, s)]
-        live = {t for t, union in gain[i].items()
-                if any(union[line[pos_of[t]]] & reach for _, line, reach in lines)}
+    better = domain.gain_masks()[0]
+    lanes = domain.lanes()
+    onehot, equal = lanes.outcomes(table)
+    for i, line in enumerate(lanes.lines):
+        reach = spread(onehot, line)
+        if not reach & lanes.gains(i, equal):
+            continue
         for pref, masks in zip(domain.preference_sets[i], better[i]):
-            if pref.top not in live:
-                continue
-            p = pos_of[pref.top]
-            for off, line, reach in lines:
-                wins = masks[line[p]]
-                if wins & reach:
-                    q = next(q for q, o in enumerate(line) if wins >> o & 1)
-                    truthful = tuple(pref.top if j == i else
-                                     spaces[j][off // strides[j] % sizes[j]]
-                                     for j in range(n))
-                    deviant = truthful[:i] + (spaces[i][q],) + truthful[i + 1:]
-                    return StrategyWitness(i, pref, truthful, deviant,
-                                           line[p], line[q])
+            hit = reach & lanes.cells(i, pref.top) & lanes.pack(
+                table, [m.to_bytes(lanes.w, "little") for m in masks])
+            if hit:
+                c = ((hit & -hit).bit_length() - 1) // (8 * lanes.w)
+                truthful, line = _line_through(spaces, table, c, i)
+                q, o_d = next((q, o) for q, o in enumerate(line) if masks[table[c]] >> o & 1)
+                deviant = truthful[:i] + (spaces[i][q],) + truthful[i + 1:]
+                return StrategyWitness(i, pref, truthful, deviant, table[c], o_d)
     return None
 
 
@@ -456,14 +570,9 @@ def strategy_witness_from(violation: MonotonicityWitness,
 def check_coalition_search_size(domain: DomainDescriptor, semantics: str = "truthful",
                                 cap: int = DEFAULT_EVAL_CAP) -> None:
     """Refuse a coalition search on ``domain`` beyond ``cap`` before any table
-    is built; the fix-up scans every start tuple per tried preference."""
-    literal = semantics == "literal"
-    sizes = [len(s) for s in domain.spaces]
-    prefs = domain.preference_sets
-    origins = math.prod(sizes) if literal else 1
-    deviations = origins * math.prod(k + 1 for k in sizes)
-    starts = origins if literal else math.prod(len({p.top for p in ps}) for ps in prefs)
-    scans = starts * sum(map(len, prefs))
+    is built; the fix-up scans every start tuple per tried preference.  The
+    estimate is kept with the domain's ``OutcomeLanes``."""
+    deviations, scans = domain.lanes(semantics).estimate
     if deviations > cap or scans > cap:
         raise TooLargeError(
             f"coalition search of {deviations} deviations and "
@@ -494,15 +603,13 @@ def find_coalitional_manipulation(rule, domain: DomainDescriptor,
     (exact sets for chosen voters, gain sets for the others) meeting the
     outcomes the coalition can force.
 
-    Lanes decide existence.  As in ``find_monotonicity_violation``, a big
-    int holds one lane per table cell, here of ceil(m/8) bytes, one bit per
-    outcome: ``onehot`` has bit table[c] in lane c, ``lane_gains[i]`` voter
-    i's gain set at its ballot and the cell's outcome (zero off its anchors),
-    and ``start`` is full where every voter sits at an anchor.  reach(M), the
-    outcomes coalition M can force from each cell, is reach(M minus its
-    lowest member) OR-reduced along that member's lines and broadcast back.
-    Bitwise operations never cross lanes, so lane c of start & reach(M) &
-    AND(lane_gains[i] for i in M) is nonzero iff the test above holds for
+    Lanes decide existence, on the domain's ``OutcomeLanes``: ``onehot`` has
+    bit table[c] in lane c, ``lane_gains[i]`` voter i's gain set at its
+    ballot and the cell's outcome (zero off its anchors), and ``start`` is
+    full where every voter sits at an anchor.  reach(M), the outcomes
+    coalition M can force from each cell, is ``spread`` of reach(M minus its
+    lowest member) along that member's lines.  So lane c of start & reach(M)
+    & AND(lane_gains[i] for i in M) is nonzero iff the test above holds for
     the empty prefix at cell c.  The first size, from n down, with such a
     lane, and its lowest truthful outcome there, hold the witness.  The
     fix-up then names it: voter by voter, the smallest preference index
@@ -514,56 +621,21 @@ def find_coalitional_manipulation(rule, domain: DomainDescriptor,
     lat, n = domain.lattice, domain.n
     spaces, table = tabulate(rule, lat, domain.spaces)
     check_coalition_search_size(domain, semantics, cap)
-    sizes = [len(s) for s in spaces]
-    strides = _strides(sizes)
-    better, gain = domain.gain_masks()
-    if literal:    # one anchor: the union over every preference
-        gain = [dict.fromkeys(spaces[i], [
-            functools.reduce(operator.or_, masks)
-            for masks in zip(*gain[i].values())]) for i in range(n)]
+    lanes = domain.lanes(semantics)
+    sizes, strides, lines, gain = lanes.sizes, lanes.strides, lanes.lines, lanes.gain
+    better = domain.gain_masks()[0]
+    onehot, equal = lanes.outcomes(table)
+    lane_gains = [lanes.gains(i, equal) for i in range(n)]
 
-    cells, w = len(table), -(-lat.m // 8)
-    lane = [(1 << o).to_bytes(w, "little") for o in range(lat.m)]
-    onehot = int.from_bytes(b"".join(map(lane.__getitem__, table)), "little")
-    # equal[o]: full lanes where the table holds o (bit o moved to each lane's
-    # lowest bit, then filled across the lane)
-    lsb = int.from_bytes((b"\x01" + bytes(w - 1)) * cells, "little")
-    equal = {o: (onehot >> o & lsb) * ((1 << 8 * w) - 1) for o in sorted(set(table))}
-
-    def tile(chunks, reps):    # one line's lanes, repeated over the table
-        return int.from_bytes(b"".join(chunks) * reps, "little")
-
-    heads, lane_gains, start = [], [], -1    # start: ANDed over the voters
-    for i in range(n):
-        k, s = sizes[i], strides[i]
-        reps, span = cells // (k * s), w * s    # span: bytes between line cells
-        rows = [gain[i].get(b) for b in spaces[i]]    # None off the anchors
-        heads.append(tile([b"\xff" * span, bytes(span * (k - 1))], reps))
-        start &= tile((b"\xff" * span if row else bytes(span) for row in rows), reps)
-        lane_gains.append(functools.reduce(operator.or_, [
-            cells_o & tile((row[o].to_bytes(w, "little") * s if row else bytes(span)
-                            for row in rows), reps) for o, cells_o in equal.items()]))
-
-    def spread(lanes, i):
-        """``lanes`` OR-reduced along voter i's lines and broadcast back."""
-        step = 8 * w * strides[i]
-        out = lanes
-        for q in range(1, sizes[i]):
-            out |= lanes >> step * q
-        out &= heads[i]
-        for _ in range(1, sizes[i]):
-            out |= out << step
-        return out
-
-    def hits(size, below=n, lanes=onehot, common=start):
+    def hits(size, below=n, reach=onehot, common=lanes.start):
         """start & reach & gains, ORed over ``size`` more members below ``below``."""
         if not size:
-            return lanes & common
+            return reach & common
         out = 0
         for i in range(size - 1, below):
             joint = common & lane_gains[i]
             if joint:
-                out |= hits(size - 1, i, spread(lanes, i), joint)
+                out |= hits(size - 1, i, spread(reach, lines[i]), joint)
         return out
 
     for size in range(n, 0, -1):

@@ -45,7 +45,7 @@ from medianvoting.rules import (
     full_spaces,
     tabulate,
 )
-from medianvoting import cli, suites
+from medianvoting import cli, suites, verify
 from medianvoting.suites import (
     _diamond_labels,
     _four_chain_labels,
@@ -341,6 +341,52 @@ class TestDomainDescriptor:
         with pytest.raises(InvalidSizeError):
             DomainDescriptor.custom(square, ((1, 2), (1, 2)), ((p,), (p,)))
 
+    def test_holds_is_membership(self, square):
+        x = square.element("x")
+        dom = DomainDescriptor.full_unimodal(square, 2, spaces=((x,), tuple(range(4))))
+        for p in enumerate_topped_preorders(square):
+            for i, prefs in enumerate(dom.preference_sets):
+                assert dom.holds(i, TotalPreorder(p.ranks)) == (p in prefs)
+
+    def test_one_domain_serves_every_sweep_as_fresh_domains_do(self, square, chain4,
+                                                               monkeypatch):
+        # the strategy, truthful-coalition and literal-coalition sweeps share
+        # one domain in changing orders over several rules: each answer
+        # equals a fresh domain's, and each semantics' lanes and the gain
+        # masks are built once
+        built = []
+
+        class Counting(verify.OutcomeLanes):
+            def __init__(self, domain, semantics):
+                built.append((domain, semantics))
+                super().__init__(domain, semantics)
+
+        monkeypatch.setattr(verify, "OutcomeLanes", Counting)
+        sweeps = [find_strategy_violation,
+                  functools.partial(find_coalitional_manipulation, semantics="truthful"),
+                  functools.partial(find_coalitional_manipulation, semantics="literal")]
+        rng = random.Random(1712)
+        found = 0
+        for lat, n, factory in ((square, 2, DomainDescriptor.full_unimodal),
+                                (chain4, 2, DomainDescriptor.full_lsu),
+                                (square, 3, DomainDescriptor.full_lsu)):
+            spaces = random_spaces(rng, lat, n)
+            shared = factory(lat, n, spaces)
+            kept = None
+            for case in range(6):
+                rule = random_rule(rng, lat, spaces, ("random", "median", "mixed")[case % 3])
+                for sweep in rng.sample(sweeps, 3):
+                    witness = sweep(rule, shared)
+                    assert witness == sweep(rule, factory(lat, n, spaces)), case
+                    found += witness is not None
+                    now = (shared.gain_masks(), shared.lanes("truthful"),
+                           shared.lanes("literal"), shared.lanes("literal").start)
+                    kept = kept or now
+                    assert all(a is b for a, b in zip(now, kept))
+            assert sorted(s for d, s in built if d is shared) == ["literal", "truthful"]
+        # both answers occur
+        assert found == 43
+
 
 class TestMonotonicity:
     def test_projection_and_constant(self, square):
@@ -630,6 +676,63 @@ class TestStrategyProofness:
             assert witness == brute_force_strategy_violation(rule, domain), case
             found += witness is not None
         assert 10 <= found < 60
+
+    def test_matches_brute_force_oracle_on_wide_lanes_and_edge_carriers(self):
+        # the 10-chain and the 3x4 grid need two-byte outcome lanes, the
+        # 3-cube fills a one-byte lane up to its top bit, the one- and
+        # two-element chains are the smallest carriers, and a one-ballot
+        # space gives its voter lines of one cell
+        rng = random.Random(1406)
+        carriers = [build_chain(10), build_product(build_chain(3), build_chain(4)),
+                    build_boolean_hypercube(3), build_chain(1), build_chain(2)]
+
+        def shared_tops(lat, spaces, peaked_only=False):
+            # every ballot is the top of one to three preferences with
+            # different better-sets, so the oracle's profiles reach every
+            # context of the sweep; the third is not single-peaked
+            prefs = []
+            for space in spaces:
+                held = []
+                for peak in space:
+                    ranks = [0 if e == peak else rng.randint(1, 3) for e in range(lat.m)]
+                    dense = {r: i for i, r in enumerate(sorted(set(ranks)))}
+                    held += [build_three_class_witness(lat, peak, rng.randrange(lat.m)),
+                             build_lsu_witness(lat, peak, rng.randrange(lat.m))]
+                    held += [] if peaked_only else [TotalPreorder([dense[r] for r in ranks])]
+                prefs.append(tuple(dict.fromkeys(held)))
+            return DomainDescriptor.custom(lat, spaces, prefs)
+
+        found = cases = 0
+        for lat in carriers:
+            for n in (1, 1, 2, 2, 2, 3, 3):
+                spaces = [tuple(rng.sample(range(lat.m),
+                                           rng.randint(1, min(lat.m, (4, 3, 2)[n - 1]))))
+                          for _ in range(n)]
+                domains = [shared_tops(lat, spaces)]
+                if lat.m <= 7:    # the full domains' enumeration cap
+                    domains += [DomainDescriptor.full_unimodal(lat, n, spaces),
+                                DomainDescriptor.full_lsu(lat, n, spaces)]
+                for domain in domains:
+                    for kind in ("random", "median", "mixed"):
+                        rule = random_rule(rng, lat, spaces, kind)
+                        witness = find_strategy_violation(rule, domain)
+                        assert witness == brute_force_strategy_violation(rule, domain), \
+                            (lat.m, n, kind)
+                        found += witness is not None
+                        cases += 1
+        # one domain serves twelve rules, its lanes filled as outcomes
+        # appear; on a chain nested medians are strategy-proof there
+        chain10 = carriers[0]
+        spaces = [tuple(sorted(rng.sample(range(10), 4))) for _ in range(2)]
+        domain = shared_tops(chain10, spaces, peaked_only=True)
+        on_chain = 0
+        for case in range(12):
+            rule = random_rule(rng, chain10, spaces, ("median", "mixed", "random")[case % 3])
+            witness = find_strategy_violation(rule, domain)
+            assert witness == brute_force_strategy_violation(rule, domain), case
+            on_chain += witness is not None
+        # both answers occur, so neither side can pass by always agreeing on one
+        assert (cases, found, on_chain) == (189, 46, 8)
 
     def test_cap_refusal_and_gain_masks_built_once(self, square):
         rule = extended_median_rule(square, 2)
