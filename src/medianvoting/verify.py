@@ -9,7 +9,8 @@ the witness (see ``find_coalitional_manipulation``), so it is reproducible.
 The three sweeps hold tables as lane ints, one lane per cell, and share one
 kernel, ``spread``.  Monotonicity runs on Birkhoff-code lanes (``CodeLanes``,
 kept per lattice and spaces); the strategy sweep, as the size-1 case, and
-the coalition search run on outcome lanes whose table-independent part
+the coalition search, both its size decision and the fix-up that names its
+witness, run on outcome lanes whose table-independent part
 (``OutcomeLanes``) is built once per domain and semantics.
 """
 
@@ -106,7 +107,10 @@ class DomainDescriptor:
         return pref in self._held[i]
 
     def lanes(self, semantics: str = "truthful") -> "OutcomeLanes":
-        """The domain's ``OutcomeLanes`` under ``semantics``, built once."""
+        """The domain's ``OutcomeLanes`` under ``semantics`` ("truthful" or
+        "literal"), built once."""
+        if semantics not in ("truthful", "literal"):
+            raise ValueError(f"unknown semantics {semantics!r}")
         if semantics not in self._lanes:
             self._lanes[semantics] = OutcomeLanes(self, semantics)
         return self._lanes[semantics]
@@ -252,15 +256,6 @@ class ManipulationWitness:
 # -- lanes ------------------------------------------------------------------------------
 
 
-def _line_through(spaces, table, idx: int, i: int):
-    """The ballots of cell ``idx`` and the outcomes along voter i's line
-    through it, in space order."""
-    strides = _strides([len(s) for s in spaces])
-    ballots = tuple(space[idx // s % len(space)] for space, s in zip(spaces, strides))
-    off = idx - spaces[i].index(ballots[i]) * strides[i]
-    return ballots, table[off:off + len(spaces[i]) * strides[i]:strides[i]]
-
-
 @functools.lru_cache(maxsize=32)
 def _line_masks(sizes: tuple, w: int) -> tuple:
     """Per voter the (shifts, rest, heads) of ``spread`` for w-byte lanes over
@@ -307,6 +302,21 @@ class _Lanes:
     def pack(self, table, lane=None) -> int:
         """The table with ``lane[e]`` (``self.lane`` by default) for element e."""
         return int.from_bytes(b"".join(map((lane or self.lane).__getitem__, table)), "little")
+
+    def lowest(self, lanes: int) -> int:
+        """The index of the lowest nonzero lane of ``lanes``."""
+        return ((lanes & -lanes).bit_length() - 1) // (8 * self.w)
+
+    def at(self, c: int) -> tuple:
+        """The ballot tuple of cell c."""
+        return tuple(space[c // s % len(space)] for space, s in zip(self.spaces, self.strides))
+
+    def line(self, table, c: int, i: int):
+        """The ballots of cell c and the outcomes along voter i's line
+        through it, in space order."""
+        s = self.strides[i]
+        off = c - c // s % self.sizes[i] * s
+        return self.at(c), table[off:off + self.sizes[i] * s:s]
 
     def tile(self, i: int, lanes) -> int:
         """``lanes[b]`` in every lane where voter i casts a key b, else zero."""
@@ -376,7 +386,7 @@ class CodeLanes(_Lanes):
             both = spread(stacked, line)
             fail = ballots & both & ~cells | cells & ~ballots & both >> bits
             if fail:
-                first = min(first, (((fail & -fail).bit_length() - 1) // (8 * self.w), i))
+                first = min(first, (self.lowest(fail), i))
         return None if first[1] == len(self.spaces) else first
 
 
@@ -385,17 +395,20 @@ class OutcomeLanes(_Lanes):
     by ``DomainDescriptor.lanes`` for all its strategy and coalition sweeps.
 
     Its lanes have w = ceil(m/8) bytes, one bit per outcome (``outcomes``).
-    The gain tile G[i][o] holds voter i's gain set at its
-    ballot and outcome o where that ballot is an anchor (its top; under
-    literal semantics any ballot), zero elsewhere, and ``start`` is full
-    where every voter sits at an anchor (``cells``: where voter i casts b).  They are built on first use, the
-    search ``estimate`` up front.
+    The gain tile G[i][o] holds voter i's gain set at its ballot and outcome
+    o where that ballot is an anchor (its top; under literal semantics any
+    ballot), zero elsewhere.  ``start`` is full where every voter sits at an
+    anchor, and ``cells(i, b)`` where voter i casts b.  The coalition search
+    reads ``start`` in its size decision and its fix-up, and ``cells`` in
+    its fix-up, as does the strategy sweep.  They are built on first use,
+    the search ``estimate`` up front.
     """
 
     def __init__(self, domain: DomainDescriptor, semantics: str):
         w, m = -(-domain.lattice.m // 8), domain.lattice.m
         super().__init__(domain.spaces, [(1 << o).to_bytes(w, "little") for o in range(m)])
-        prefs, literal = domain.preference_sets, semantics == "literal"
+        prefs = domain.preference_sets
+        self.literal = literal = semantics == "literal"
         starts = self.count if literal else math.prod(len({p.top for p in ps}) for ps in prefs)
         self.estimate = ((self.count if literal else 1) * math.prod(k + 1 for k in self.sizes),
                          starts * sum(map(len, prefs)))
@@ -485,7 +498,7 @@ def find_monotonicity_violation(rule, lat: Lattice, spaces=None,
     if first is None:
         return None
     idx, i = first
-    cell, line = _line_through(spaces, table, idx, i)
+    cell, line = lanes.line(table, idx, i)
     out = table[idx]
     dev, other = next((dev, other) for dev, other in zip(spaces[i], line)
                       if not lat.between(cell[i], out, other))
@@ -520,8 +533,7 @@ def find_strategy_violation(rule, domain: DomainDescriptor,
         raise TooLargeError(
             f"strategy-proofness sweep of {estimate} evaluations exceeds the "
             f"evaluation cap {cap}")
-    better = domain.gain_masks()[0]
-    lanes = domain.lanes()
+    better, lanes = domain.gain_masks()[0], domain.lanes()
     onehot, equal = lanes.outcomes(table)
     for i, line in enumerate(lanes.lines):
         reach = spread(onehot, line)
@@ -531,8 +543,8 @@ def find_strategy_violation(rule, domain: DomainDescriptor,
             hit = reach & lanes.cells(i, pref.top) & lanes.pack(
                 table, [m.to_bytes(lanes.w, "little") for m in masks])
             if hit:
-                c = ((hit & -hit).bit_length() - 1) // (8 * lanes.w)
-                truthful, line = _line_through(spaces, table, c, i)
+                c = lanes.lowest(hit)
+                truthful, line = lanes.line(table, c, i)
                 q, o_d = next((q, o) for q, o in enumerate(line) if masks[table[c]] >> o & 1)
                 deviant = truthful[:i] + (spaces[i][q],) + truthful[i + 1:]
                 return StrategyWitness(i, pref, truthful, deviant, table[c], o_d)
@@ -570,8 +582,10 @@ def strategy_witness_from(violation: MonotonicityWitness,
 def check_coalition_search_size(domain: DomainDescriptor, semantics: str = "truthful",
                                 cap: int = DEFAULT_EVAL_CAP) -> None:
     """Refuse a coalition search on ``domain`` beyond ``cap`` before any table
-    is built; the fix-up scans every start tuple per tried preference.  The
-    estimate is kept with the domain's ``OutcomeLanes``."""
+    is built.  The estimate, kept with the domain's ``OutcomeLanes``, counts
+    the (start, coalition, joint deviation) triples the lanes decide, each
+    voter staying out or casting one of its ballots, and the (start, tried
+    preference) pairs the fix-up tests, one lane pass per preference."""
     deviations, scans = domain.lanes(semantics).estimate
     if deviations > cap or scans > cap:
         raise TooLargeError(
@@ -598,32 +612,37 @@ def find_coalitional_manipulation(rule, domain: DomainDescriptor,
     ballot) and outcome is the union of the strictly-better sets over the
     preferences it may hold from that anchor (``DomainDescriptor.gain_masks``).
     Preference choices are independent across voters, so a prefix of chosen
-    preference indices admits a witness iff some start tuple with the given
+    preference indices admits a witness iff some start cell with the given
     truthful outcome and some coalition of the given size have a common gain
     (exact sets for chosen voters, gain sets for the others) meeting the
     outcomes the coalition can force.
 
-    Lanes decide existence, on the domain's ``OutcomeLanes``: ``onehot`` has
-    bit table[c] in lane c, ``lane_gains[i]`` voter i's gain set at its
-    ballot and the cell's outcome (zero off its anchors), and ``start`` is
-    full where every voter sits at an anchor.  reach(M), the outcomes
-    coalition M can force from each cell, is ``spread`` of reach(M minus its
-    lowest member) along that member's lines.  So lane c of start & reach(M)
-    & AND(lane_gains[i] for i in M) is nonzero iff the test above holds for
-    the empty prefix at cell c.  The first size, from n down, with such a
-    lane, and its lowest truthful outcome there, hold the witness.  The
-    fix-up then names it: voter by voter, the smallest preference index
-    that still admits a witness, found by scanning the start tuples.
+    All of it runs on the domain's ``OutcomeLanes``.  ``lane_gains[i]``
+    holds voter i's gain set at its ballot and the cell's outcome (zero off
+    its anchors), and reach(M), the outcomes coalition M can force from each
+    cell, is ``spread`` of reach(M minus its lowest member) along that
+    member's lines.  Lane c of ``hits(size)``, the OR over coalitions M of
+    start & reach(M) & AND(lane_gains[i] for i in M), is nonzero iff the
+    test holds for the empty prefix at cell c.  The first size, from n
+    down, with such a lane, and its lowest truthful outcome o_t there, hold
+    the witness.
+
+    The fix-up takes voters in order, their preferences in index order.
+    Trying preference k of voter i sets ``lane_gains[i]`` to the constant
+    lane of k's better set at o_t, which inside equal[o_t] is its better set
+    at the cell's outcome, and, under truthful semantics, narrows the
+    target, start & equal[o_t], to the cells where i casts k's top; k is
+    chosen iff ``hits`` on the target is nonzero.  The lowest lane of the
+    last hits is the start.  The coalition is the lowest mask whose box,
+    the cells where the outsiders keep their start ballots, meets equal[o]
+    for an o in the members' common better set; the lowest lane of that
+    meet is the first deviation in ballot order.
     """
-    if semantics not in ("truthful", "literal"):
-        raise ValueError(f"unknown semantics {semantics!r}")
-    literal = semantics == "literal"
-    lat, n = domain.lattice, domain.n
-    spaces, table = tabulate(rule, lat, domain.spaces)
+    n = domain.n
+    table = tabulate(rule, domain.lattice, domain.spaces)[1]
     check_coalition_search_size(domain, semantics, cap)
     lanes = domain.lanes(semantics)
-    sizes, strides, lines, gain = lanes.sizes, lanes.strides, lanes.lines, lanes.gain
-    better = domain.gain_masks()[0]
+    lines, better = lanes.lines, domain.gain_masks()[0]
     onehot, equal = lanes.outcomes(table)
     lane_gains = [lanes.gains(i, equal) for i in range(n)]
 
@@ -646,98 +665,44 @@ def find_coalitional_manipulation(rule, domain: DomainDescriptor,
         return None
     o_t = next(o for o, cells_o in equal.items() if found & cells_o)
 
-    pref_sets = domain.preference_sets
-    tops = [[p.top for p in prefs] for prefs in pref_sets]
-    # (ballot, table offset) per voter: every ballot under literal semantics,
-    # the distinct tops under truthful semantics
-    starts = [[(b, spaces[i].index(b) * strides[i])
-               for b in (spaces[i] if literal else dict.fromkeys(tops[i]))]
-              for i in range(n)]
-    members_of = {mask: [i for i in range(n) if mask >> i & 1]
-                  for mask in range(1 << n) if mask.bit_count() == size}
-    reached = {}
-
-    def reach(mask, base):
-        """Outcomes the voters in mask can force while the others keep the
-        positions in base (members at position 0)."""
-        key = base << n | mask
-        hit = reached.get(key)
-        if hit is None:
-            low = mask & -mask
-            i = low.bit_length() - 1
-            rest = mask ^ low
-            hit = 0
-            for q in range(sizes[i]):
-                if rest:
-                    hit |= reach(rest, base + q * strides[i])
-                else:
-                    hit |= 1 << table[base + q * strides[i]]
-            reached[key] = hit
-        return hit
-
-    def first_hit(choice):
-        """First (start, idx, mask, common) completing the non-empty
-        preference prefix ``choice`` into a witness, or None."""
-        options = []
-        for i in range(n):
-            if i < len(choice):
-                k = choice[i]
-                own = starts[i] if literal else [s for s in starts[i]
-                                                 if s[0] == tops[i][k]]
-                options.append([(b, off, better[i][k][o_t]) for b, off in own])
-            else:
-                options.append([(b, off, gain[i][b][o_t])
-                                for b, off in starts[i]])
-        for start in itertools.product(*options):
-            idx = 0
-            usable = 0
-            for i, (_, off, gains) in enumerate(start):
-                idx += off
-                if gains:
-                    usable |= 1 << i
-            if table[idx] != o_t:
-                continue
-            for mask, members in members_of.items():
-                if mask & ~usable:
-                    continue
-                common = -1
-                base = idx
-                for i in members:
-                    common &= start[i][2]
-                    base -= start[i][1]
-                if common and common & reach(mask, base):
-                    return start, idx, mask, common
-        return None
-
     # fix the profile voter by voter; the lanes guarantee each voter a hit
-    choice = ()
-    for i in range(n):
+    target, choice = lanes.start & equal[o_t], []
+    for i, prefs in enumerate(domain.preference_sets):
         failed = set()    # same top and better set: same completions
-        for k in range(len(pref_sets[i])):
-            signature = (tops[i][k], better[i][k][o_t])
+        for k, pref in enumerate(prefs):
+            signature = (pref.top, better[i][k][o_t])
             if signature in failed:
                 continue
-            hit = first_hit(choice + (k,))
-            if hit is not None:
-                choice += (k,)
+            lane_gains[i] = int.from_bytes(signature[1].to_bytes(lanes.w, "little")
+                                           * lanes.count, "little")
+            trial = target if lanes.literal else target & lanes.cells(i, pref.top)
+            found = hits(size, common=trial)
+            if found:
+                target = trial
+                choice.append(k)
                 break
             failed.add(signature)
-    start, idx, mask, common = hit
-    members = members_of[mask]
-    base = idx - sum(start[i][1] for i in members)
-    for dev in itertools.product(*(range(sizes[i]) for i in members)):
-        o_d = table[base + sum(q * strides[i] for i, q in zip(members, dev))]
-        if common >> o_d & 1:
-            outsiders = [j for j in range(n) if not mask >> j & 1]
-            origin = tuple(b for b, _, _ in start)
+
+    origin = lanes.at(lanes.lowest(found))
+    for mask in range(1 << n):
+        members = [i for i in range(n) if mask >> i & 1]
+        if len(members) != size:
+            continue
+        outsiders = [j for j in range(n) if not mask >> j & 1]
+        common = functools.reduce(operator.and_, [better[i][choice[i]][o_t] for i in members])
+        forced = sum(cells_o for o, cells_o in equal.items() if common >> o & 1)  # disjoint: OR
+        box = functools.reduce(operator.and_, [lanes.cells(j, origin[j]) for j in outsiders],
+                               forced)
+        if box:
+            d = lanes.lowest(box)
             return ManipulationWitness(
-                profile=tuple(pref_sets[i][choice[i]] for i in range(n)),
+                profile=tuple(prefs[k] for prefs, k in zip(domain.preference_sets, choice)),
                 coalition=tuple(members),
                 context_ballots=tuple(origin[j] for j in outsiders),
-                deviation=tuple(spaces[i][q] for i, q in zip(members, dev)),
+                deviation=tuple(lanes.at(d)[i] for i in members),
                 outcome_truthful=o_t,
-                outcome_deviant=o_d,
-                origin_ballots=origin if literal else None)
+                outcome_deviant=table[d],
+                origin_ballots=origin if lanes.literal else None)
 
 
 # -- structural axioms ------------------------------------------------------------------
@@ -773,8 +738,8 @@ def _local_cells(local: tuple, m: int, n: int) -> tuple:
 def find_local_sovereignty_gap(table, lat: Lattice, local, n: int):
     """The elements of ``local`` that no ballot tuple over ``local`` reaches,
     in the order given, or None when the full-carrier table reaches them all."""
-    reached = set(map(table.__getitem__, _local_cells(tuple(local), lat.m, n)))
-    unreachable = [z for z in local if z not in reached]
+    seen = set(map(table.__getitem__, _local_cells(tuple(local), lat.m, n)))
+    unreachable = [z for z in local if z not in seen]
     return unreachable or None
 
 

@@ -68,6 +68,7 @@ from medianvoting.verify import (
     ManipulationWitness,
     StrategyWitness,
     check_axioms,
+    check_coalition_search_size,
     find_coalitional_manipulation,
     find_local_neutrality_violation,
     find_local_sovereignty_gap,
@@ -909,6 +910,38 @@ class TestCoalitionSearch:
         assert found == {"truthful": 29, "literal": 43}
         assert on_chain == {"truthful": 0, "literal": 12}
 
+    def test_matches_brute_force_oracle_at_four_and_five_voters(self, square, chain4):
+        # two ballots per voter keep the oracle small; every voter holds a
+        # preference p, then its twin (p's two lowest classes merged), which
+        # shares p's top and p's better set at every outcome above p's
+        # lowest class, so the profile fix-up skips the twin after p misses;
+        # at n = 4 a third preference follows
+        rng = random.Random(1419)
+        carriers = [square, chain4, seeded_ideal_lattice(rng, 5)]
+        pools = [[p for p in enumerate_topped_preorders(lat) if max(p.ranks) >= 2]
+                 for lat in carriers]
+        found = {"truthful": 0, "literal": 0}
+        sizes = set()
+        for case in range(9):
+            lat, pool, n = carriers[case % 3], pools[case % 3], (4, 4, 5)[case % 3]
+            spaces, prefs = [], []
+            for _ in range(n):
+                space = tuple(rng.sample(range(lat.m), 2))
+                p, q = rng.sample([p for p in pool if p.top in space], 2)
+                twin = TotalPreorder([min(r, max(p.ranks) - 1) for r in p.ranks])
+                spaces.append(space)
+                prefs.append((p, twin, q)[:7 - n])
+            rule = random_rule(rng, lat, spaces, ("random", "mixed")[case % 2])
+            domain = DomainDescriptor.custom(lat, spaces, prefs)
+            for semantics in found:
+                witness = find_coalitional_manipulation(rule, domain, semantics)
+                assert witness == brute_force_manipulation(
+                    rule, lat, spaces, prefs, semantics == "literal"), (case, semantics)
+                if witness is not None:
+                    found[semantics] += 1
+                    sizes.add(len(witness.coalition))
+        assert found == {"truthful": 7, "literal": 9} and sizes == {1, 2, 3, 4, 5}
+
     def test_seven_voters_on_chain4_within_half_a_second(self, chain4):
         def too_slow(signum, frame):
             raise TimeoutError("two 4^7-cell coalition searches took over 0.5 s")
@@ -942,6 +975,48 @@ class TestCoalitionSearch:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20
+
+    def test_eight_voter_witness_within_half_a_second(self):
+        # the grand coalition of eight voters is named on 4^8-cell lanes:
+        # the profile fix-up tries each voter's preferences on the lanes,
+        # and the start, coalition and deviation are their lowest lanes
+        def too_slow(signum, frame):
+            raise TimeoutError("an 8-voter coalition search took over 0.5 s")
+
+        lat = boolean_square()
+        rule = ExplicitRule(*tabulate(extended_median_rule(lat, 8), lat))
+        domain = DomainDescriptor.full_lsu(lat, 8)
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        start = time.perf_counter()
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        try:
+            witness = find_coalitional_manipulation(rule, domain)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.perf_counter() - start < 0.5
+        o, i = lat.element("0"), lat.element("1")
+        assert witness.coalition == tuple(range(8))
+        assert witness.deviation == (o,) * 3 + (i,) * 5
+        assert witness.validate(rule, lat)
+        # the same search on a fresh domain stays under 8 MiB, lanes included
+        domain = DomainDescriptor.full_lsu(lat, 8)
+        domain.gain_masks()
+        tracemalloc.start()
+        try:
+            assert find_coalitional_manipulation(rule, domain) == witness
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
+    def test_unknown_semantics_is_refused_before_any_lanes_are_kept(self, square):
+        domain = DomainDescriptor.full_unimodal(square, 2)
+        with pytest.raises(ValueError, match="unknown semantics 'literl'"):
+            check_coalition_search_size(domain, "literl")
+        with pytest.raises(ValueError, match="unknown semantics 'literl'"):
+            find_coalitional_manipulation(extended_median_rule(square, 2), domain, "literl")
+        assert domain._lanes == {}
 
     def test_cap_counts_preferences_not_profiles(self, square):
         # 52^5 profiles, but only 4^5 * (5 * 52) preference scans
