@@ -1,17 +1,19 @@
-"""Voting-rule representations, each with one evaluator.
+"""Voting-rule representations, each with one evaluator, and whole-table lanes.
 
 Three interconvertible forms: explicit tables over per-voter ballot spaces,
 committee lattice polynomials (join of capped coalition meets), and nested
 median trees given by the rule's values on bottom/top corner profiles.
 ``tabulate`` materializes any of them as a table for the exhaustive sweeps.
 Trees and committee rules are tabulated by running the median tree-automaton
-on every profile at once: one fold over the voters on Birkhoff codes
-(``Lattice._code``, where join is ``|`` and meet is ``&``) turns the 2^n
-corner leaves into the whole table, decoded once at the end.
+on every profile at once: one fold over the voters on ``CodeLanes``, one
+Birkhoff-code lane per cell (``Lattice._code``: join is ``|``, meet is ``&``),
+turns the 2^n corner leaves into the table, decoded once.  The same lanes and
+their kernel ``spread`` serve the sweeps of ``verify`` and ``suites``' mixes.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -47,6 +49,153 @@ def _strides(sizes) -> tuple:
     for i in range(len(sizes) - 2, -1, -1):
         out[i] = out[i + 1] * sizes[i + 1]
     return tuple(out)
+
+
+# -- lanes ------------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=32)
+def _line_masks(sizes: tuple, w: int) -> tuple:
+    """Per voter the (shifts, rest, heads) of ``spread`` for w-byte lanes over
+    spaces of ``sizes``; the heads are where the voter casts its first ballot."""
+    count, out = math.prod(sizes), []
+    for k, s in zip(sizes, _strides(sizes)):
+        d, top = 8 * w * s, 1 << k.bit_length() - 1
+        heads = int.from_bytes((b"\xff" * w * s + bytes(w * s * (k - 1))) * (count // (k * s)),
+                               "little")
+        out.append((tuple(d << j for j in range(top.bit_length() - 1)), (k - top) * d, heads))
+    return tuple(out)
+
+
+def spread(lanes: int, line) -> int:
+    """``lanes`` OR-reduced along every line of one voter and broadcast back
+    over the line, with ``line`` that voter's entry of ``_line_masks``.
+
+    The lane kernel of the three sweeps.  A line's k cells lie d bits apart.
+    With 2^a <= k < 2^(a+1), shifts down by d, 2d, ..., 2^(a-1)d leave in
+    each lane the union of the 2^a cells from it up its line, and one more,
+    by (k - 2^a)d, joins two such windows into exactly the k cells from a
+    head.  The head mask drops the other lanes, and the same shifts up copy
+    each head over its line.  Bitwise operations never carry across lanes,
+    so one pass reduces every line at once.
+    """
+    shifts, rest, heads = line
+    for s in shifts:
+        lanes |= lanes >> s
+    lanes = (lanes | lanes >> rest) & heads
+    for s in shifts:
+        lanes |= lanes << s
+    return lanes | lanes << rest
+
+
+class _Lanes:
+    """Tables over ``spaces`` as lane ints: one little-endian int per table,
+    one w-byte lane per cell in row-major order, ``lane[e]`` for element e."""
+
+    def __init__(self, spaces, lane):
+        self.spaces, self.lane, self.w = spaces, lane, len(lane[0])
+        self.sizes = tuple(map(len, spaces))
+        self.strides, self.count = _strides(self.sizes), math.prod(self.sizes)
+
+    def pack(self, table, lane=None) -> int:
+        """The table with ``lane[e]`` (``self.lane`` by default) for element e."""
+        return int.from_bytes(b"".join(map((lane or self.lane).__getitem__, table)), "little")
+
+    def lowest(self, lanes: int) -> int:
+        """The index of the lowest nonzero lane of ``lanes``."""
+        return ((lanes & -lanes).bit_length() - 1) // (8 * self.w)
+
+    def at(self, c: int) -> tuple:
+        """The ballot tuple of cell c."""
+        return tuple(space[c // s % len(space)] for space, s in zip(self.spaces, self.strides))
+
+    def line(self, table, c: int, i: int):
+        """The ballots of cell c and the outcomes along voter i's line
+        through it, in space order."""
+        s = self.strides[i]
+        off = c - c // s % self.sizes[i] * s
+        return self.at(c), table[off:off + self.sizes[i] * s:s]
+
+    def tile(self, i: int, lanes) -> int:
+        """``lanes[b]`` in every lane where voter i casts a key b, else zero."""
+        s, zero = self.strides[i], bytes(self.w)
+        return int.from_bytes(b"".join([lanes.get(b, zero) * s for b in self.spaces[i]])
+                              * (self.count // (self.sizes[i] * s)), "little")
+
+
+class CodeLanes(_Lanes):
+    """``_Lanes`` of w = max(1, ceil(|J|/8)) bytes holding each cell's
+    Birkhoff code (``Lattice._code``).
+
+    Join, meet and the median act on whole tables bitwise, since no operation
+    carries a bit across lanes: med(A, B, C) = ``A&B | B&C | A&C``.  ``of``
+    keeps the lanes of the last few (lattice, spaces) pairs.  The sweep masks
+    and ballot tiles (``_sweep``) are built on first use: ``tabulate`` reads
+    only ``lane`` and ``decoder``.
+    """
+
+    def __init__(self, lat: Lattice, spaces):
+        w = max(1, -(-len(lat._irreducibles) // 8))
+        super().__init__(spaces, [c.to_bytes(w, "little") for c in lat._code])
+
+    @classmethod
+    @functools.lru_cache(maxsize=16)
+    def of(cls, lat: Lattice, spaces: tuple) -> "CodeLanes":
+        """The lanes of (``lat``, ``spaces``), built once per pair: the sweeps
+        ask for the same few pairs once per table."""
+        return cls(lat, spaces)
+
+    @functools.cached_property
+    def _sweep(self) -> tuple:
+        """(full, lines, ballots): the all-ones table, the ``_line_masks`` of
+        T stacked on ~T (one more, leading voter of two ballots) and each
+        voter's ballot tile."""
+        return ((1 << 8 * self.w * self.count) - 1, _line_masks((2,) + self.sizes, self.w)[1:],
+                [self.tile(i, {b: self.lane[b] for b in space})
+                 for i, space in enumerate(self.spaces)])
+
+    def broadcast(self, element: int) -> int:
+        """The constant table of ``element``."""
+        return int.from_bytes(self.lane[element] * self.count, "little")
+
+    def ballots(self, i: int) -> int:
+        """Voter i's ballot code in every lane: the projection onto voter i."""
+        return self._sweep[2][i]
+
+    def decoder(self):
+        """The function from a lane int to its element-id table, built once
+        (``_decode``).  One-byte lanes go through one ``bytes.translate``.
+        Wider lanes are split into w byte planes (byte j of every lane is
+        ``data[j::w]``) and zipped back into per-lane byte tuples, which key
+        the element ids; nothing reads a lane as a native int, so the host's
+        byte order never enters."""
+        return self._decode
+
+    @functools.cached_property
+    def _decode(self):
+        size, w = self.w * self.count, self.w
+        key = {tuple(b): e for e, b in enumerate(self.lane)}
+        if w == 1:
+            ids = bytes(key.get((c,), 0) for c in range(256))
+            return lambda cells: tuple(cells.to_bytes(size, "little").translate(ids))
+
+        def decode(cells):
+            data = cells.to_bytes(size, "little")
+            return tuple(map(key.__getitem__, zip(*[data[j::w] for j in range(w)])))
+        return decode
+
+    def first_failure(self, cells: int):
+        """The lowest (cell index, voter) whose cell fails interval
+        monotonicity along that voter's line (the lower voter on a tie), or
+        None; see ``verify.find_monotonicity_violation``."""
+        (full, lines, tiles), bits = self._sweep, 8 * self.w * self.count
+        first, stacked = (self.count, len(self.spaces)), cells | (cells ^ full) << bits
+        for i, (line, ballots) in enumerate(zip(lines, tiles)):
+            both = spread(stacked, line)
+            fail = ballots & both & ~cells | cells & ~ballots & both >> bits
+            if fail:
+                first = min(first, (self.lowest(fail), i))
+        return None if first[1] == len(self.spaces) else first
 
 
 class ExplicitRule:
@@ -249,44 +398,35 @@ def tree_to_committee(tree: MedianTree, lat: Lattice) -> CommitteeRule:
     return CommitteeRule(n, terms)
 
 
-def _tree_cells(lows, highs, xs):
-    """One tree node over every profile: med(l, x, h) = l&h | x&(l|h)."""
-    ands = [l & h for l, h in zip(lows, highs)]
-    ors = [l | h for l, h in zip(lows, highs)]
-    return [a | x & o for x in xs for a, o in zip(ands, ors)]
+def _fold(leaves, lanes: CodeLanes, pair) -> tuple:
+    """Fold 2^n leaf codes, one-lane ints, into the table over ``lanes.spaces``.
 
-
-def _committee_cells(lows, highs, xs):
-    """One committee split over every profile: the terms without the voter,
-    joined with the voter's ballot met with the terms that include it."""
-    return [l | x & h for x in xs for l, h in zip(lows, highs)]
-
-
-def _fold(leaves, lat: Lattice, spaces, cells) -> tuple:
-    """Fold 2^n leaf codes into the row-major table over ``spaces``.
-
-    Voter k splits each block of leaves into the halves where its bit (the
-    (n-1-k)-th, so voter 0 is the most significant) is 0 and 1; the two
-    sub-tables over voters k+1..n-1 merge cell by cell for each of voter
-    k's ballots, in space order.  Level k makes 2^k tables of
-    prod(|spaces[k:]|) cells.
+    Voter k, from n-1 down to 0, takes each sibling pair (l, h) of tables
+    over voters k+1..n-1: the halves of a block of leaves where its bit (the
+    (n-1-k)-th, so voter 0 is the most significant) is 0 and 1.  With
+    (p, q) = ``pair(l, h)``, the node over voters k..n-1 is p | x&q, where p
+    and q are copied once per ballot of voter k by bytes repetition (a
+    multiplication by a sparse int would be superlinear) and x holds each
+    ballot's code over its copy.
     """
-    code = lat._code
-    tables = [[c] for c in leaves]
-    for k in range(len(spaces) - 1, -1, -1):
-        xs = [code[b] for b in spaces[k]]
-        tables = [cells(tables[j], tables[j + 1], xs)
-                  for j in range(0, len(tables), 2)]
-    return tuple(map(lat._decode.__getitem__, tables[0]))
+    tables, cells = leaves, 1
+    for space in reversed(lanes.spaces):
+        x = int.from_bytes(b"".join([lanes.lane[b] * cells for b in space]), "little")
+        size, rows = lanes.w * cells, len(space)
+        tables = [int.from_bytes(p.to_bytes(size, "little") * rows, "little")
+                  | x & int.from_bytes(q.to_bytes(size, "little") * rows, "little")
+                  for p, q in map(pair, tables[::2], tables[1::2])]
+        cells *= rows
+    return lanes.decoder()(tables[0])
 
 
 def tabulate(rule, lat: Lattice, spaces=None):
     """Materialize a rule as (spaces, row-major table) for exhaustive sweeps.
 
     A median tree or committee rule is tabulated by ``_fold``: the tree
-    automaton run on all profiles at once, about sum of 2^k * m^(n-k)
-    bitwise operations for m ballots per voter instead of m^n per-profile
-    evaluations.  A committee rule's leaf T is the join of the constants of
+    automaton run on all profiles at once, 2^k operations on lane ints of
+    prod(|spaces[k:]|) cells at voter k instead of one evaluation per
+    profile.  A committee rule's leaf T is the join of the constants of
     its terms with coalition T (voter i is bit n-1-i of T, the corner order
     of ``tree_to_committee``), and its nodes are l v (x ^ h).  Any other rule
     is evaluated cell by cell.  Tables beyond ``EXPLICIT_TABLE_CAP`` cells,
@@ -307,11 +447,11 @@ def tabulate(rule, lat: Lattice, spaces=None):
     if n >= EXPLICIT_TABLE_CAP.bit_length():
         raise TooLargeError(
             f"fold over 2^{n} corner leaves exceeds cap {EXPLICIT_TABLE_CAP}")
-    code = lat._code
-    if isinstance(rule, MedianTree):
+    code, lanes = lat._code, CodeLanes.of(lat, spaces)
+    if isinstance(rule, MedianTree):    # med(l, x, h) = l&h | x&(l|h)
         leaves = [code[v] for v in rule.corner_values()]
-        return spaces, _fold(leaves, lat, spaces, _tree_cells)
+        return spaces, _fold(leaves, lanes, lambda l, h: (l & h, l | h))
     leaves = [0] * (1 << n)
     for coalition, constant in rule.terms:
         leaves[sum(1 << (n - 1 - i) for i in coalition)] |= code[constant]
-    return spaces, _fold(leaves, lat, spaces, _committee_cells)
+    return spaces, _fold(leaves, lanes, lambda l, h: (l, h))

@@ -28,7 +28,9 @@ from .preorders import (
     is_unimodal,
 )
 from .rules import (
+    CodeLanes,
     ExplicitRule,
+    _held_by,
     build_canonical_median_tree,
     check_table_size,
     corners,
@@ -40,7 +42,6 @@ from .rules import (
 )
 from .verify import (
     CheckResult,
-    CodeLanes,
     DomainDescriptor,
     ManipulationWitness,
     VerificationReport,
@@ -471,28 +472,23 @@ def _quota_tables(lat, n):
     one quota-rule generator: ``theorem1_suite``, ``theorem3_suite`` and
     ``chain_equivalence_suite`` wrap its tables as ``ExplicitRule``s.
 
-    On lanes, E[s] is best_s on every profile at once, the join over size-s
-    coalitions of their meet: E[0] is the top in every lane, and each voter
-    i, with ballot lanes P_i, sets ``E[s] |= E[s-1] & P_i`` for s from i+1
-    down to 1.  A rule's table is then ``c_0 | OR_s (E[s] & c_s)`` with each
-    constant broadcast over the lanes, decoded once to element ids
-    (``CodeLanes.decoder``).
+    On lanes, E[s] is the join over size-s coalitions of their meet on every
+    profile at once: ``rules._held_by``, the recurrence ``extended_median``
+    runs per profile, on the voters' ballot lanes (``CodeLanes.ballots``)
+    with the top broadcast as E[0].  A rule's table is then
+    ``c_0 | OR_s (E[s] & c_s)`` with each constant broadcast over the lanes,
+    decoded once to element ids (``CodeLanes.decoder``).
     """
     check_table_size(lat.m ** n)
     lanes = CodeLanes.of(lat, full_spaces(lat, n))
-    best = [lanes.broadcast(lat.top)] + [0] * n
-    for i in range(n):
-        ballots = lanes.ballots(i)
-        for s in range(i + 1, 0, -1):
-            best[s] |= best[s - 1] & ballots
+    best = _held_by(map(lanes.ballots, range(n)), lanes.broadcast(lat.top), n)
     constant = [lanes.broadcast(c) for c in range(lat.m)]
-    decode = lanes.decoder()
     out = []
     for vector in nondecreasing_tuples(lat, n + 1):
         table = constant[vector[0]]
         for held, c in zip(best[1:], vector[1:]):
             table |= held & constant[c]
-        out.append((vector, decode(table)))
+        out.append((vector, lanes.decoder()(table)))
     return out
 
 

@@ -7,11 +7,11 @@ the coalition search decides sizes from largest to smallest before fixing
 the witness (see ``find_coalitional_manipulation``), so it is reproducible.
 
 The three sweeps hold tables as lane ints, one lane per cell, and share one
-kernel, ``spread``.  Monotonicity runs on Birkhoff-code lanes (``CodeLanes``,
-kept per lattice and spaces); the strategy sweep, as the size-1 case, and
-the coalition search, both its size decision and the fix-up that names its
-witness, run on outcome lanes whose table-independent part
-(``OutcomeLanes``) is built once per domain and semantics.
+kernel, ``rules.spread``.  Monotonicity runs on Birkhoff-code lanes
+(``rules.CodeLanes``, kept per lattice and spaces); the strategy sweep, as
+the size-1 case, and the coalition search, both its size decision and the
+fix-up that names its witness, run on outcome lanes whose table-independent
+part (``OutcomeLanes``) is built once per domain and semantics.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from .errors import CarrierMismatchError, InvalidSizeError, TooLargeError
 from .lattice import Lattice
 from .preorders import (TotalPreorder, build_lsu_witness, build_three_class_witness,
                         enumerate_lsu, enumerate_unimodal)
-from .rules import (ExplicitRule, _strides, build_canonical_median_tree,
-                    check_table_size, full_spaces, tabulate)
+from .rules import (CodeLanes, ExplicitRule, _Lanes, _line_masks, _strides, check_table_size,
+                    build_canonical_median_tree, full_spaces, spread, tabulate)
 
 DEFAULT_EVAL_CAP = 10 ** 8
 
@@ -253,141 +253,7 @@ class ManipulationWitness:
         return out
 
 
-# -- lanes ------------------------------------------------------------------------------
-
-
-@functools.lru_cache(maxsize=32)
-def _line_masks(sizes: tuple, w: int) -> tuple:
-    """Per voter the (shifts, rest, heads) of ``spread`` for w-byte lanes over
-    spaces of ``sizes``; the heads are where the voter casts its first ballot."""
-    count, out = math.prod(sizes), []
-    for k, s in zip(sizes, _strides(sizes)):
-        d, top = 8 * w * s, 1 << k.bit_length() - 1
-        heads = int.from_bytes((b"\xff" * w * s + bytes(w * s * (k - 1))) * (count // (k * s)),
-                               "little")
-        out.append((tuple(d << j for j in range(top.bit_length() - 1)), (k - top) * d, heads))
-    return tuple(out)
-
-
-def spread(lanes: int, line) -> int:
-    """``lanes`` OR-reduced along every line of one voter and broadcast back
-    over the line, with ``line`` that voter's entry of ``_line_masks``.
-
-    The lane kernel of the three sweeps.  A line's k cells lie d bits apart.
-    With 2^a <= k < 2^(a+1), shifts down by d, 2d, ..., 2^(a-1)d leave in
-    each lane the union of the 2^a cells from it up its line, and one more,
-    by (k - 2^a)d, joins two such windows into exactly the k cells from a
-    head.  The head mask drops the other lanes, and the same shifts up copy
-    each head over its line.  Bitwise operations never carry across lanes,
-    so one pass reduces every line at once.
-    """
-    shifts, rest, heads = line
-    for s in shifts:
-        lanes |= lanes >> s
-    lanes = (lanes | lanes >> rest) & heads
-    for s in shifts:
-        lanes |= lanes << s
-    return lanes | lanes << rest
-
-
-class _Lanes:
-    """Tables over ``spaces`` as lane ints: one little-endian int per table,
-    one w-byte lane per cell in row-major order, ``lane[e]`` for element e."""
-
-    def __init__(self, spaces, lane):
-        self.spaces, self.lane, self.w = spaces, lane, len(lane[0])
-        self.sizes = tuple(map(len, spaces))
-        self.strides, self.count = _strides(self.sizes), math.prod(self.sizes)
-
-    def pack(self, table, lane=None) -> int:
-        """The table with ``lane[e]`` (``self.lane`` by default) for element e."""
-        return int.from_bytes(b"".join(map((lane or self.lane).__getitem__, table)), "little")
-
-    def lowest(self, lanes: int) -> int:
-        """The index of the lowest nonzero lane of ``lanes``."""
-        return ((lanes & -lanes).bit_length() - 1) // (8 * self.w)
-
-    def at(self, c: int) -> tuple:
-        """The ballot tuple of cell c."""
-        return tuple(space[c // s % len(space)] for space, s in zip(self.spaces, self.strides))
-
-    def line(self, table, c: int, i: int):
-        """The ballots of cell c and the outcomes along voter i's line
-        through it, in space order."""
-        s = self.strides[i]
-        off = c - c // s % self.sizes[i] * s
-        return self.at(c), table[off:off + self.sizes[i] * s:s]
-
-    def tile(self, i: int, lanes) -> int:
-        """``lanes[b]`` in every lane where voter i casts a key b, else zero."""
-        s, zero = self.strides[i], bytes(self.w)
-        return int.from_bytes(b"".join([lanes.get(b, zero) * s for b in self.spaces[i]])
-                              * (self.count // (self.sizes[i] * s)), "little")
-
-
-class CodeLanes(_Lanes):
-    """``_Lanes`` of w = max(1, ceil(|J|/8)) bytes holding each cell's
-    Birkhoff code (``Lattice._code``).
-
-    Join, meet and the median act on whole tables bitwise, since no operation
-    carries a bit across lanes: med(A, B, C) = ``A&B | B&C | A&C``.
-    ``decoder`` turns lane ints back into element-id tables.  ``of`` keeps
-    the lanes of the last few (lattice, spaces) pairs.
-    """
-
-    def __init__(self, lat: Lattice, spaces):
-        w = max(1, -(-len(lat._irreducibles) // 8))
-        super().__init__(spaces, [c.to_bytes(w, "little") for c in lat._code])
-        self.lattice, self.full = lat, (1 << 8 * w * self.count) - 1
-        self.lines = _line_masks((2,) + self.sizes, w)[1:]    # for T stacked on ~T
-        self._ballots = [self.tile(i, {b: self.lane[b] for b in space})
-                         for i, space in enumerate(spaces)]
-
-    @classmethod
-    @functools.lru_cache(maxsize=16)
-    def of(cls, lat: Lattice, spaces: tuple) -> "CodeLanes":
-        """The lanes of (``lat``, ``spaces``), built once per pair: the sweeps
-        ask for the same few pairs once per table."""
-        return cls(lat, spaces)
-
-    def broadcast(self, element: int) -> int:
-        """The constant table of ``element``."""
-        return int.from_bytes(self.lane[element] * self.count, "little")
-
-    def ballots(self, i: int) -> int:
-        """Voter i's ballot code in every lane: the projection onto voter i."""
-        return self._ballots[i]
-
-    def decoder(self):
-        """The function from a lane int to its element-id table.  One-byte
-        lanes go through one ``bytes.translate``.  Wider lanes are split into
-        w byte planes (byte j of every lane is ``data[j::w]``) and zipped back
-        into per-lane byte tuples, which key the element ids; nothing reads a
-        lane as a native int, so the host's byte order never enters."""
-        size, w = self.w * self.count, self.w
-        if w == 1:
-            ids = bytes(self.lattice._decode.get(c, 0) for c in range(256))
-            return lambda cells: tuple(cells.to_bytes(size, "little").translate(ids))
-        key = {tuple(b): e for e, b in enumerate(self.lane)}
-
-        def decode(cells):
-            data = cells.to_bytes(size, "little")
-            return tuple(map(key.__getitem__, zip(*[data[j::w] for j in range(w)])))
-        return decode
-
-    def first_failure(self, cells: int):
-        """The lowest (cell index, voter) whose cell fails interval
-        monotonicity along that voter's line (the lower voter on a tie), or
-        None; see ``find_monotonicity_violation``.  ``lines`` are those of a
-        table with one more, leading voter of two ballots: T stacked on ~T."""
-        first, bits = (self.count, len(self.spaces)), 8 * self.w * self.count
-        stacked = cells | (cells ^ self.full) << bits
-        for i, (line, ballots) in enumerate(zip(self.lines, self._ballots)):
-            both = spread(stacked, line)
-            fail = ballots & both & ~cells | cells & ~ballots & both >> bits
-            if fail:
-                first = min(first, (self.lowest(fail), i))
-        return None if first[1] == len(self.spaces) else first
+# -- outcome lanes ----------------------------------------------------------------------
 
 
 class OutcomeLanes(_Lanes):
@@ -458,14 +324,17 @@ class OutcomeLanes(_Lanes):
 # -- interval monotonicity -------------------------------------------------------------
 
 
+def _check_sweep_size(sweep: str, estimate: int, cap: int) -> None:
+    """Refuse a sweep of ``estimate`` evaluations beyond ``cap``."""
+    if estimate > cap:
+        raise TooLargeError(
+            f"{sweep} sweep of {estimate} evaluations exceeds the evaluation cap {cap}")
+
+
 def check_monotonicity_sweep_size(count: int, sizes, cap: int = DEFAULT_EVAL_CAP) -> None:
     """Refuse a monotonicity sweep of a ``count``-cell table over spaces of
     the given sizes beyond ``cap`` evaluations, one per cell and deviation."""
-    estimate = count * sum(sizes)
-    if estimate > cap:
-        raise TooLargeError(
-            f"monotonicity sweep of {estimate} evaluations exceeds the "
-            f"evaluation cap {cap}")
+    _check_sweep_size("monotonicity", count * sum(sizes), cap)
 
 
 def find_monotonicity_violation(rule, lat: Lattice, spaces=None,
@@ -528,11 +397,8 @@ def find_strategy_violation(rule, domain: DomainDescriptor,
     and a rescan of that line names the first deviation.
     """
     spaces, table = tabulate(rule, domain.lattice, domain.spaces)
-    estimate = len(table) * sum(map(len, domain.preference_sets))
-    if estimate > cap:
-        raise TooLargeError(
-            f"strategy-proofness sweep of {estimate} evaluations exceeds the "
-            f"evaluation cap {cap}")
+    _check_sweep_size("strategy-proofness", len(table) * sum(map(len, domain.preference_sets)),
+                      cap)
     better, lanes = domain.gain_masks()[0], domain.lanes()
     onehot, equal = lanes.outcomes(table)
     for i, line in enumerate(lanes.lines):
@@ -774,10 +640,7 @@ def check_axioms(rule, lat: Lattice, local_set, unimodal_pool=None,
     local = sorted(set(local_set))
     spaces, table = tabulate(rule, lat, full_spaces(lat, n))
     strides = _strides([m] * n)
-    estimate = len(table) * (n + m)
-    if estimate > cap:
-        raise TooLargeError(
-            f"axiom sweep of {estimate} evaluations exceeds the evaluation cap {cap}")
+    _check_sweep_size("axiom", len(table) * (n + m), cap)
     witnesses = {}
 
     anonymous = True

@@ -1,6 +1,7 @@
 """The runtime stays dependency-free: the package's modules import only the
 standard library and the package itself, and ``pyproject.toml`` declares no
-dependencies."""
+dependencies.  Within the package, modules import each other only downward
+through ``LAYERS``."""
 
 import ast
 import re
@@ -9,6 +10,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "medianvoting"
+LAYERS = ("errors", "lattice", "preorders", "rules", "verify", "suites", "cli")
 
 
 def top_level_imports(tree):
@@ -44,6 +46,40 @@ def test_the_guard_sees_a_foreign_import():
     tree = ast.parse("import os\ntry:\n    import numpy\nexcept ImportError:\n    pass\n"
                      "def f():\n    import scipy\n")
     assert sorted(top_level_imports(tree)) == ["numpy", "os"]
+
+
+def package_imports(tree):
+    """The package modules imported anywhere in a module, relative or
+    absolute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[1] for alias in node.names
+                        if alias.name.startswith("medianvoting."))
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.split(".")[0] == "medianvoting"):
+            module = (node.module or "").removeprefix("medianvoting").lstrip(".")
+            if module:
+                yield module.split(".")[0]
+            else:
+                yield from (alias.name for alias in node.names)
+
+
+def test_modules_import_only_lower_layers():
+    modules = {path.stem: path for path in PACKAGE.glob("*.py") if path.stem != "__init__"}
+    assert sorted(modules) == sorted(LAYERS)
+    upward = {}
+    for name, path in modules.items():
+        for imported in package_imports(ast.parse(path.read_text(), filename=str(path))):
+            if LAYERS.index(imported) >= LAYERS.index(name):
+                upward.setdefault(name, []).append(imported)
+    assert upward == {}
+
+
+def test_the_layer_guard_sees_every_import_form():
+    tree = ast.parse("from . import suites\nfrom .rules import tabulate\nimport os\n"
+                     "import medianvoting.verify\nfrom medianvoting import errors\n"
+                     "def f():\n    from medianvoting.cli import run\n")
+    assert sorted(package_imports(tree)) == ["cli", "errors", "rules", "suites", "verify"]
 
 
 def test_pyproject_declares_no_dependencies():

@@ -2,6 +2,7 @@ import itertools
 import random
 import signal
 import time
+import tracemalloc
 
 import pytest
 from conftest import evaluate_table, small_posets
@@ -15,7 +16,7 @@ from medianvoting.errors import (
     TooLargeError,
 )
 from medianvoting import rules
-from medianvoting.lattice import build_ideal_lattice
+from medianvoting.lattice import build_boolean_hypercube, build_chain, build_ideal_lattice
 from medianvoting.rules import (
     EXPLICIT_TABLE_CAP,
     CommitteeRule,
@@ -58,9 +59,10 @@ def random_terms(rng, lat, n, count):
              rng.randrange(lat.m)) for _ in range(count)]
 
 
-def random_spaces(rng, lat, n):
-    """Per voter, a nonempty subset of the carrier in a random order."""
-    return tuple(tuple(rng.sample(range(lat.m), rng.randint(1, lat.m)))
+def random_spaces(rng, lat, n, most=None):
+    """Per voter, a nonempty subset of the carrier (of at most ``most``
+    ballots) in a random order."""
+    return tuple(tuple(rng.sample(range(lat.m), rng.randint(1, min(lat.m, most or lat.m))))
                  for _ in range(n))
 
 
@@ -368,6 +370,27 @@ class TestBulkTabulate:
             assert_tabulate_matches_evaluate(rule, lat, full_spaces(lat, n))
             assert_tabulate_matches_evaluate(rule, lat, random_spaces(rng, lat, n))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("build, size, w", [
+        (build_chain, 10, 2), (build_chain, 18, 3), (build_boolean_hypercube, 9, 2),
+        (build_chain, 1, 1)])
+    def test_wide_lanes_match_per_cell_evaluation(self, build, size, w, n):
+        lat = build(size)
+        rng = random.Random(f"wide-{build.__name__}-{size}-{n}")
+        spaces = [random_spaces(rng, lat, n, most=12) for _ in range(2)]
+        if lat.m ** n <= 6000:
+            spaces.append(full_spaces(lat, n))
+        assert rules.CodeLanes(lat, spaces[0]).w == w
+        cases = [MedianTree(n, [rng.randrange(lat.m) for _ in range(2 ** n)])
+                 for _ in range(3)]
+        cases += [CommitteeRule(n, []),                                 # the bottom rule
+                  CommitteeRule(n, [(frozenset(), rng.randrange(lat.m))])]  # empty coalition
+        cases += [CommitteeRule(n, random_terms(rng, lat, n, rng.randint(1, 5)))
+                  for _ in range(3)]
+        for rule in cases:
+            for s in spaces:
+                assert_tabulate_matches_evaluate(rule, lat, s)
+
     @settings(max_examples=40, deadline=None)
     @given(poset=small_posets(), data=st.data())
     def test_bulk_tabulate_matches_per_cell_on_random_lattices(self, poset, data):
@@ -403,6 +426,21 @@ class TestBulkTabulate:
         monkeypatch.setattr(MedianTree, "evaluate", refuse)
         monkeypatch.setattr(CommitteeRule, "evaluate", refuse)
         assert [tabulate(rule, square)[1] for rule in (tree, committee)] == expected
+
+    def test_fold_at_the_table_cap_builds_no_sweep_masks(self):
+        # a cold fold of 4^10 cells: the decoded table is an 8 MiB tuple and
+        # each lane int 1 MiB, while the sweeps' full-table ballot tiles and
+        # head masks would add about 30 MiB
+        lat = build_chain(4)
+        rule = extended_median_rule(lat, 10)
+        tracemalloc.start()
+        try:
+            table = tabulate(rule, lat)[1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 4 ** 10
+        assert peak < 14 * 2 ** 20
 
     def test_cap_refusal_names_size_and_cap(self, square):
         # refused before any leaf or cell is built

@@ -1065,6 +1065,12 @@ class TestAxioms:
         axioms = check_axioms(rule, square, range(4))
         assert not axioms.locally_ji_neutral
 
+    def test_cap_refusal_names_estimate_and_cap(self, square):
+        # 4^3 cells, each counted once per voter (3) and per element (4)
+        with pytest.raises(TooLargeError) as err:
+            check_axioms(extended_median_rule(square, 3), square, range(4), cap=100)
+        assert str(err.value) == ("axiom sweep of 448 evaluations exceeds the "
+                                  "evaluation cap 100")
 
     @pytest.mark.parametrize("fixture", ["square", "chain4", "cube3", "grid3x3"])
     def test_efficiency_matches_the_dominance_set_oracle(self, fixture, request):
