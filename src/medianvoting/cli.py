@@ -167,10 +167,12 @@ def _element(lat, name):
     return lat.element(name)
 
 
-def _integer(value, what):
-    """A JSON integer; ``int()`` would silently truncate 2.7 to 2."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+def _typed(value, kind, what):
+    """``value`` if it is a JSON integer (``kind`` int) or list: ``int()``
+    would silently truncate 2.7 to 2, and a string would be read as a list."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        shape = "an integer" if kind is int else "a list"
+        raise ValueError(f"{what} must be {shape}, got {value!r}")
     return value
 
 
@@ -180,10 +182,11 @@ def parse_rule(data, lat: Lattice):
     kind = data["kind"]
     try:
         if kind == "committee":
-            n = _integer(data["n"], "'n'")
+            n = _typed(data["n"], int, "'n'")
             terms = []
-            for term in data["terms"]:
-                coalition = [_integer(v, "coalition voter") for v in term["coalition"]]
+            for term in _typed(data["terms"], list, "'terms'"):
+                coalition = [_typed(v, int, "coalition voter")
+                             for v in _typed(term["coalition"], list, "a coalition")]
                 if any(v < 0 or v >= n for v in coalition):
                     raise FormatError(
                         f"coalition {coalition} references a voter outside 0..{n - 1}")
@@ -191,13 +194,13 @@ def parse_rule(data, lat: Lattice):
                               _element(lat, term["constant"])))
             return CommitteeRule(n, terms)
         if kind == "explicit":
-            spaces = tuple(tuple(_element(lat, b) for b in s)
-                           for s in data["ballot_spaces"])
-            table = [_element(lat, v) for v in data["table"]]
+            spaces = tuple(tuple(_element(lat, b) for b in _typed(s, list, "a ballot space"))
+                           for s in _typed(data["ballot_spaces"], list, "'ballot_spaces'"))
+            table = [_element(lat, v) for v in _typed(data["table"], list, "'table'")]
             return ExplicitRule(spaces, table)
         if kind == "tree":
-            values = [_element(lat, v) for v in data["corners"]]
-            return build_canonical_median_tree(values, _integer(data["n"], "'n'"))
+            values = [_element(lat, v) for v in _typed(data["corners"], list, "'corners'")]
+            return build_canonical_median_tree(values, _typed(data["n"], int, "'n'"))
     except FormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

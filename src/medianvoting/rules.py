@@ -129,21 +129,30 @@ class CodeLanes(_Lanes):
 
     Join, meet and the median act on whole tables bitwise, since no operation
     carries a bit across lanes: med(A, B, C) = ``A&B | B&C | A&C``.  ``of``
-    keeps the lanes of the last few (lattice, spaces) pairs.  The sweep masks
+    keeps the lanes of the last few (codes, spaces) pairs.  The sweep masks
     and ballot tiles (``_sweep``) are built on first use: ``tabulate`` reads
     only ``lane`` and ``decoder``.
     """
+
+    _kept: dict = {}
 
     def __init__(self, lat: Lattice, spaces):
         w = max(1, -(-len(lat._irreducibles) // 8))
         super().__init__(spaces, [c.to_bytes(w, "little") for c in lat._code])
 
     @classmethod
-    @functools.lru_cache(maxsize=16)
     def of(cls, lat: Lattice, spaces: tuple) -> "CodeLanes":
-        """The lanes of (``lat``, ``spaces``), built once per pair: the sweeps
-        ask for the same few pairs once per table."""
-        return cls(lat, spaces)
+        """The lanes of (``lat``, ``spaces``), built once per pair of codes
+        and spaces: the sweeps ask for the same few pairs once per table.
+        Keyed by the codes, not the lattice, so copies of one lattice (a
+        file parsed once per command) share them and none is kept alive.
+        The last 16 pairs are kept."""
+        key, kept = (cls, tuple(lat._code), spaces), CodeLanes._kept
+        if key not in kept:
+            if len(kept) == 16:
+                del kept[next(iter(kept))]
+            kept[key] = cls(lat, spaces)
+        return kept[key]
 
     @functools.cached_property
     def _sweep(self) -> tuple:

@@ -6,12 +6,12 @@ declared ballot spaces, preference profiles in enumeration-index order, and
 the coalition search decides sizes from largest to smallest before fixing
 the witness (see ``find_coalitional_manipulation``), so it is reproducible.
 
-The three sweeps hold tables as lane ints, one lane per cell, and share one
-kernel, ``rules.spread``.  Monotonicity runs on Birkhoff-code lanes
-(``rules.CodeLanes``, kept per lattice and spaces); the strategy sweep, as
-the size-1 case, and the coalition search, both its size decision and the
-fix-up that names its witness, run on outcome lanes whose table-independent
-part (``OutcomeLanes``) is built once per domain and semantics.
+Every sweep runs on one of two shared kernels.  Lane ints, one lane per
+cell, share ``rules.spread``: monotonicity runs on Birkhoff-code lanes
+(``rules.CodeLanes``), and the strategy sweep (the size-1 case), the
+coalition search and weak efficiency on outcome lanes whose table-independent
+part (``OutcomeLanes``) is built once per domain and semantics.  Cell images
+(``_local_cells``) serve anonymity, local neutrality and local sovereignty.
 """
 
 from __future__ import annotations
@@ -590,13 +590,14 @@ class AxiomCheck:
 
 
 @functools.lru_cache(maxsize=16)
-def _local_cells(local: tuple, m: int, n: int) -> tuple:
-    """Row-major indices into an n-voter full-carrier table of the ballot
-    tuples over ``local``, in ``itertools.product(local, repeat=n)`` order.
-    Cached: the quota-rule sweeps ask for the same few (local, n) pairs once
-    per rule."""
+def _local_cells(local: tuple, strides: tuple) -> tuple:
+    """Row-major indices, in a table with ``strides``, of the ballot tuples
+    over ``local``, in ``itertools.product(local, repeat=n)`` order.  Cached:
+    the quota-rule sweeps ask for the same few pairs once per rule.  Over the
+    carrier with two strides exchanged it maps each cell to its image under
+    that voter swap; such table-long images go through ``__wrapped__``."""
     cells = [0]
-    for s in _strides([m] * n):
+    for s in strides:
         cells = [c + b * s for c in cells for b in local]
     return tuple(cells)
 
@@ -604,7 +605,7 @@ def _local_cells(local: tuple, m: int, n: int) -> tuple:
 def find_local_sovereignty_gap(table, lat: Lattice, local, n: int):
     """The elements of ``local`` that no ballot tuple over ``local`` reaches,
     in the order given, or None when the full-carrier table reaches them all."""
-    seen = set(map(table.__getitem__, _local_cells(tuple(local), lat.m, n)))
+    seen = set(map(table.__getitem__, _local_cells(tuple(local), _strides([lat.m] * n))))
     unreachable = [z for z in local if z not in seen]
     return unreachable or None
 
@@ -613,12 +614,13 @@ def find_local_neutrality_violation(table, lat: Lattice, local, n: int):
     """First (ballots over ``local``, (j, k)) where swapping the
     join-irreducibles j < k of ``local`` does not commute with the
     full-carrier table, or None."""
-    direct = [table[c] for c in _local_cells(tuple(local), lat.m, n)]
+    strides = _strides([lat.m] * n)
+    direct = [table[c] for c in _local_cells(tuple(local), strides)]
     ji_local = sorted(lat.join_irreducibles & set(local))
     for j, k in itertools.combinations(ji_local, 2):
         swap = list(range(lat.m))
         swap[j], swap[k] = k, j
-        image = _local_cells(tuple(swap[b] for b in local), lat.m, n)
+        image = _local_cells(tuple(swap[b] for b in local), strides)
         for pos, (c, out) in enumerate(zip(image, direct)):
             if table[c] != swap[out]:
                 width = len(local)
@@ -632,75 +634,58 @@ def check_axioms(rule, lat: Lattice, local_set, unimodal_pool=None,
     """Exhaustive anonymity / local neutrality / local sovereignty / local
     idempotence / weak efficiency check over the full carrier.
 
-    The rule must be total (evaluable on every carrier tuple).  Efficiency
-    quantifies top-profiles of the full unimodal preference pool.
+    The rule must be total (evaluable on every carrier tuple).  An axiom
+    fails iff ``witnesses`` holds its witness, the first in row-major order.
+    Anonymity compares the table with its image under each adjacent voter
+    swap, ``_local_cells`` with two strides exchanged.  Efficiency quantifies
+    top-profiles of ``unimodal_pool`` (default: the full unimodal pool) on
+    the outcome lanes of the domain where every voter holds it: lane c of
+    the AND of all voters' ``gains`` holds the elements each voter's pool
+    ranks above table[c] from its ballot as top, so the lowest set bit names
+    the first dominated cell and the lowest element dominating it.
     """
-    n = rule.n
-    m = lat.m
+    n, m, names = rule.n, lat.m, lat.names
     local = sorted(set(local_set))
     spaces, table = tabulate(rule, lat, full_spaces(lat, n))
-    strides = _strides([m] * n)
     _check_sweep_size("axiom", len(table) * (n + m), cap)
-    witnesses = {}
-
-    anonymous = True
-    for k in range(n - 1):
-        if not anonymous:
-            break
-        for idx, pos in enumerate(itertools.product(*(range(m),) * n)):
-            if pos[k] == pos[k + 1]:
-                continue
-            swapped = (idx + (pos[k + 1] - pos[k]) * strides[k]
-                       + (pos[k] - pos[k + 1]) * strides[k + 1])
-            if table[idx] != table[swapped]:
-                anonymous = False
-                witnesses["anonymous"] = {"ballots": [lat.names[b] for b in pos],
-                                          "swap": (k, k + 1)}
-                break
-
-    violation = find_local_neutrality_violation(table, lat, local, n)
-    neutral = violation is None
-    if not neutral:
-        ballots, (j, k) = violation
-        witnesses["locally_ji_neutral"] = {
-            "ballots": [lat.names[b] for b in ballots],
-            "transposition": (lat.names[j], lat.names[k])}
-
-    unreachable = find_local_sovereignty_gap(table, lat, local, n)
-    sovereign = unreachable is None
-    if not sovereign:
-        witnesses["locally_sovereign"] = {
-            "unreachable": [lat.names[z] for z in unreachable]}
-
-    idempotent = True
-    for z in local:
-        if table[sum(z * s for s in strides)] != z:
-            idempotent = False
-            witnesses["locally_idempotent"] = {"element": lat.names[z]}
-            break
-
     if unimodal_pool is None:
         unimodal_pool = enumerate_unimodal(lat)
-    # dominance[t][o]: bitmask of the elements some preference with top t
-    # ranks above o (a one-voter domain's gain masks; zero for a top the
-    # pool lacks); the outcome is dominated by every element in all the
-    # voters' masks, and the witness is the lowest of them
-    gain = DomainDescriptor(lat, [range(m)], [unimodal_pool]).gain_masks()[1][0]
-    dominance = [gain.get(t, [0] * m) for t in range(m)]
-    efficient = True
-    for idx, tops in enumerate(itertools.product(range(m), repeat=n)):
-        o = table[idx]
-        common = functools.reduce(operator.and_, [dominance[t][o] for t in tops])
-        if common:
-            efficient = False
-            witnesses["efficient"] = {
-                "tops": [lat.names[t] for t in tops],
-                "outcome": lat.names[o],
-                "dominated_by": lat.names[(common & -common).bit_length() - 1]}
+    lanes = DomainDescriptor(lat, spaces, [unimodal_pool] * n).lanes()
+    strides, witnesses = lanes.strides, {}
+
+    for k in range(n - 1):
+        swapped = strides[:k] + (strides[k + 1], strides[k]) + strides[k + 2:]
+        image = tuple(map(table.__getitem__, _local_cells.__wrapped__(range(m), swapped)))
+        if image != table:
+            c = next(c for c, (a, b) in enumerate(zip(image, table)) if a != b)
+            witnesses["anonymous"] = {"ballots": [names[b] for b in lanes.at(c)],
+                                      "swap": (k, k + 1)}
             break
 
-    return AxiomCheck(anonymous, neutral, sovereign, idempotent, efficient,
-                      witnesses)
+    violation = find_local_neutrality_violation(table, lat, local, n)
+    if violation is not None:
+        ballots, (j, k) = violation
+        witnesses["locally_ji_neutral"] = {"ballots": [names[b] for b in ballots],
+                                           "transposition": (names[j], names[k])}
+
+    unreachable = find_local_sovereignty_gap(table, lat, local, n)
+    if unreachable is not None:
+        witnesses["locally_sovereign"] = {"unreachable": [names[z] for z in unreachable]}
+
+    z = next((z for z in local if table[z * sum(strides)] != z), None)
+    if z is not None:
+        witnesses["locally_idempotent"] = {"element": names[z]}
+
+    equal = lanes.outcomes(table)[1]
+    common = functools.reduce(operator.and_, [lanes.gains(i, equal) for i in range(n)])
+    if common:
+        c, x = divmod((common & -common).bit_length() - 1, 8 * lanes.w)
+        witnesses["efficient"] = {"tops": [names[t] for t in lanes.at(c)],
+                                  "outcome": names[table[c]], "dominated_by": names[x]}
+
+    return AxiomCheck(*(key not in witnesses for key in (
+        "anonymous", "locally_ji_neutral", "locally_sovereign", "locally_idempotent",
+        "efficient")), witnesses)
 
 
 # -- reports -------------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from medianvoting.rules import (
     full_spaces,
     tabulate,
 )
+from medianvoting.verify import StrategyWitness
 
 
 GOLDEN_BATTERY = (Path(__file__).resolve().parents[1]
@@ -165,6 +166,49 @@ class TestCommands:
         data = json.loads(capsys.readouterr().out)
         assert data["kind"] == "committee"
         assert all(term["constant"] == bottom for term in data["terms"])
+
+    @pytest.mark.parametrize("to", ["tree", "explicit"])
+    def test_rule_convert_round_trip_reproduces_the_table(self, tmp_path, square_file,
+                                                         square, to, capsys):
+        rule = CommitteeRule(3, [(frozenset({0, 1}), square.top),
+                                 (frozenset({2}), square.element("x"))])
+        source = write_json(tmp_path / "rule.json", serialize_rule(rule, square))
+        out = tmp_path / "out.json"
+        assert run(["rule", "convert", "--to", to, "--rule", source,
+                    "--lattice", square_file, "--json", str(out)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed == json.loads(out.read_text()) and printed["kind"] == to
+        assert tabulate(parse_rule(printed, square), square) == tabulate(rule, square)
+
+    def test_rule_check_json_names_a_strategy_witness_that_replays(self, tmp_path,
+                                                                  square_file, square,
+                                                                  capsys):
+        # the complement of voter 0's ballot: not strategy-proof on either domain
+        rule = ExplicitRule.from_function(full_spaces(square, 2),
+                                          lambda b: square.complement(b[0]))
+        source = write_json(tmp_path / "rule.json", serialize_rule(rule, square))
+        out = tmp_path / "check.json"
+        assert run(["rule", "check", "--rule", source, "--lattice", square_file,
+                    "--json", str(out)]) == 1
+        capsys.readouterr()
+        payload = json.loads(out.read_text())
+        assert payload["strategy_proof_unimodal"] == {"pass": False, "witness": {
+            "voter": 0, "preference": [["0"], ["x"], ["y", "1"]],
+            "truthful_ballots": ["0", "0"], "deviant_ballots": ["y", "0"],
+            "truthful_outcome": "1", "deviant_outcome": "x"}}
+        assert payload["strategy_proof_strict"] == {"pass": False, "witness": {
+            "voter": 0, "preference": [["0"], ["x"], ["y"], ["1"]],
+            "truthful_ballots": ["0", "0"], "deviant_ballots": ["x", "0"],
+            "truthful_outcome": "1", "deviant_outcome": "y"}}
+        for key in ("strategy_proof_unimodal", "strategy_proof_strict"):
+            witness = payload[key]["witness"]
+            ballots = {side: tuple(map(square.element, witness[side]))
+                       for side in ("truthful_ballots", "deviant_ballots")}
+            assert StrategyWitness(
+                witness["voter"], parse_preorder(witness["preference"], square),
+                ballots["truthful_ballots"], ballots["deviant_ballots"],
+                square.element(witness["truthful_outcome"]),
+                square.element(witness["deviant_outcome"])).validate(rule, square)
 
     def test_rule_check_exit_codes(self, tmp_path, square_file, majority_file,
                                    square, capsys):
@@ -468,6 +512,17 @@ class TestCommands:
          "need 4 corner values for 2 voters, got 3"),
         ({"kind": "tree", "n": 20000, "corners": ["0", "1"]},
          "need 2^20000 corner values for 20000 voters, got 2"),
+        # a JSON string where a list is due would be read as its characters
+        ({"kind": "tree", "n": 2, "corners": "0xy1"}, "'corners' must be a list"),
+        ({"kind": "explicit", "ballot_spaces": [["0", "1"], ["0", "1"]],
+          "table": "0111"}, "'table' must be a list"),
+        ({"kind": "explicit", "ballot_spaces": "01", "table": ["1"]},
+         "'ballot_spaces' must be a list"),
+        ({"kind": "explicit", "ballot_spaces": [["0", "1"], "01"],
+          "table": ["0", "1", "1", "1"]}, "a ballot space must be a list"),
+        ({"kind": "committee", "n": 2, "terms": {}}, "'terms' must be a list"),
+        ({"kind": "committee", "n": 2, "terms": [{"coalition": "01", "constant": "1"}]},
+         "a coalition must be a list"),
     ])
     def test_invalid_rules_exit_2(self, tmp_path, square_file, square, rule,
                                   message, capsys):

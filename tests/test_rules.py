@@ -1,8 +1,11 @@
+import gc
 import itertools
+import json
 import random
 import signal
 import time
 import tracemalloc
+from importlib import resources
 
 import pytest
 from conftest import evaluate_table, small_posets
@@ -16,7 +19,13 @@ from medianvoting.errors import (
     TooLargeError,
 )
 from medianvoting import rules
-from medianvoting.lattice import build_boolean_hypercube, build_chain, build_ideal_lattice
+from medianvoting.cli import parse_lattice
+from medianvoting.lattice import (
+    Lattice,
+    build_boolean_hypercube,
+    build_chain,
+    build_ideal_lattice,
+)
 from medianvoting.rules import (
     EXPLICIT_TABLE_CAP,
     CommitteeRule,
@@ -407,6 +416,25 @@ class TestBulkTabulate:
             assert_tabulate_matches_evaluate(rule, lat, full_spaces(lat, n))
             assert_tabulate_matches_evaluate(rule, lat, reordered)
 
+    @pytest.mark.parametrize("fixture", ["square", "chain4", "cube3"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_explicit_rules_over_other_spaces_match_evaluation(self, fixture, n,
+                                                               request):
+        # the per-cell branch: the rule's spaces differ from those asked for
+        lat = request.getfixturevalue(fixture)
+        rng = random.Random(f"explicit-{fixture}-{n}")
+        rule = ExplicitRule(full_spaces(lat, n),
+                            [rng.randrange(lat.m) for _ in range(lat.m ** n)])
+        restricted = ExplicitRule.from_function(random_spaces(rng, lat, n),
+                                                lambda b: rng.randrange(lat.m))
+        reordered = tuple(tuple(reversed(s)) for s in full_spaces(lat, n))
+        cases = [(rule, reordered), (rule, random_spaces(rng, lat, n)),
+                 (restricted, tuple(tuple(rng.sample(s, len(s))) for s in restricted.spaces)),
+                 (restricted, tuple(s[:1] for s in restricted.spaces))]
+        for explicit, spaces in cases:
+            if spaces != explicit.spaces:
+                assert_tabulate_matches_evaluate(explicit, lat, spaces)
+
     def test_arity_mismatch_is_still_raised(self, square):
         for rule in (MedianTree(2, [0, 1, 2, 3]),
                      CommitteeRule(2, [(frozenset({0}), 3)])):
@@ -455,3 +483,28 @@ class TestBulkTabulate:
         with pytest.raises(TooLargeError,
                            match=f"{4 ** 11} entries exceeds cap {EXPLICIT_TABLE_CAP}"):
             ExplicitRule(full_spaces(square, 11), ())
+
+
+CHAIN4_TEXT = resources.files("medianvoting").joinpath("data/chain4.json").read_text()
+
+
+class TestCodeLanes:
+    def test_two_parses_of_one_file_share_their_lanes(self):
+        first, second = (parse_lattice(json.loads(CHAIN4_TEXT)) for _ in range(2))
+        assert first is not second
+        spaces = full_spaces(first, 2)
+        assert rules.CodeLanes.of(first, spaces) is rules.CodeLanes.of(second, spaces)
+
+    def test_parsed_and_swept_lattices_are_not_kept_alive(self):
+        # Lattice has __slots__ and no weak references, so count through gc
+        def live():
+            gc.collect()
+            return sum(isinstance(o, Lattice) for o in gc.get_objects())
+
+        before = live()
+        for _ in range(20):
+            lat = parse_lattice(json.loads(CHAIN4_TEXT))
+            spaces, table = tabulate(extended_median_rule(lat, 2), lat)
+            lanes = rules.CodeLanes.of(lat, spaces)
+            assert lanes.first_failure(lanes.pack(table)) is None
+        assert live() <= before + 1

@@ -147,6 +147,60 @@ def efficiency_oracle(table, lat, n, pool):
     return True, None
 
 
+def anonymity_idempotence_oracle(table, lat, n, local):
+    """Cell-by-cell oracle of ``check_axioms``' anonymity and idempotence:
+    (the first (swap, ballots) in swap order, then row-major order, where
+    exchanging the ballots of voters k and k+1 changes the outcome, the first
+    element z of ``local`` whose unanimous profile does not give z), each
+    None when there is none."""
+    strides = [lat.m ** (n - 1 - v) for v in range(n)]
+
+    def outcome(ballots):
+        return table[sum(b * s for b, s in zip(ballots, strides))]
+
+    swapped = next((((k, k + 1), ballots) for k in range(n - 1)
+                    for ballots in itertools.product(range(lat.m), repeat=n)
+                    if outcome(ballots) != outcome(ballots[:k] + (ballots[k + 1], ballots[k])
+                                                   + ballots[k + 2:])), None)
+    idle = next((z for z in sorted(set(local)) if outcome((z,) * n) != z), None)
+    return swapped, idle
+
+
+def assert_anonymity_and_idempotence_match_the_oracle(table, lat, n, local, pool):
+    """``check_axioms`` on the table against the oracle; returns the two verdicts."""
+    axioms = check_axioms(ExplicitRule(full_spaces(lat, n), table), lat, local,
+                          unimodal_pool=pool)
+    swapped, idle = anonymity_idempotence_oracle(table, lat, n, local)
+    assert axioms.witnesses.get("anonymous") == (swapped and {
+        "ballots": [lat.names[b] for b in swapped[1]], "swap": swapped[0]})
+    assert axioms.witnesses.get("locally_idempotent") == (
+        None if idle is None else {"element": lat.names[idle]})
+    assert (axioms.anonymous, axioms.locally_idempotent) == (swapped is None, idle is None)
+    return axioms.anonymous, axioms.locally_idempotent
+
+
+def axiom_tables(lat, n, rng):
+    """Random, monotone, few-valued, unanimity-keeping and symmetric tables,
+    and symmetric tables with one cell changed."""
+    spaces = full_spaces(lat, n)
+    tables = [tabulate(extended_median_rule(lat, n), lat)[1]]
+    for _ in range(3):
+        tables.append(random_explicit_rule(lat, n, rng).table)
+        tables.append(sample_monotone_rule(lat, n, rng).table)
+        outputs = rng.sample(range(lat.m), min(lat.m, rng.randint(1, 3)))
+        tables.append(tuple(rng.choice(outputs) for _ in range(lat.m ** n)))
+        tables.append(ExplicitRule.from_function(
+            spaces, lambda b: b[0] if len(set(b)) == 1 else rng.randrange(lat.m)).table)
+        chosen = {}
+        symmetric = ExplicitRule.from_function(
+            spaces, lambda b: chosen.setdefault(tuple(sorted(b)), rng.randrange(lat.m))).table
+        tables.append(symmetric)
+        cell = rng.randrange(len(symmetric))
+        tables.append(symmetric[:cell] + ((symmetric[cell] + 1) % lat.m,)
+                      + symmetric[cell + 1:])
+    return tables
+
+
 class SkewedLattice:
     """A lattice whose ``between`` (flipped) or ``median`` (shifted) answers
     wrong on the chosen tuples; everything else is the wrapped lattice's."""
@@ -1095,6 +1149,48 @@ class TestAxioms:
                     assert (axioms.efficient, axioms.witnesses.get("efficient")) == expected
                     verdicts.add(axioms.efficient)
         assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("fixture", ["square", "chain4", "cube3", "grid3x3"])
+    def test_anonymity_and_idempotence_match_the_cell_by_cell_oracle(self, fixture,
+                                                                    request):
+        lat = request.getfixturevalue(fixture)
+        rng = random.Random(f"anonymity-{fixture}")
+        pool = enumerate_unimodal(lat, cap=lat.m)
+        atom = min(lat.atoms)
+        verdicts = set()
+        for n in (1, 2, 3):
+            for table in axiom_tables(lat, n, rng):
+                for local in (range(lat.m), [lat.top, atom, lat.bottom]):
+                    verdicts.add(assert_anonymity_and_idempotence_match_the_oracle(
+                        table, lat, n, local, pool))
+        assert {anonymous for anonymous, _ in verdicts} == {True, False}
+        assert {idempotent for _, idempotent in verdicts} == {True, False}
+
+    @settings(max_examples=25, deadline=None)
+    @given(poset=small_posets(), n=st.integers(min_value=1, max_value=3),
+           seed=st.integers(min_value=0, max_value=2 ** 16))
+    def test_anonymity_and_idempotence_match_the_oracle_on_random_lattices(self, poset,
+                                                                           n, seed):
+        lat = build_ideal_lattice(*poset)
+        assume(lat.m <= 6)
+        rng = random.Random(seed)
+        pool = enumerate_unimodal(lat, cap=lat.m)
+        for table in axiom_tables(lat, n, rng):
+            local = rng.sample(range(lat.m), rng.randint(1, lat.m))
+            assert_anonymity_and_idempotence_match_the_oracle(table, lat, n, local, pool)
+
+    def test_anonymity_images_are_not_kept(self, square):
+        # each swap's image of a 4^8-cell table is about 2 MiB of ints; one
+        # live image fits the bound, the seven of a cached sweep do not
+        rule = extended_median_rule(square, 8)
+        tracemalloc.start()
+        try:
+            axioms = check_axioms(rule, square, range(4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert axioms.anonymous and axioms.locally_idempotent
+        assert peak < 16 * 2 ** 20
 
     def test_local_helpers_match_naive_sweeps(self, square):
         o, x, y, i = (square.element(s) for s in "0xy1")
