@@ -314,16 +314,13 @@ def _cmd_rule(args):
         print(lat.names[rule.evaluate(lat, ballots)])
         return 0
     if args.action == "convert":
-        values = corners(rule, lat)
-        n = rule.n
-        if args.to == "tree":
-            out = serialize_rule(build_canonical_median_tree(values, n), lat)
-        elif args.to == "committee":
-            out = serialize_rule(
-                tree_to_committee(build_canonical_median_tree(values, n), lat), lat)
+        if args.to == "explicit":    # needs no corners: any ballot spaces will do
+            converted = ExplicitRule(*tabulate(rule, lat))
         else:
-            spaces, table = tabulate(rule, lat)
-            out = serialize_rule(ExplicitRule(spaces, table), lat)
+            converted = build_canonical_median_tree(corners(rule, lat), rule.n)
+            if args.to == "committee":
+                converted = tree_to_committee(converted, lat)
+        out = serialize_rule(converted, lat)
         _emit(args, out, json.dumps(out, indent=2))
         return 0
     # check
@@ -367,16 +364,11 @@ def _suite_reports(args):
 
 def _cmd_verify(args):
     reports = _suite_reports(args)
-    for report in reports:
-        print(report.render_text())
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump([r.to_dict() for r in reports], handle, indent=2,
-                      sort_keys=True)
-            handle.write("\n")
     total = sum(len(r.checks) for r in reports)
     failed = sum(len(r.failures()) for r in reports)
-    print(f"{len(reports)} suites, {total} checks, {failed} failures")
+    summary = f"{len(reports)} suites, {total} checks, {failed} failures"
+    _emit(args, [r.to_dict() for r in reports],
+          "\n".join([r.render_text() for r in reports] + [summary]))
     return 0 if failed == 0 else 1
 
 

@@ -13,6 +13,7 @@ their kernel ``spread`` serve the sweeps of ``verify`` and ``suites``' mixes.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -34,13 +35,28 @@ def full_spaces(lat: Lattice, n: int) -> tuple:
     return (space,) * n
 
 
-def check_table_size(size: int) -> None:
-    """Refuse a table of more than ``EXPLICIT_TABLE_CAP`` cells; callers ask
-    before they build any cell or profile of it."""
+def check_table_size(sizes) -> int:
+    """The cell count of a table over spaces of ``sizes`` (a sequence),
+    refused beyond ``EXPLICIT_TABLE_CAP``; callers ask before they build any
+    cell or profile of it.  A running product of n factors is quadratic in
+    n, so past the cap the count raises each size to its multiplicity."""
+    size = 1
+    for k in sizes:
+        size *= k
+        if size > EXPLICIT_TABLE_CAP:
+            size = math.prod(k ** e for k, e in collections.Counter(sizes).items())
+            break
     if size > EXPLICIT_TABLE_CAP:
         # past the int-to-str digit limit a size is named by its bit length
         shown = size if size.bit_length() <= 4096 else f"at least 2^{size.bit_length() - 1}"
         raise TooLargeError(f"table of {shown} entries exceeds cap {EXPLICIT_TABLE_CAP}")
+    return size
+
+
+def _check_corner_count(n: int) -> None:
+    """Refuse a rule's 2^n corner leaves beyond the cap before any is built."""
+    if n >= EXPLICIT_TABLE_CAP.bit_length():
+        raise TooLargeError(f"rule of 2^{n} corner leaves exceeds cap {EXPLICIT_TABLE_CAP}")
 
 
 def _strides(sizes) -> tuple:
@@ -224,8 +240,7 @@ class ExplicitRule:
                 raise InvalidSizeError("empty ballot space")
             if len(pos) != size:
                 raise InvalidSizeError(f"voter {i} lists a ballot twice")
-        size = math.prod(sizes)
-        check_table_size(size)
+        size = check_table_size(sizes)
         self.table = tuple(table)
         if len(self.table) != size:
             raise InvalidSizeError(
@@ -235,7 +250,7 @@ class ExplicitRule:
     @classmethod
     def from_function(cls, spaces, fn) -> "ExplicitRule":
         spaces = tuple(tuple(s) for s in spaces)
-        check_table_size(math.prod(map(len, spaces)))
+        check_table_size([len(s) for s in spaces])
         table = [fn(ballots) for ballots in itertools.product(*spaces)]
         return cls(spaces, table)
 
@@ -318,12 +333,9 @@ def extended_median(lat: Lattice, ballots) -> int:
 
 
 def extended_median_rule(lat: Lattice, n: int) -> CommitteeRule:
-    quota = n // 2 + 1
-    terms = []
-    for size in range(quota, n + 1):
-        for coalition in itertools.combinations(range(n), size):
-            terms.append((frozenset(coalition), lat.top))
-    return CommitteeRule(n, terms)
+    return CommitteeRule(n, [(frozenset(coalition), lat.top)
+                             for size in range(n // 2 + 1, n + 1)
+                             for coalition in itertools.combinations(range(n), size)])
 
 
 # -- median trees -----------------------------------------------------------------
@@ -379,32 +391,26 @@ def build_canonical_median_tree(corner_values, n: int) -> MedianTree:
 
 
 def corners(rule, lat: Lattice) -> tuple:
-    """Rule outputs on all bottom/top profiles, in binary order."""
+    """Rule outputs on all bottom/top profiles, in binary order; more than
+    the table cap of them are refused before any is evaluated."""
     n = rule.n
+    _check_corner_count(n)
     spaces = rule.ballot_spaces(lat)
     for i, s in enumerate(spaces):
         if lat.bottom not in s or lat.top not in s:
             raise CornerNotInBallotSpaceError(
                 f"voter {i} cannot cast both bottom and top")
-    out = []
-    for bits in itertools.product((lat.bottom, lat.top), repeat=n):
-        out.append(rule.evaluate(lat, bits))
-    return tuple(out)
+    return tuple(rule.evaluate(lat, bits)
+                 for bits in itertools.product((lat.bottom, lat.top), repeat=n))
 
 
 def tree_to_committee(tree: MedianTree, lat: Lattice) -> CommitteeRule:
     """Committee normal form: one term per coalition S, with constant equal to
-    the corner value where exactly S votes top."""
-    values = tree.corner_values()
+    the corner value where exactly S votes top (voter i is bit n-1-i of the
+    corner's index)."""
     n = tree.n
-    terms = []
-    for mask in range(2 ** n):
-        coalition = frozenset(i for i in range(n) if mask >> i & 1)
-        corner_index = 0
-        for i in coalition:
-            corner_index |= 1 << (n - 1 - i)
-        terms.append((coalition, values[corner_index]))
-    return CommitteeRule(n, terms)
+    return CommitteeRule(n, [(frozenset(i for i in range(n) if c >> (n - 1 - i) & 1), v)
+                             for c, v in enumerate(tree.corner_values())])
 
 
 def _fold(leaves, lanes: CodeLanes, pair) -> tuple:
@@ -446,16 +452,14 @@ def tabulate(rule, lat: Lattice, spaces=None):
     spaces = tuple(tuple(s) for s in spaces)
     if isinstance(rule, ExplicitRule) and spaces == rule.spaces:
         return spaces, rule.table
-    check_table_size(math.prod(len(s) for s in spaces))
+    check_table_size([len(s) for s in spaces])
     if not isinstance(rule, (MedianTree, CommitteeRule)):
         return spaces, tuple(rule.evaluate(lat, ballots)
                              for ballots in itertools.product(*spaces))
     n = rule.n
     if len(spaces) != n:
         raise ArityMismatchError(f"expected {n} ballot spaces, got {len(spaces)}")
-    if n >= EXPLICIT_TABLE_CAP.bit_length():
-        raise TooLargeError(
-            f"fold over 2^{n} corner leaves exceeds cap {EXPLICIT_TABLE_CAP}")
+    _check_corner_count(n)
     code, lanes = lat._code, CodeLanes.of(lat, spaces)
     if isinstance(rule, MedianTree):    # med(l, x, h) = l&h | x&(l|h)
         leaves = [code[v] for v in rule.corner_values()]

@@ -225,7 +225,7 @@ def lemma2_suite(lat: Lattice, n: int = 3, label: str = "") -> VerificationRepor
     swept as one; only a failing mix is decoded, to name its witness.
     """
     t0 = time.perf_counter()
-    check_table_size(lat.m ** n)    # before the n-entry spaces are built
+    check_table_size([lat.m] * n)    # before the n-entry spaces are built
     check_monotonicity_sweep_size(lat.m ** n, [lat.m] * n)    # and any table
     lanes = CodeLanes.of(lat, full_spaces(lat, n))
     pool = [lanes.ballots(i) for i in range(n)]
@@ -479,7 +479,7 @@ def _quota_tables(lat, n):
     ``c_0 | OR_s (E[s] & c_s)`` with each constant broadcast over the lanes,
     decoded once to element ids (``CodeLanes.decoder``).
     """
-    check_table_size(lat.m ** n)
+    check_table_size([lat.m] * n)
     lanes = CodeLanes.of(lat, full_spaces(lat, n))
     best = _held_by(map(lanes.ballots, range(n)), lanes.broadcast(lat.top), n)
     constant = [lanes.broadcast(c) for c in range(lat.m)]
@@ -596,7 +596,7 @@ def chain_equivalence_suite(lat: Lattice, n: int = 2, samples: int = 100,
     t0 = time.perf_counter()
     if not lat.is_chain():
         raise NotAChainError("carrier is not a chain")
-    check_table_size(lat.m ** n)    # before the n-voter domains are built
+    check_table_size([lat.m] * n)    # before the n-voter domains are built
     domains = _full_domains(lat, n)
     for dom in domains:    # refuse an oversized search before any table
         check_coalition_search_size(dom)

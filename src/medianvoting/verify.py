@@ -9,9 +9,9 @@ the witness (see ``find_coalitional_manipulation``), so it is reproducible.
 Every sweep runs on one of two shared kernels.  Lane ints, one lane per
 cell, share ``rules.spread``: monotonicity runs on Birkhoff-code lanes
 (``rules.CodeLanes``), and the strategy sweep (the size-1 case), the
-coalition search and weak efficiency on outcome lanes whose table-independent
-part (``OutcomeLanes``) is built once per domain and semantics.  Cell images
-(``_local_cells``) serve anonymity, local neutrality and local sovereignty.
+coalition search, anonymity and weak efficiency on outcome lanes
+(``OutcomeLanes``, built once per domain and semantics).  Cell images
+(``_local_cells``) serve local neutrality and local sovereignty.
 """
 
 from __future__ import annotations
@@ -266,7 +266,7 @@ class OutcomeLanes(_Lanes):
     ballot), zero elsewhere.  ``start`` is full where every voter sits at an
     anchor, and ``cells(i, b)`` where voter i casts b.  The coalition search
     reads ``start`` in its size decision and its fix-up, and ``cells`` in
-    its fix-up, as does the strategy sweep.  They are built on first use,
+    its fix-up, as do the strategy sweep and the anonymity check.  They are built on first use,
     the search ``estimate`` up front.
     """
 
@@ -590,14 +590,13 @@ class AxiomCheck:
 
 
 @functools.lru_cache(maxsize=16)
-def _local_cells(local: tuple, strides: tuple) -> tuple:
-    """Row-major indices, in a table with ``strides``, of the ballot tuples
-    over ``local``, in ``itertools.product(local, repeat=n)`` order.  Cached:
-    the quota-rule sweeps ask for the same few pairs once per rule.  Over the
-    carrier with two strides exchanged it maps each cell to its image under
-    that voter swap; such table-long images go through ``__wrapped__``."""
+def _local_cells(local: tuple, m: int, n: int) -> tuple:
+    """Row-major indices into an n-voter full-carrier table of the ballot
+    tuples over ``local``, in ``itertools.product(local, repeat=n)`` order.
+    Cached: the quota-rule sweeps ask for the same few (local, n) pairs once
+    per rule."""
     cells = [0]
-    for s in strides:
+    for s in _strides([m] * n):
         cells = [c + b * s for c in cells for b in local]
     return tuple(cells)
 
@@ -605,7 +604,7 @@ def _local_cells(local: tuple, strides: tuple) -> tuple:
 def find_local_sovereignty_gap(table, lat: Lattice, local, n: int):
     """The elements of ``local`` that no ballot tuple over ``local`` reaches,
     in the order given, or None when the full-carrier table reaches them all."""
-    seen = set(map(table.__getitem__, _local_cells(tuple(local), _strides([lat.m] * n))))
+    seen = set(map(table.__getitem__, _local_cells(tuple(local), lat.m, n)))
     unreachable = [z for z in local if z not in seen]
     return unreachable or None
 
@@ -614,13 +613,12 @@ def find_local_neutrality_violation(table, lat: Lattice, local, n: int):
     """First (ballots over ``local``, (j, k)) where swapping the
     join-irreducibles j < k of ``local`` does not commute with the
     full-carrier table, or None."""
-    strides = _strides([lat.m] * n)
-    direct = [table[c] for c in _local_cells(tuple(local), strides)]
+    direct = [table[c] for c in _local_cells(tuple(local), lat.m, n)]
     ji_local = sorted(lat.join_irreducibles & set(local))
     for j, k in itertools.combinations(ji_local, 2):
         swap = list(range(lat.m))
         swap[j], swap[k] = k, j
-        image = _local_cells(tuple(swap[b] for b in local), strides)
+        image = _local_cells(tuple(swap[b] for b in local), lat.m, n)
         for pos, (c, out) in enumerate(zip(image, direct)):
             if table[c] != swap[out]:
                 width = len(local)
@@ -636,13 +634,17 @@ def check_axioms(rule, lat: Lattice, local_set, unimodal_pool=None,
 
     The rule must be total (evaluable on every carrier tuple).  An axiom
     fails iff ``witnesses`` holds its witness, the first in row-major order.
-    Anonymity compares the table with its image under each adjacent voter
-    swap, ``_local_cells`` with two strides exchanged.  Efficiency quantifies
-    top-profiles of ``unimodal_pool`` (default: the full unimodal pool) on
-    the outcome lanes of the domain where every voter holds it: lane c of
-    the AND of all voters' ``gains`` holds the elements each voter's pool
-    ranks above table[c] from its ballot as top, so the lowest set bit names
-    the first dominated cell and the lowest element dominating it.
+    Anonymity and efficiency read one ``outcomes`` call on the outcome lanes
+    of the domain where every voter holds ``unimodal_pool`` (default: the
+    full unimodal pool).  Swapping voters k and k+1 moves a cell where they
+    cast a < b up by (b - a)(m - 1) strides of voter k+1, so the one-hot
+    lanes where they cast (a, b), XORed with those where they cast (b, a)
+    shifted down that far, are nonzero where the swap changes the outcome.
+    A mismatched pair's earlier cell has a < b, so the lowest such lane over
+    a < b is the first mismatch.  Efficiency: lane c of the AND of all voters'
+    ``gains`` holds the elements each voter's pool ranks above table[c] from
+    its ballot as top, so the lowest set bit names the first dominated cell
+    and the lowest element dominating it.
     """
     n, m, names = rule.n, lat.m, lat.names
     local = sorted(set(local_set))
@@ -652,14 +654,17 @@ def check_axioms(rule, lat: Lattice, local_set, unimodal_pool=None,
         unimodal_pool = enumerate_unimodal(lat)
     lanes = DomainDescriptor(lat, spaces, [unimodal_pool] * n).lanes()
     strides, witnesses = lanes.strides, {}
+    onehot, equal = lanes.outcomes(table)
 
     for k in range(n - 1):
-        swapped = strides[:k] + (strides[k + 1], strides[k]) + strides[k + 2:]
-        image = tuple(map(table.__getitem__, _local_cells.__wrapped__(range(m), swapped)))
-        if image != table:
-            c = next(c for c, (a, b) in enumerate(zip(image, table)) if a != b)
-            witnesses["anonymous"] = {"ballots": [names[b] for b in lanes.at(c)],
-                                      "swap": (k, k + 1)}
+        d, mismatch = 8 * lanes.w * (m - 1) * strides[k + 1], 0
+        for a, b in itertools.combinations(range(m), 2):
+            ab = onehot & lanes.cells(k, a) & lanes.cells(k + 1, b)
+            ba = onehot & lanes.cells(k, b) & lanes.cells(k + 1, a)
+            mismatch |= ab ^ ba >> (b - a) * d
+        if mismatch:
+            ballots = lanes.at(lanes.lowest(mismatch))
+            witnesses["anonymous"] = {"ballots": [names[x] for x in ballots], "swap": (k, k + 1)}
             break
 
     violation = find_local_neutrality_violation(table, lat, local, n)
@@ -676,7 +681,6 @@ def check_axioms(rule, lat: Lattice, local_set, unimodal_pool=None,
     if z is not None:
         witnesses["locally_idempotent"] = {"element": names[z]}
 
-    equal = lanes.outcomes(table)[1]
     common = functools.reduce(operator.and_, [lanes.gains(i, equal) for i in range(n)])
     if common:
         c, x = divmod((common & -common).bit_length() - 1, 8 * lanes.w)
@@ -748,6 +752,5 @@ def sample_monotone_rule(lat: Lattice, n: int, rng) -> ExplicitRule:
 
 
 def random_explicit_rule(lat: Lattice, n: int, rng) -> ExplicitRule:
-    size = lat.m ** n
-    check_table_size(size)
+    size = check_table_size([lat.m] * n)
     return ExplicitRule(full_spaces(lat, n), [rng.randrange(lat.m) for _ in range(size)])

@@ -1,6 +1,9 @@
+import contextlib
 import gc
 import itertools
 import json
+import signal
+import time
 from importlib import resources
 
 import pytest
@@ -104,6 +107,25 @@ def seeded_ideal_lattice(rng, m):
         lat = build_ideal_lattice(points, pairs)
         if lat.m == m:
             return lat
+
+
+@contextlib.contextmanager
+def within(seconds, what):
+    """Fail once ``what`` has run for ``seconds``: a SIGALRM raises
+    TimeoutError at the next bytecode, so a hang fails instead of stalling
+    the run, and a long C call fails the elapsed-time check after it."""
+    def too_slow(signum, frame):
+        raise TimeoutError(f"{what} took over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    start = time.perf_counter()
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - start < seconds, f"{what} took over {seconds} s"
 
 
 def evaluate_table(rule, lat, spaces):

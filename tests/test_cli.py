@@ -7,7 +7,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from conftest import bundled_lattice
+from conftest import bundled_lattice, within
 
 from medianvoting import cli, suites
 from medianvoting.cli import (
@@ -179,6 +179,36 @@ class TestCommands:
         printed = json.loads(capsys.readouterr().out)
         assert printed == json.loads(out.read_text()) and printed["kind"] == to
         assert tabulate(parse_rule(printed, square), square) == tabulate(rule, square)
+
+    def test_rule_convert_to_explicit_needs_no_corners(self, tmp_path, square_file,
+                                                       square, capsys):
+        # neither voter may cast the top, so the rule has no corner values
+        rule = {"kind": "explicit", "ballot_spaces": [["0", "x"], ["x", "y", "0"]],
+                "table": ["0", "x", "y", "x", "x", "0"]}
+        source = write_json(tmp_path / "rule.json", rule)
+        assert run(["rule", "convert", "--to", "explicit", "--rule", source,
+                    "--lattice", square_file]) == 0
+        assert json.loads(capsys.readouterr().out) == rule
+        assert run(["rule", "convert", "--to", "tree", "--rule", source,
+                    "--lattice", square_file]) == 2
+        assert "cannot cast both bottom and top" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, rule, message", [
+        (["check"], {"kind": "committee", "n": 2000000, "terms": []},
+         f"table of at least 2^4000000 entries exceeds cap {EXPLICIT_TABLE_CAP}"),
+        (["convert", "--to", "tree"],
+         {"kind": "committee", "n": 40, "terms": [{"coalition": [0], "constant": "1"}]},
+         f"2^40 corner leaves exceeds cap {EXPLICIT_TABLE_CAP}"),
+        (["convert", "--to", "committee"],
+         {"kind": "committee", "n": 40, "terms": [{"coalition": [0], "constant": "1"}]},
+         f"2^40 corner leaves exceeds cap {EXPLICIT_TABLE_CAP}"),
+    ], ids=["check", "convert-tree", "convert-committee"])
+    def test_many_voters_are_refused_within_two_seconds(self, tmp_path, square_file,
+                                                        argv, rule, message, capsys):
+        source = write_json(tmp_path / "rule.json", rule)
+        with within(2.0, f"rule {' '.join(argv)}"):
+            assert run(["rule", *argv, "--rule", source, "--lattice", square_file]) == 2
+        assert message in capsys.readouterr().err
 
     def test_rule_check_json_names_a_strategy_witness_that_replays(self, tmp_path,
                                                                   square_file, square,
@@ -487,7 +517,7 @@ class TestCommands:
         capsys.readouterr()
 
     @pytest.mark.parametrize("covers", [5, "ab", [["a", ["b"]]], [[["a"], "b"]],
-                                        [["a", 1]], [{"a": "b"}]])
+                                        [["a", 1]], [{"a": "b"}], [["a", "z"]]])
     def test_malformed_covers_exit_2(self, tmp_path, covers, capsys):
         bad = write_json(tmp_path / "bad.json", {"names": ["a", "b"], "covers": covers})
         assert run(["lattice", "inspect", "--covers", bad]) == 2
@@ -523,6 +553,7 @@ class TestCommands:
         ({"kind": "committee", "n": 2, "terms": {}}, "'terms' must be a list"),
         ({"kind": "committee", "n": 2, "terms": [{"coalition": "01", "constant": "1"}]},
          "a coalition must be a list"),
+        ({"n": 2, "terms": []}, 'rule file needs a "kind" field'),
     ])
     def test_invalid_rules_exit_2(self, tmp_path, square_file, square, rule,
                                   message, capsys):
@@ -535,3 +566,43 @@ class TestCommands:
     def test_missing_file_exit_2(self, capsys):
         assert run(["lattice", "inspect", "--covers", "/nonexistent.json"]) == 2
         capsys.readouterr()
+
+    def test_prefs_check_reads_a_list_of_preorders(self, tmp_path, square_file, capsys):
+        prefs = write_json(tmp_path / "prefs.json",
+                           [[["x"], ["1"], ["0", "y"]], [["1"], ["x", "y"], ["0"]]])
+        assert run(["prefs", "check", "--lattice", square_file, "--prefs", prefs]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith('[["x"], ["1"], ["0", "y"]]  top=x ')
+        assert lines[1].startswith('[["1"], ["x", "y"], ["0"]]  top=1 ')
+
+    @pytest.mark.parametrize("preorder, message", [
+        ({"x": 1}, "a preorder is a list of rank classes"),
+        ([["x"], ["x", "1", "0", "y"]], "invalid preorder: element 1 listed twice"),
+        ([["x"]], "invalid preorder: classes do not cover the carrier"),
+    ])
+    def test_invalid_preorders_exit_2(self, tmp_path, square_file, preorder, message,
+                                      capsys):
+        path = write_json(tmp_path / "prefs.json", preorder)
+        assert run(["prefs", "check", "--lattice", square_file, "--prefs", path]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_non_string_lattice_names_exit_2(self, tmp_path, capsys):
+        path = write_json(tmp_path / "lattice.json", {"names": [1, 2], "covers": []})
+        assert run(["lattice", "inspect", "--covers", path]) == 2
+        assert '"names" must be a list of strings' in capsys.readouterr().err
+
+    def test_a_file_that_is_not_json_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "lattice.json"
+        path.write_text("names: [a, b]")
+        assert run(["lattice", "inspect", "--covers", str(path)]) == 2
+        assert f"{path} is not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["lattice", "build", "--covers"],
+                                      ["verify", "claim1", "--lattice"]])
+    def test_json_into_a_missing_directory_exits_2(self, tmp_path, square_file, argv,
+                                                   capsys):
+        missing = tmp_path / "missing" / "out.json"
+        assert run([*argv, square_file, "--json", str(missing)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not missing.parent.exists()

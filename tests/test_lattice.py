@@ -247,6 +247,17 @@ class TestBuildFromCovers:
             build_from_covers(["p", "q", "r"],
                               [("p", "q"), ("p", "r"), ("q", "r")])
 
+    @pytest.mark.parametrize("names, covers, message", [
+        (["p", "q", "p"], [], "duplicate element names"),
+        (["p", "q"], [("p", "z")], r"cover \(p, z\) names an unknown element"),
+        (["p", "q"], [("p", 2)], r"cover \(p, 2\) names an unknown element"),
+        (["p", "q"], [("p", "p")], r"cover \(p, p\) is a self-loop"),
+        (["p", "q"], [("p", "q"), ("p", "q")], "duplicate cover"),
+    ])
+    def test_malformed_covers_rejected(self, names, covers, message):
+        with pytest.raises(NotAPosetError, match=message):
+            Lattice(names, covers)
+
     def test_cycle_rejected(self):
         with pytest.raises(NotAPosetError):
             build_from_covers(["p", "q"], [("p", "q"), ("q", "p")])

@@ -8,7 +8,7 @@ import tracemalloc
 from importlib import resources
 
 import pytest
-from conftest import evaluate_table, small_posets
+from conftest import evaluate_table, small_posets, within
 from hypothesis import assume, given, settings, strategies as st
 
 from medianvoting.errors import (
@@ -32,6 +32,7 @@ from medianvoting.rules import (
     ExplicitRule,
     MedianTree,
     build_canonical_median_tree,
+    check_table_size,
     corners,
     extended_median,
     extended_median_rule,
@@ -118,6 +119,29 @@ class TestExplicitRule:
         with pytest.raises(TooLargeError,
                            match=f"table of at least 2\\^40000 entries exceeds cap {EXPLICIT_TABLE_CAP}"):
             ExplicitRule.from_function(full_spaces(square, 20000), refuse)
+
+    def test_refusing_many_voters_takes_linear_time(self, square):
+        # a running product of n sizes is quadratic in n (5.5 s for these
+        # 3 * 10^5 voters); the refusal raises each size to its multiplicity
+        def refuse(ballots):
+            raise AssertionError("a cell was built")
+
+        message = f"table of at least 2\\^600000 entries exceeds cap {EXPLICIT_TABLE_CAP}"
+        spaces = full_spaces(square, 300000)
+        with within(1.0, "refusing 3 * 10^5 voters"):
+            for build in (lambda: tabulate(CommitteeRule(300000, []), square),
+                          lambda: ExplicitRule.from_function(spaces, refuse),
+                          lambda: ExplicitRule(spaces, ())):
+                with pytest.raises(TooLargeError, match=message):
+                    build()
+
+    def test_table_size_counts_exactly(self):
+        assert check_table_size([2, 3, 4]) == 24
+        assert check_table_size([1] * 100000) == 1
+        assert check_table_size([4] * 11 + [0] + [4] * 10) == 0    # past the cap, then empty
+        assert check_table_size([2] * 20) == EXPLICIT_TABLE_CAP
+        with pytest.raises(TooLargeError, match=f"table of {3 ** 500 * 5 ** 500} entries"):
+            check_table_size([3, 5] * 500)
 
 
 class TestCommitteeRule:
@@ -299,6 +323,18 @@ class TestCornersAndConversion:
         rule = ExplicitRule(((a, b), (a, b)), (0, 0, 0, 0))
         with pytest.raises(CornerNotInBallotSpaceError):
             corners(rule, chain4)
+
+    @pytest.mark.parametrize("n", [21, 40])
+    def test_corners_refuse_beyond_the_cap_before_evaluating(self, square, n,
+                                                            monkeypatch):
+        # the bound tabulate's fold keeps: 2^21 leaves exceed the 2^20 cap
+        def refuse(self, lat, ballots):
+            raise AssertionError("a corner was evaluated")
+
+        monkeypatch.setattr(CommitteeRule, "evaluate", refuse)
+        with pytest.raises(TooLargeError,
+                           match=f"2\\^{n} corner leaves exceeds cap {EXPLICIT_TABLE_CAP}"):
+            corners(CommitteeRule(n, [({0}, square.top)]), square)
 
     def test_single_voter_committee_form(self, square):
         for p, q in itertools.product(range(4), repeat=2):

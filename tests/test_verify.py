@@ -1465,6 +1465,37 @@ class TestSuites:
         else:
             assert check.witness == f"quota{names}"
 
+    def test_monotone_iff_names_the_first_rule_whose_flag_differs(self, square,
+                                                                  monkeypatch):
+        # a sweep that finds a deviation everywhere: every monotone rule now
+        # looks manipulable, and the first in the pool is a projection
+        monkeypatch.setattr(suites, "find_strategy_violation", lambda rule, domain: "any")
+        report = lemma1_suite(square, samples=0)
+        assert [(c.claim, c.passed, c.witness) for c in report.checks] == [
+            ("monotone-iff-sp-on-unimodal", False, "projection"),
+            ("monotone-iff-sp-on-strict", False, "projection")]
+        assert report.checks[0].detail == "6 rules, 6 monotone"
+
+    def test_corollary1_reports_a_coalition_witness(self, chain4, monkeypatch):
+        # a search that claims a witness on every rule: the report names the
+        # first rule of the pool with the witness's description, per domain
+        a, b = chain4.element("a"), chain4.element("b")
+        pref = build_three_class_witness(chain4, b, a)
+        fake = ManipulationWitness(profile=(pref, pref), coalition=(0,),
+                                   context_ballots=(b,), deviation=(a,),
+                                   outcome_truthful=b, outcome_deviant=a)
+        monkeypatch.setattr(suites, "find_coalitional_manipulation",
+                            lambda rule, dom: fake)
+        report = chain_equivalence_suite(chain4, n=2, samples=0)
+        checks = {c.claim: c for c in report.checks}
+        assert checks["pool-is-interval-monotone"].passed
+        for domain in ("unimodal", "strict"):
+            check = checks[f"no-coalition-witness-{domain}"]
+            assert not check.passed
+            assert check.witness == {"rule": "quota['a', 'a', 'a']",
+                                     **fake.describe(chain4)}
+        assert not report.passed()
+
     @settings(max_examples=30, deadline=None)
     @given(poset=small_posets(), n=st.integers(min_value=1, max_value=3))
     def test_quota_tables_are_monotone_and_round_trip(self, poset, n):
