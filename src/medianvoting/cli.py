@@ -26,7 +26,7 @@ import inspect
 import json
 import sys
 
-from .errors import FormatError, MedianVotingError
+from .errors import FormatError, MedianVotingError, NotRepresentableError
 from .lattice import Lattice, build_from_covers
 from .preorders import (
     DEFAULT_ENUM_CAP,
@@ -320,6 +320,12 @@ def _cmd_rule(args):
             converted = build_canonical_median_tree(corners(rule, lat), rule.n)
             if args.to == "committee":
                 converted = tree_to_committee(converted, lat)
+            ballots = suites.first_mismatch(*tabulate(rule, lat), converted, lat)
+            if ballots is not None:
+                raise NotRepresentableError(
+                    f"at ballots {[lat.names[b] for b in ballots]} the rule gives "
+                    f"{lat.names[rule.evaluate(lat, ballots)]} but its canonical {args.to} "
+                    f"gives {lat.names[converted.evaluate(lat, ballots)]}; nothing written")
         out = serialize_rule(converted, lat)
         _emit(args, out, json.dumps(out, indent=2))
         return 0

@@ -54,6 +54,10 @@ class CornerNotInBallotSpaceError(MedianVotingError):
     """A corner profile needs bottom/top ballots some voter may not cast."""
 
 
+class NotRepresentableError(MedianVotingError):
+    """A rule's canonical median tree or committee does not replay its table."""
+
+
 class NotAChainError(MedianVotingError):
     pass
 

@@ -20,12 +20,15 @@ DEFAULT_ENUM_CAP = 7
 
 class TotalPreorder:
     """Topped total preorder as a canonical rank vector; ``top`` is the
-    strictly best element, stored at construction."""
+    strictly best element, stored at construction, and ``better`` its
+    strictly-better masks, built on first use."""
 
-    __slots__ = ("ranks", "top")
+    __slots__ = ("ranks", "top", "_better")
 
     def __init__(self, ranks):
-        ranks = tuple(int(r) for r in ranks)
+        ranks = tuple(ranks)
+        if any(type(r) is not int for r in ranks):
+            raise InvalidSizeError(f"ranks {list(ranks)} are not all integers")
         if not ranks:
             raise InvalidSizeError("empty carrier")
         used = set(ranks)
@@ -35,6 +38,7 @@ class TotalPreorder:
             raise InvalidSizeError("a topped preorder needs exactly one best element")
         self.ranks = ranks
         self.top = ranks.index(0)
+        self._better = None
 
     @property
     def m(self) -> int:
@@ -45,6 +49,18 @@ class TotalPreorder:
 
     def strictly_prefers(self, a: int, b: int) -> bool:
         return self.ranks[a] < self.ranks[b]
+
+    @property
+    def better(self) -> tuple:
+        """better[o]: bitmask of the elements ranked strictly above o."""
+        if self._better is None:
+            below = [0] * (max(self.ranks) + 2)    # below[r]: elements of rank < r
+            for v, r in enumerate(self.ranks):
+                below[r + 1] |= 1 << v
+            for r in range(1, len(below)):
+                below[r] |= below[r - 1]
+            self._better = tuple(below[r] for r in self.ranks)
+        return self._better
 
     def classes(self) -> tuple:
         """Indifference classes, best first, each sorted by element id."""

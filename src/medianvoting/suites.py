@@ -15,7 +15,8 @@ import itertools
 import random
 import time
 
-from .errors import NoSuitableSublatticeError, NotAChainError, NotEnoughAtomsError
+from .errors import (InvalidSizeError, NoSuitableSublatticeError, NotAChainError,
+                     NotEnoughAtomsError)
 from .lattice import (Lattice, build_boolean_hypercube, build_chain, build_from_covers,
                       build_product)
 from .preorders import (
@@ -41,10 +42,12 @@ from .rules import (
     tree_to_committee,
 )
 from .verify import (
+    DEFAULT_EVAL_CAP,
     CheckResult,
     DomainDescriptor,
     ManipulationWitness,
     VerificationReport,
+    _check_sweep_size,
     check_coalition_search_size,
     check_monotonicity_sweep_size,
     find_coalitional_manipulation,
@@ -74,9 +77,11 @@ def claim1_suite(lat: Lattice, label: str = "") -> VerificationReport:
     """Exhaustive betweenness axioms, median laws, and the metric picture.
 
     Each check scans its tuples in ``itertools.product`` order and reports
-    the first that fails, by element names."""
+    the first that fails, by element names.  The largest scan visits m^5
+    tuples, refused beyond the evaluation cap before any table is built."""
     t0 = time.perf_counter()
     m = lat.m
+    _check_sweep_size("claim1", m ** 5, DEFAULT_EVAL_CAP)
     rng = range(m)
     between = lat.between
     checks = []
@@ -140,6 +145,10 @@ def _full_domains(lat, n):
 
 
 def _rule_pool(lat, n, samples, seed):
+    """``samples`` random tables, then the projections and the constants;
+    more than the evaluation cap of sampled cells are refused first."""
+    _check_sweep_size("sampled-rule", samples * check_table_size([lat.m] * n),
+                      DEFAULT_EVAL_CAP)
     rng = random.Random(seed)
     pool = [("random", random_explicit_rule(lat, n, rng)) for _ in range(samples)]
     pool += [("projection", ExplicitRule.from_function(
@@ -149,17 +158,23 @@ def _rule_pool(lat, n, samples, seed):
     return pool
 
 
+def first_mismatch(spaces, table, form, lat):
+    """The first ballots, row-major over ``spaces``, where ``form`` differs
+    from ``table``, or None where it replays the table."""
+    _, form_table = tabulate(form, lat, spaces)
+    if form_table == table:
+        return None
+    return next(ballots for ballots, a, b in zip(itertools.product(*spaces), table, form_table)
+                if a != b)
+
+
 def _roundtrips_exact(rule, lat):
     """Whether the median-tree and committee normal forms replay the table."""
     spaces, table = tabulate(rule, lat)
-    values = corners(rule, lat)
-    tree = build_canonical_median_tree(values, rule.n)
-    _, tree_table = tabulate(tree, lat, spaces)
-    if tree_table != table:
+    tree = build_canonical_median_tree(corners(rule, lat), rule.n)
+    if first_mismatch(spaces, table, tree, lat) is not None:
         return False, False
-    committee = tree_to_committee(tree, lat)
-    _, committee_table = tabulate(committee, lat, spaces)
-    return True, committee_table == table
+    return True, first_mismatch(spaces, table, tree_to_committee(tree, lat), lat) is None
 
 
 def _strategy_proof(rule, violation, domain):
@@ -409,7 +424,7 @@ def theorem2_suite(lat: Lattice) -> VerificationReport:
     q_top_a = _ranked(lat, [[a], [b], [c]])
     q_top_d = _ranked(lat, [[d], [b], [c]])
     pool = _dummy_pool(lat)
-    domains = [DomainDescriptor.custom(lat, (pair, pair, carrier), (tops, tops, pool))
+    domains = [DomainDescriptor(lat, (pair, pair, carrier), (tops, tops, pool))
                for tops in ((p_top_a, p_top_d), (q_top_a, q_top_d))]
 
     checks.append(CheckResult(
@@ -539,8 +554,13 @@ def _quota_threshold(lat, constants, target):
 
 def theorem3_suite(lat: Lattice, n: int = 5) -> VerificationReport:
     """No anonymous quota rule that is locally sovereign and neutral on the
-    four-element sublattice over two atoms survives the coalition search."""
+    four-element sublattice over two atoms survives the coalition search.
+
+    One voter needs no check: the only such rule is then the identity, a
+    dictatorship no coalition can manipulate, so n < 2 is refused."""
     t0 = time.perf_counter()
+    if n < 2:
+        raise InvalidSizeError(f"theorem3 needs n >= 2 voters, got n = {n}")
     atoms = sorted(lat.atoms)
     if len(atoms) < 2:
         raise NotEnoughAtomsError("need at least two atoms")
@@ -596,10 +616,11 @@ def chain_equivalence_suite(lat: Lattice, n: int = 2, samples: int = 100,
     t0 = time.perf_counter()
     if not lat.is_chain():
         raise NotAChainError("carrier is not a chain")
-    check_table_size([lat.m] * n)    # before the n-voter domains are built
+    size = check_table_size([lat.m] * n)    # before the n-voter domains are built
     domains = _full_domains(lat, n)
     for dom in domains:    # refuse an oversized search before any table
         check_coalition_search_size(dom)
+    _check_sweep_size("sampled-rule", samples * size, DEFAULT_EVAL_CAP)
     rng = random.Random(seed)
     pool = [(f"quota{_names(lat, constants)}", ExplicitRule(full_spaces(lat, n), table))
             for constants, table in _quota_tables(lat, n)]

@@ -35,16 +35,6 @@ DEFAULT_EVAL_CAP = 10 ** 8
 # -- domains ------------------------------------------------------------------------
 
 
-def _better_masks(pref) -> tuple:
-    """better[o]: bitmask of the elements ``pref`` ranks strictly above o."""
-    below = [0] * (max(pref.ranks) + 2)    # below[r]: elements of rank < r
-    for v, r in enumerate(pref.ranks):
-        below[r + 1] |= 1 << v
-    for r in range(1, len(below)):
-        below[r] |= below[r - 1]
-    return tuple(below[r] for r in pref.ranks)
-
-
 class DomainDescriptor:
     """Per-voter ballot spaces and admissible preference sets."""
 
@@ -77,28 +67,18 @@ class DomainDescriptor:
         return len(self.spaces)
 
     def gain_masks(self):
-        """(better, gain), built on first use and kept with the domain.
-
-        ``better[i][k][o]`` is the bitmask of the elements voter i's k-th
-        preference ranks strictly above outcome o; ``gain[i][t][o]`` is the
-        union of those masks over voter i's preferences with top t.
-        """
+        """``gain[i][t][o]``: the union of ``p.better[o]`` over voter i's
+        preferences p with top t, built on first use and kept with the domain."""
         if self._gains is None:
-            memo = {}    # by identity: full domains share preorders across voters
-            better, gain = [], []
+            gain = []
             for prefs in self.preference_sets:
-                masks, by_top = [], {}
+                by_top = {}
                 for p in prefs:
-                    mask = memo.get(id(p))
-                    if mask is None:
-                        mask = memo[id(p)] = _better_masks(p)
-                    masks.append(mask)
-                    by_top.setdefault(p.top, []).append(mask)
-                better.append(tuple(masks))
+                    by_top.setdefault(p.top, []).append(p.better)
                 gain.append({t: [functools.reduce(operator.or_, column)
                                  for column in zip(*group)]
                              for t, group in by_top.items()})
-            self._gains = tuple(better), tuple(gain)
+            self._gains = tuple(gain)
         return self._gains
 
     def holds(self, i: int, pref: TotalPreorder) -> bool:
@@ -129,13 +109,8 @@ class DomainDescriptor:
     def _from_pool(cls, lattice, n, spaces, pool, flavor):
         if spaces is None:
             spaces = full_spaces(lattice, n)
-        spaces = tuple(tuple(s) for s in spaces)
-        prefs = tuple(tuple(p for p in pool if p.top in space) for space in spaces)
+        prefs = [[p for p in pool if p.top in space] for space in spaces]
         return cls(lattice, spaces, prefs, flavor)
-
-    @classmethod
-    def custom(cls, lattice, spaces, preference_sets) -> "DomainDescriptor":
-        return cls(lattice, spaces, preference_sets, "custom")
 
 
 # -- witnesses -----------------------------------------------------------------------
@@ -278,7 +253,7 @@ class OutcomeLanes(_Lanes):
         starts = self.count if literal else math.prod(len({p.top for p in ps}) for ps in prefs)
         self.estimate = ((self.count if literal else 1) * math.prod(k + 1 for k in self.sizes),
                          starts * sum(map(len, prefs)))
-        self.gain = domain.gain_masks()[1]
+        self.gain = domain.gain_masks()
         if literal:    # one anchor: the union over every preference
             self.gain = [dict.fromkeys(space, [functools.reduce(operator.or_, masks)
                                                for masks in zip(*by_top.values())])
@@ -399,13 +374,14 @@ def find_strategy_violation(rule, domain: DomainDescriptor,
     spaces, table = tabulate(rule, domain.lattice, domain.spaces)
     _check_sweep_size("strategy-proofness", len(table) * sum(map(len, domain.preference_sets)),
                       cap)
-    better, lanes = domain.gain_masks()[0], domain.lanes()
+    lanes = domain.lanes()
     onehot, equal = lanes.outcomes(table)
     for i, line in enumerate(lanes.lines):
         reach = spread(onehot, line)
         if not reach & lanes.gains(i, equal):
             continue
-        for pref, masks in zip(domain.preference_sets[i], better[i]):
+        for pref in domain.preference_sets[i]:
+            masks = pref.better
             hit = reach & lanes.cells(i, pref.top) & lanes.pack(
                 table, [m.to_bytes(lanes.w, "little") for m in masks])
             if hit:
@@ -508,7 +484,7 @@ def find_coalitional_manipulation(rule, domain: DomainDescriptor,
     table = tabulate(rule, domain.lattice, domain.spaces)[1]
     check_coalition_search_size(domain, semantics, cap)
     lanes = domain.lanes(semantics)
-    lines, better = lanes.lines, domain.gain_masks()[0]
+    lines = lanes.lines
     onehot, equal = lanes.outcomes(table)
     lane_gains = [lanes.gains(i, equal) for i in range(n)]
 
@@ -532,11 +508,11 @@ def find_coalitional_manipulation(rule, domain: DomainDescriptor,
     o_t = next(o for o, cells_o in equal.items() if found & cells_o)
 
     # fix the profile voter by voter; the lanes guarantee each voter a hit
-    target, choice = lanes.start & equal[o_t], []
+    target, profile = lanes.start & equal[o_t], []
     for i, prefs in enumerate(domain.preference_sets):
         failed = set()    # same top and better set: same completions
-        for k, pref in enumerate(prefs):
-            signature = (pref.top, better[i][k][o_t])
+        for pref in prefs:
+            signature = (pref.top, pref.better[o_t])
             if signature in failed:
                 continue
             lane_gains[i] = int.from_bytes(signature[1].to_bytes(lanes.w, "little")
@@ -545,7 +521,7 @@ def find_coalitional_manipulation(rule, domain: DomainDescriptor,
             found = hits(size, common=trial)
             if found:
                 target = trial
-                choice.append(k)
+                profile.append(pref)
                 break
             failed.add(signature)
 
@@ -555,14 +531,14 @@ def find_coalitional_manipulation(rule, domain: DomainDescriptor,
         if len(members) != size:
             continue
         outsiders = [j for j in range(n) if not mask >> j & 1]
-        common = functools.reduce(operator.and_, [better[i][choice[i]][o_t] for i in members])
+        common = functools.reduce(operator.and_, [profile[i].better[o_t] for i in members])
         forced = sum(cells_o for o, cells_o in equal.items() if common >> o & 1)  # disjoint: OR
         box = functools.reduce(operator.and_, [lanes.cells(j, origin[j]) for j in outsiders],
                                forced)
         if box:
             d = lanes.lowest(box)
             return ManipulationWitness(
-                profile=tuple(prefs[k] for prefs, k in zip(domain.preference_sets, choice)),
+                profile=tuple(profile),
                 coalition=tuple(members),
                 context_ballots=tuple(origin[j] for j in outsiders),
                 deviation=tuple(lanes.at(d)[i] for i in members),

@@ -148,10 +148,10 @@ def test_a04_restricted_rule_on_four_chain(chain4):
     carrier = tuple(range(4))
     pool = enumerate_unimodal(chain4)
     strict_pool = enumerate_lsu(chain4)
-    dom_u = DomainDescriptor.custom(chain4, (pair, pair, carrier),
-                                    ((p_a, p_d), (p_a, p_d), pool))
-    dom_s = DomainDescriptor.custom(chain4, (pair, pair, carrier),
-                                    ((q_a, q_d), (q_a, q_d), strict_pool))
+    dom_u = DomainDescriptor(chain4, (pair, pair, carrier),
+                             ((p_a, p_d), (p_a, p_d), pool))
+    dom_s = DomainDescriptor(chain4, (pair, pair, carrier),
+                             ((q_a, q_d), (q_a, q_d), strict_pool))
     sp_restricted = (find_strategy_violation(rule, dom_u) is None
                      and find_strategy_violation(rule, dom_s) is None)
 

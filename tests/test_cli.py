@@ -23,6 +23,7 @@ from medianvoting.cli import (
     serialize_rule,
 )
 from medianvoting.errors import FormatError
+from medianvoting.lattice import build_chain
 from medianvoting.preorders import (
     enumerate_topped_preorders,
     enumerate_unimodal,
@@ -180,6 +181,29 @@ class TestCommands:
         assert printed == json.loads(out.read_text()) and printed["kind"] == to
         assert tabulate(parse_rule(printed, square), square) == tabulate(rule, square)
 
+    @pytest.mark.parametrize("to, ballots, rule_gives, form_gives", [
+        ("tree", "['0', '0']", "x", "0"),
+        ("committee", "['0', 'x']", "0", "x"),
+    ])
+    def test_rule_convert_refuses_a_table_its_canonical_form_does_not_replay(
+            self, tmp_path, square_file, square, to, ballots, rule_gives, form_gives,
+            capsys):
+        # corners x, 0, 0, 1; the canonical tree's table differs in 10 of 16 cells
+        rule = {"kind": "explicit", "ballot_spaces": [["0", "x", "y", "1"]] * 2,
+                "table": ["x"] + ["0"] * 14 + ["1"]}
+        tree = build_canonical_median_tree(
+            [square.element(v) for v in ("x", "0", "0", "1")], 2)
+        table = tabulate(parse_rule(rule, square), square)[1]
+        assert sum(a != b for a, b in zip(table, tabulate(tree, square)[1])) == 10
+        source = write_json(tmp_path / "rule.json", rule)
+        out = tmp_path / "out.json"
+        assert run(["rule", "convert", "--to", to, "--rule", source,
+                    "--lattice", square_file, "--json", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert (f"at ballots {ballots} the rule gives {rule_gives} but its canonical "
+                f"{to} gives {form_gives}; nothing written") in captured.err
+
     def test_rule_convert_to_explicit_needs_no_corners(self, tmp_path, square_file,
                                                        square, capsys):
         # neither voter may cast the top, so the rule has no corner values
@@ -313,13 +337,33 @@ class TestCommands:
         assert chain4.names[rule.evaluate(chain4, deviant)] == witness["outcome_deviant"]
         capsys.readouterr()
 
-    def test_verify_theorem3_with_one_voter_fails(self, capsys):
-        # the one-voter identity rule is coalition-proof, so the quota-1
-        # rule has no manipulation to show
-        assert run(["verify", "theorem3", "--n", "1"]) == 1
-        out = capsys.readouterr().out
-        assert "[FAIL] q1-manipulable-unimodal" in out
-        assert "'coalition': []" not in out
+    def test_verify_theorem3_refuses_one_voter(self, capsys):
+        # the one-voter identity rule is the only locally sovereign and
+        # neutral quota rule, and it is coalition-proof: nothing to check
+        assert run(["verify", "theorem3", "--n", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "theorem3 needs n >= 2 voters, got n = 1" in captured.err
+
+    def test_verify_claim1_refuses_a_forty_element_chain_within_a_second(self, tmp_path,
+                                                                        capsys):
+        # 40^5 tuples for median-redistribution, past the evaluation cap
+        chain = write_json(tmp_path / "chain40.json", serialize_lattice(build_chain(40)))
+        with within(1.0, "verify claim1 on a 40-element chain"):
+            assert run(["verify", "claim1", "--lattice", chain]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("claim1 sweep of 102400000 evaluations exceeds the evaluation cap "
+                "100000000") in captured.err
+
+    def test_verify_lemma1_refuses_ten_million_samples_within_a_second(self, capsys):
+        # 10^7 sampled tables of 4^2 cells each
+        with within(1.0, "verify lemma1 --samples 10000000"):
+            assert run(["verify", "lemma1", "--samples", "10000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("sampled-rule sweep of 160000000 evaluations exceeds the evaluation cap "
+                "100000000") in captured.err
 
     def test_verify_theorem3_with_two_voters_targets_the_majority(self, capsys):
         # the majority quota is 2 = n: both voters join the coalition

@@ -70,6 +70,12 @@ class TestTotalPreorder:
         assert p.top == 1
         assert p.classes() == ((1,), (0, 2))
 
+    @pytest.mark.parametrize("ranks", [[0, 1.7, 2.2], [0, True, 2], ["0", "1"]],
+                             ids=["floats", "bool", "strings"])
+    def test_non_integer_ranks_are_refused(self, ranks):
+        with pytest.raises(InvalidSizeError, match="are not all integers"):
+            TotalPreorder(ranks)
+
     def test_from_classes_roundtrip(self):
         p = TotalPreorder.from_classes([[2], [0, 3], [1]], m=4)
         assert p.ranks == (1, 2, 0, 1)

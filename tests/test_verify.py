@@ -1,5 +1,6 @@
 import functools
 import itertools
+import operator
 import random
 import signal
 import time
@@ -33,6 +34,7 @@ from medianvoting.preorders import (
     TotalPreorder,
     build_lsu_witness,
     build_three_class_witness,
+    enumerate_lsu,
     enumerate_topped_preorders,
     enumerate_unimodal,
 )
@@ -287,10 +289,10 @@ def remark3_domains(chain4):
     q_a = TotalPreorder.from_classes([[a], [b], [c], [d]], m=4)
     q_d = TotalPreorder.from_classes([[d], [b], [c], [a]], m=4)
     pool = enumerate_unimodal(chain4)
-    dom_u = DomainDescriptor.custom(chain4, (pair, pair, carrier),
-                                    ((p_a, p_d), (p_a, p_d), pool))
-    dom_s = DomainDescriptor.custom(chain4, (pair, pair, carrier),
-                                    ((q_a, q_d), (q_a, q_d), pool))
+    dom_u = DomainDescriptor(chain4, (pair, pair, carrier),
+                             ((p_a, p_d), (p_a, p_d), pool))
+    dom_s = DomainDescriptor(chain4, (pair, pair, carrier),
+                             ((q_a, q_d), (q_a, q_d), pool))
     return dom_u, dom_s
 
 
@@ -394,7 +396,39 @@ class TestDomainDescriptor:
     def test_top_outside_space_rejected(self, square):
         p = TotalPreorder([0, 1, 1, 1])
         with pytest.raises(InvalidSizeError):
-            DomainDescriptor.custom(square, ((1, 2), (1, 2)), ((p,), (p,)))
+            DomainDescriptor(square, ((1, 2), (1, 2)), ((p,), (p,)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(poset=small_posets(), n=st.integers(min_value=1, max_value=2))
+    def test_better_masks_and_gain_tables_match_the_ranks(self, poset, n):
+        lat = build_ideal_lattice(*poset)
+        assume(lat.m <= 6)
+
+        def above(p, o):
+            return sum(1 << e for e in range(lat.m) if p.ranks[e] < p.ranks[o])
+
+        for p in enumerate_topped_preorders(lat):
+            assert p.better == tuple(above(p, o) for o in range(lat.m))
+        for factory in (DomainDescriptor.full_unimodal, DomainDescriptor.full_lsu):
+            domain = factory(lat, n)
+            gains = domain.gain_masks()
+            assert len(gains) == n and domain.gain_masks() is gains
+            for prefs, gain in zip(domain.preference_sets, gains):
+                tops = sorted({p.top for p in prefs})
+                assert sorted(gain) == tops
+                for t in tops:
+                    assert gain[t] == [functools.reduce(
+                        operator.or_, [above(p, o) for p in prefs if p.top == t])
+                        for o in range(lat.m)]
+        # the masks belong to the preorders: domains from one pool share them
+        pool = enumerate_lsu(lat)
+        first = DomainDescriptor(lat, full_spaces(lat, n), [pool] * n)
+        first.gain_masks()
+        kept = [p.better for p in pool]
+        second = DomainDescriptor(lat, full_spaces(lat, 1), [pool[::-1]])
+        second.gain_masks()
+        assert all(p.better is masks
+                   for p, masks in zip(second.preference_sets[0][::-1], kept))
 
     def test_holds_is_membership(self, square):
         x = square.element("x")
@@ -725,7 +759,7 @@ class TestStrategyProofness:
                     held += rng.sample([p for p in topped if p.top == t],
                                        rng.randint(1, 2))
                 prefs.append(held)
-            domain = DomainDescriptor.custom(lat, spaces, prefs)
+            domain = DomainDescriptor(lat, spaces, prefs)
             rule = random_rule(rng, lat, spaces, ("median", "mixed")[case % 2])
             witness = find_strategy_violation(rule, domain)
             assert witness == brute_force_strategy_violation(rule, domain), case
@@ -755,7 +789,7 @@ class TestStrategyProofness:
                              build_lsu_witness(lat, peak, rng.randrange(lat.m))]
                     held += [] if peaked_only else [TotalPreorder([dense[r] for r in ranks])]
                 prefs.append(tuple(dict.fromkeys(held)))
-            return DomainDescriptor.custom(lat, spaces, prefs)
+            return DomainDescriptor(lat, spaces, prefs)
 
         found = cases = 0
         for lat in carriers:
@@ -909,7 +943,7 @@ class TestCoalitionSearch:
                 tree = build_canonical_median_tree(
                     [rng.randrange(lat.m) for _ in range(2 ** n)], n)
                 rule = ExplicitRule(spaces, tabulate(tree, lat, spaces)[1])
-            domain = DomainDescriptor.custom(lat, spaces, prefs)
+            domain = DomainDescriptor(lat, spaces, prefs)
             for semantics in ("truthful", "literal"):
                 expected = brute_force_manipulation(rule, lat, spaces, prefs,
                                                     semantics == "literal")
@@ -935,7 +969,7 @@ class TestCoalitionSearch:
                           for _ in range(n)]
                 prefs = [peaked_preferences(rng, lat, space, (5, 4, 3)[n - 1])
                          for space in spaces]
-                domain = DomainDescriptor.custom(lat, spaces, prefs)
+                domain = DomainDescriptor(lat, spaces, prefs)
                 for kind in ("random", "median", "mixed"):
                     rule = random_rule(rng, lat, spaces, kind)
                     for semantics in found:
@@ -952,7 +986,7 @@ class TestCoalitionSearch:
                         for peak in space
                         for build in (build_three_class_witness, build_lsu_witness)})
                  for space in spaces]
-        domain = DomainDescriptor.custom(chain10, spaces, prefs)
+        domain = DomainDescriptor(chain10, spaces, prefs)
         on_chain = {"truthful": 0, "literal": 0}
         for _ in range(12):
             rule = random_rule(rng, chain10, spaces, "median")
@@ -986,7 +1020,7 @@ class TestCoalitionSearch:
                 spaces.append(space)
                 prefs.append((p, twin, q)[:7 - n])
             rule = random_rule(rng, lat, spaces, ("random", "mixed")[case % 2])
-            domain = DomainDescriptor.custom(lat, spaces, prefs)
+            domain = DomainDescriptor(lat, spaces, prefs)
             for semantics in found:
                 witness = find_coalitional_manipulation(rule, domain, semantics)
                 assert witness == brute_force_manipulation(
@@ -1076,7 +1110,7 @@ class TestCoalitionSearch:
         # 52^5 profiles, but only 4^5 * (5 * 52) preference scans
         pool = enumerate_topped_preorders(square)
         rule = extended_median_rule(square, 5)
-        domain = DomainDescriptor.custom(square, full_spaces(square, 5), [pool] * 5)
+        domain = DomainDescriptor(square, full_spaces(square, 5), [pool] * 5)
         witness = find_coalitional_manipulation(rule, domain)
         assert witness is not None and witness.validate(rule, square)
         assert witness.coalition == (1, 2, 3, 4)
@@ -1276,6 +1310,14 @@ class TestSuites:
     def test_theorem3_requires_atoms(self):
         with pytest.raises(NotEnoughAtomsError):
             theorem3_suite(build_chain(4), 3)
+
+    def test_theorem3_refuses_fewer_than_two_voters(self, square):
+        # one voter: the only such rule is the identity, which no coalition
+        # can manipulate, so the impossibility starts at two voters
+        for n in (1, 0):
+            with pytest.raises(InvalidSizeError, match=f"needs n >= 2 voters, got n = {n}"):
+                theorem3_suite(square, n)
+        assert theorem3_suite(square, 2).passed()
 
     @settings(max_examples=60, deadline=None)
     @given(poset=small_posets())
