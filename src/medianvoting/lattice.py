@@ -88,12 +88,12 @@ class Lattice:
                  "join_irreducibles", "_index", "_up", "_down",
                  "_irreducibles", "_code", "_decode")
 
-    def __init__(self, names, covers, size_cap: int = DEFAULT_SIZE_CAP):
+    def __init__(self, names, covers):
         names = list(names)
         if not names:
             raise InvalidSizeError("a lattice needs at least one element")
-        if len(names) > size_cap:
-            raise TooLargeError(f"{len(names)} elements exceeds cap {size_cap}")
+        if len(names) > DEFAULT_SIZE_CAP:
+            raise TooLargeError(f"{len(names)} elements exceeds cap {DEFAULT_SIZE_CAP}")
         if len(set(names)) != len(names):
             raise NotAPosetError("duplicate element names")
         self.names = tuple(str(n) for n in names)
@@ -333,34 +333,34 @@ class Lattice:
 # -- constructors --------------------------------------------------------------
 
 
-def build_from_covers(names, covers, size_cap: int = DEFAULT_SIZE_CAP) -> Lattice:
+def build_from_covers(names, covers) -> Lattice:
     """Build and validate a lattice from its named cover (Hasse) relation."""
-    return Lattice(names, covers, size_cap=size_cap)
+    return Lattice(names, covers)
 
 
-def build_chain(m: int, size_cap: int = DEFAULT_SIZE_CAP) -> Lattice:
+def build_chain(m: int) -> Lattice:
     if m < 1:
         raise InvalidSizeError("a chain needs at least one element")
     names = [str(i) for i in range(m)]
-    return Lattice(names, [(i, i + 1) for i in range(m - 1)], size_cap=size_cap)
+    return Lattice(names, [(i, i + 1) for i in range(m - 1)])
 
 
-def build_boolean_hypercube(k: int, size_cap: int = DEFAULT_SIZE_CAP) -> Lattice:
+def build_boolean_hypercube(k: int) -> Lattice:
     """All k-bit vectors under the componentwise order; names are bitstrings."""
     if k < 1:
         raise InvalidSizeError("dimension must be at least 1")
-    if 2 ** k > size_cap:
-        raise TooLargeError(f"2^{k} elements exceeds cap {size_cap}")
+    if 2 ** k > DEFAULT_SIZE_CAP:
+        raise TooLargeError(f"2^{k} elements exceeds cap {DEFAULT_SIZE_CAP}")
     names = [format(v, f"0{k}b") for v in range(2 ** k)]
     covers = [(v, v | 1 << i)
               for v in range(2 ** k) for i in range(k) if not v >> i & 1]
-    return Lattice(names, covers, size_cap=size_cap)
+    return Lattice(names, covers)
 
 
-def build_product(a: Lattice, b: Lattice, size_cap: int = DEFAULT_SIZE_CAP) -> Lattice:
+def build_product(a: Lattice, b: Lattice) -> Lattice:
     """Componentwise-ordered product; element (i, j) gets id i*|b| + j."""
-    if a.m * b.m > size_cap:
-        raise TooLargeError(f"{a.m * b.m} elements exceeds cap {size_cap}")
+    if a.m * b.m > DEFAULT_SIZE_CAP:
+        raise TooLargeError(f"{a.m * b.m} elements exceeds cap {DEFAULT_SIZE_CAP}")
     names = [f"{na}.{nb}" for na in a.names for nb in b.names]
     covers = []
     for i in range(a.m):
@@ -370,11 +370,10 @@ def build_product(a: Lattice, b: Lattice, size_cap: int = DEFAULT_SIZE_CAP) -> L
                 covers.append((e, i2 * b.m + j))
             for j2 in b.upper_covers(j):
                 covers.append((e, i * b.m + j2))
-    return Lattice(names, covers, size_cap=size_cap)
+    return Lattice(names, covers)
 
 
-def build_ideal_lattice(poset_names, leq_pairs,
-                        size_cap: int = DEFAULT_SIZE_CAP) -> Lattice:
+def build_ideal_lattice(poset_names, leq_pairs) -> Lattice:
     """Lattice of order ideals (downward-closed sets) of a finite poset.
 
     ``leq_pairs`` lists (lower, upper) name pairs generating the order; the
@@ -418,8 +417,8 @@ def build_ideal_lattice(poset_names, leq_pairs,
                 continue  # some strict predecessor of i is missing
             grown = ideal | 1 << i
             if grown not in ideals:
-                if len(ideals) >= size_cap:
-                    raise TooLargeError(f"more than {size_cap} order ideals")
+                if len(ideals) >= DEFAULT_SIZE_CAP:
+                    raise TooLargeError(f"more than {DEFAULT_SIZE_CAP} order ideals")
                 ideals.add(grown)
                 frontier.append(grown)
 
@@ -434,4 +433,4 @@ def build_ideal_lattice(poset_names, leq_pairs,
         for i in range(p):
             if not s >> i & 1 and (s | 1 << i) in pos and not below[i] & ~(s | 1 << i):
                 covers.append((pos[s], pos[s | 1 << i]))
-    return Lattice([ideal_name(s) for s in ordered], covers, size_cap=size_cap)
+    return Lattice([ideal_name(s) for s in ordered], covers)

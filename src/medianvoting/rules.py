@@ -147,7 +147,7 @@ class CodeLanes(_Lanes):
     carries a bit across lanes: med(A, B, C) = ``A&B | B&C | A&C``.  ``of``
     keeps the lanes of the last few (codes, spaces) pairs.  The sweep masks
     and ballot tiles (``_sweep``) are built on first use: ``tabulate`` reads
-    only ``lane`` and ``decoder``.
+    only ``lane`` and ``decode``.
     """
 
     _kept: dict = {}
@@ -187,17 +187,14 @@ class CodeLanes(_Lanes):
         """Voter i's ballot code in every lane: the projection onto voter i."""
         return self._sweep[2][i]
 
-    def decoder(self):
-        """The function from a lane int to its element-id table, built once
-        (``_decode``).  One-byte lanes go through one ``bytes.translate``.
-        Wider lanes are split into w byte planes (byte j of every lane is
-        ``data[j::w]``) and zipped back into per-lane byte tuples, which key
-        the element ids; nothing reads a lane as a native int, so the host's
-        byte order never enters."""
-        return self._decode
-
     @functools.cached_property
-    def _decode(self):
+    def decode(self):
+        """The function from a lane int to its element-id table, built once.
+        One-byte lanes go through one ``bytes.translate``.  Wider lanes are
+        split into w byte planes (byte j of every lane is ``data[j::w]``) and
+        zipped back into per-lane byte tuples, which key the element ids;
+        nothing reads a lane as a native int, so the host's byte order never
+        enters."""
         size, w = self.w * self.count, self.w
         key = {tuple(b): e for e, b in enumerate(self.lane)}
         if w == 1:
@@ -406,11 +403,12 @@ def corners(rule, lat: Lattice) -> tuple:
 
 def tree_to_committee(tree: MedianTree, lat: Lattice) -> CommitteeRule:
     """Committee normal form: one term per coalition S, with constant equal to
-    the corner value where exactly S votes top (voter i is bit n-1-i of the
-    corner's index)."""
+    the tree's value where exactly S votes top (voter i is bit n-1-i of the
+    corner's index).  That is its leaf only when the leaves are monotone, so
+    the values come from ``corners``."""
     n = tree.n
     return CommitteeRule(n, [(frozenset(i for i in range(n) if c >> (n - 1 - i) & 1), v)
-                             for c, v in enumerate(tree.corner_values())])
+                             for c, v in enumerate(corners(tree, lat))])
 
 
 def _fold(leaves, lanes: CodeLanes, pair) -> tuple:
@@ -432,7 +430,7 @@ def _fold(leaves, lanes: CodeLanes, pair) -> tuple:
                   | x & int.from_bytes(q.to_bytes(size, "little") * rows, "little")
                   for p, q in map(pair, tables[::2], tables[1::2])]
         cells *= rows
-    return lanes.decoder()(tables[0])
+    return lanes.decode(tables[0])
 
 
 def tabulate(rule, lat: Lattice, spaces=None):

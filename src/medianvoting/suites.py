@@ -256,7 +256,7 @@ def lemma2_suite(lat: Lattice, n: int = 3, label: str = "") -> VerificationRepor
             continue
         swept.add(mixed)
         if lanes.first_failure(mixed) is not None:
-            rule = ExplicitRule(lanes.spaces, lanes.decoder()(mixed))
+            rule = ExplicitRule(lanes.spaces, lanes.decode(mixed))
             witness = find_monotonicity_violation(rule, lat).describe(lat)
             break
     checks = [CheckResult("median-of-monotone-rules-is-monotone",
@@ -492,7 +492,7 @@ def _quota_tables(lat, n):
     runs per profile, on the voters' ballot lanes (``CodeLanes.ballots``)
     with the top broadcast as E[0].  A rule's table is then
     ``c_0 | OR_s (E[s] & c_s)`` with each constant broadcast over the lanes,
-    decoded once to element ids (``CodeLanes.decoder``).
+    decoded once to element ids (``CodeLanes.decode``).
     """
     check_table_size([lat.m] * n)
     lanes = CodeLanes.of(lat, full_spaces(lat, n))
@@ -503,7 +503,7 @@ def _quota_tables(lat, n):
         table = constant[vector[0]]
         for held, c in zip(best[1:], vector[1:]):
             table |= held & constant[c]
-        out.append((vector, lanes.decoder()(table)))
+        out.append((vector, lanes.decode(table)))
     return out
 
 
@@ -582,20 +582,19 @@ def theorem3_suite(lat: Lattice, n: int = 5) -> VerificationReport:
         detail=f"{total} quota rules, {len(survivors)} locally sovereign+neutral "
                f"on {{{', '.join(_names(lat, local))}}}")]
 
-    majority = n // 2 + 1
+    majority, domains = n // 2 + 1, None
     for constants, rule in survivors:
         q = _quota_threshold(lat, constants, xz)
         tag = f"q{q}" if q is not None else "q-none"
-        for domain in ("unimodal", "strict"):
+        for strict, domain in enumerate(("unimodal", "strict")):
             witness = None
             how = "targeted-profile"
             if q is not None:
                 witness = _targeted_witness(lat, rule, n, q, x, z, domain)
             if witness is None:
                 how = "fallback-search"
-                dom = (DomainDescriptor.full_unimodal(lat, n) if domain == "unimodal"
-                       else DomainDescriptor.full_lsu(lat, n))
-                witness = find_coalitional_manipulation(rule, dom)
+                domains = domains or _full_domains(lat, n)    # built once, lanes shared
+                witness = find_coalitional_manipulation(rule, domains[strict])
             found = witness is not None and witness.validate(rule, lat)
             must_be_targeted = q == majority
             passed = found and (how == "targeted-profile" or not must_be_targeted)
@@ -754,7 +753,7 @@ def boolean_square_suite() -> VerificationReport:
     checks.append(CheckResult(
         "majority-output-always-among-ballots", cast_only,
         detail="4^5 ballot profiles"))
-    axioms = check_axioms(maj5, lat, range(4), unimodal_pool=unimodal)
+    axioms = check_axioms(maj5, lat, range(4))
     checks.append(CheckResult(
         "majority-axioms-all-hold", axioms.all_hold(), axioms.witnesses or None,
         "anonymous, locally neutral/sovereign/idempotent, efficient"))

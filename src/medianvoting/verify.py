@@ -10,8 +10,8 @@ Every sweep runs on one of two shared kernels.  Lane ints, one lane per
 cell, share ``rules.spread``: monotonicity runs on Birkhoff-code lanes
 (``rules.CodeLanes``), and the strategy sweep (the size-1 case), the
 coalition search, anonymity and weak efficiency on outcome lanes
-(``OutcomeLanes``, built once per domain and semantics).  Cell images
-(``_local_cells``) serve local neutrality and local sovereignty.
+(``OutcomeLanes``, of a domain or of Lemma 1's interval table).  Cell
+images (``_local_cells``) serve local neutrality and local sovereignty.
 """
 
 from __future__ import annotations
@@ -92,7 +92,12 @@ class DomainDescriptor:
         if semantics not in ("truthful", "literal"):
             raise ValueError(f"unknown semantics {semantics!r}")
         if semantics not in self._lanes:
-            self._lanes[semantics] = OutcomeLanes(self, semantics)
+            literal, gain = semantics == "literal", self.gain_masks()
+            if literal:    # one anchor: the union over every preference
+                gain = [dict.fromkeys(space, [functools.reduce(operator.or_, masks)
+                                              for masks in zip(*by_top.values())])
+                        for space, by_top in zip(self.spaces, gain)]
+            self._lanes[semantics] = OutcomeLanes(self.spaces, self.lattice.m, gain, literal)
         return self._lanes[semantics]
 
     @classmethod
@@ -232,33 +237,21 @@ class ManipulationWitness:
 
 
 class OutcomeLanes(_Lanes):
-    """A domain's table-independent outcome lanes under one semantics, kept
-    by ``DomainDescriptor.lanes`` for all its strategy and coalition sweeps.
+    """Table-independent outcome lanes over ``spaces`` of an m-element
+    carrier, from voter i's gains ``gain[i][a][o]`` at each anchor a: a
+    domain's (``DomainDescriptor.lanes``) or Lemma 1's interval table.
 
     Its lanes have w = ceil(m/8) bytes, one bit per outcome (``outcomes``).
-    The gain tile G[i][o] holds voter i's gain set at its ballot and outcome
-    o where that ballot is an anchor (its top; under literal semantics any
-    ballot), zero elsewhere.  ``start`` is full where every voter sits at an
-    anchor, and ``cells(i, b)`` where voter i casts b.  The coalition search
-    reads ``start`` in its size decision and its fix-up, and ``cells`` in
-    its fix-up, as do the strategy sweep and the anonymity check.  They are built on first use,
-    the search ``estimate`` up front.
+    The gain tile G[i][o] holds ``gain[i][b][o]`` where voter i casts an
+    anchor b, zero elsewhere.  Built on first use, ``start`` (read by the
+    coalition search) is full where every voter sits at an anchor, and
+    ``cells(i, b)`` (read by its fix-up, the strategy sweep and the
+    anonymity check) where voter i casts b.
     """
 
-    def __init__(self, domain: DomainDescriptor, semantics: str):
-        w, m = -(-domain.lattice.m // 8), domain.lattice.m
-        super().__init__(domain.spaces, [(1 << o).to_bytes(w, "little") for o in range(m)])
-        prefs = domain.preference_sets
-        self.literal = literal = semantics == "literal"
-        starts = self.count if literal else math.prod(len({p.top for p in ps}) for ps in prefs)
-        self.estimate = ((self.count if literal else 1) * math.prod(k + 1 for k in self.sizes),
-                         starts * sum(map(len, prefs)))
-        self.gain = domain.gain_masks()
-        if literal:    # one anchor: the union over every preference
-            self.gain = [dict.fromkeys(space, [functools.reduce(operator.or_, masks)
-                                               for masks in zip(*by_top.values())])
-                         for space, by_top in zip(self.spaces, self.gain)]
-        self._tiles, self._cells = [{} for _ in self.spaces], {}
+    def __init__(self, spaces, m: int, gain, literal: bool = False):
+        super().__init__(spaces, [(1 << o).to_bytes(-(-m // 8), "little") for o in range(m)])
+        self.gain, self.literal, self._tiles, self._cells = gain, literal, [{} for _ in spaces], {}
 
     @property
     def lines(self) -> tuple:
@@ -424,11 +417,14 @@ def strategy_witness_from(violation: MonotonicityWitness,
 def check_coalition_search_size(domain: DomainDescriptor, semantics: str = "truthful",
                                 cap: int = DEFAULT_EVAL_CAP) -> None:
     """Refuse a coalition search on ``domain`` beyond ``cap`` before any table
-    is built.  The estimate, kept with the domain's ``OutcomeLanes``, counts
+    is built.  The estimate, read off the domain's ``OutcomeLanes``, counts
     the (start, coalition, joint deviation) triples the lanes decide, each
     voter staying out or casting one of its ballots, and the (start, tried
     preference) pairs the fix-up tests, one lane pass per preference."""
-    deviations, scans = domain.lanes(semantics).estimate
+    lanes = domain.lanes(semantics)    # refuses an unknown semantics first
+    starts = lanes.count if lanes.literal else math.prod(map(len, lanes.gain))
+    deviations = (lanes.count if lanes.literal else 1) * math.prod(k + 1 for k in lanes.sizes)
+    scans = starts * sum(map(len, domain.preference_sets))
     if deviations > cap or scans > cap:
         raise TooLargeError(
             f"coalition search of {deviations} deviations and "
@@ -603,32 +599,36 @@ def find_local_neutrality_violation(table, lat: Lattice, local, n: int):
     return None
 
 
-def check_axioms(rule, lat: Lattice, local_set, unimodal_pool=None,
-                 cap: int = DEFAULT_EVAL_CAP) -> AxiomCheck:
+def interval_gains(lat: Lattice) -> dict:
+    """Lemma 1's interval table: ``gains[x][o]`` masks the y with o outside
+    [x, y], which single-peakedness lets, and Lemma 1's witnesses make, some
+    full unimodal or full LSU preference topped at x rank above o."""
+    return {x: [sum(1 << y for y in range(lat.m) if not lat.between(x, o, y))
+                for o in range(lat.m)] for x in range(lat.m)}
+
+
+def check_axioms(rule, lat: Lattice, local_set, cap: int = DEFAULT_EVAL_CAP) -> AxiomCheck:
     """Exhaustive anonymity / local neutrality / local sovereignty / local
     idempotence / weak efficiency check over the full carrier.
 
     The rule must be total (evaluable on every carrier tuple).  An axiom
     fails iff ``witnesses`` holds its witness, the first in row-major order.
-    Anonymity and efficiency read one ``outcomes`` call on the outcome lanes
-    of the domain where every voter holds ``unimodal_pool`` (default: the
-    full unimodal pool).  Swapping voters k and k+1 moves a cell where they
-    cast a < b up by (b - a)(m - 1) strides of voter k+1, so the one-hot
-    lanes where they cast (a, b), XORed with those where they cast (b, a)
-    shifted down that far, are nonzero where the swap changes the outcome.
-    A mismatched pair's earlier cell has a < b, so the lowest such lane over
-    a < b is the first mismatch.  Efficiency: lane c of the AND of all voters'
-    ``gains`` holds the elements each voter's pool ranks above table[c] from
-    its ballot as top, so the lowest set bit names the first dominated cell
-    and the lowest element dominating it.
+    Anonymity and efficiency read one ``outcomes`` call on outcome lanes.
+    Swapping voters k and k+1 moves a cell where they cast a < b up by
+    (b - a)(m - 1) strides of voter k+1, so the one-hot lanes where they cast
+    (a, b), XORed with those where they cast (b, a) shifted down that far,
+    are nonzero where the swap changes the outcome.  A mismatched pair's
+    earlier cell has a < b, so the lowest such lane is the first mismatch.
+    Efficiency: every voter's gains are ``interval_gains`` (its m^3 bit tests
+    count against ``cap``), so the lowest set bit of the AND of all voters'
+    ``gains`` names the first dominated cell and its lowest dominator.
     """
     n, m, names = rule.n, lat.m, lat.names
     local = sorted(set(local_set))
     spaces, table = tabulate(rule, lat, full_spaces(lat, n))
     _check_sweep_size("axiom", len(table) * (n + m), cap)
-    if unimodal_pool is None:
-        unimodal_pool = enumerate_unimodal(lat)
-    lanes = DomainDescriptor(lat, spaces, [unimodal_pool] * n).lanes()
+    _check_sweep_size("interval-table", m ** 3, cap)
+    lanes = OutcomeLanes(spaces, m, [interval_gains(lat)] * n)
     strides, witnesses = lanes.strides, {}
     onehot, equal = lanes.outcomes(table)
 

@@ -156,6 +156,13 @@ class TestCommands:
         assert code == 0
         assert capsys.readouterr().out.strip() == "1"
 
+    def test_rule_eval_refuses_an_unknown_ballot(self, square_file, majority_file, capsys):
+        code = run(["rule", "eval", "--rule", majority_file,
+                    "--lattice", square_file, "--ballots", "x,x,z,y,0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unknown element name 'z'" in captured.err
+
     def test_rule_convert_constant_tree(self, tmp_path, square_file, square, capsys):
         bottom = square.names[square.bottom]
         tree_file = write_json(tmp_path / "tree.json",
@@ -183,7 +190,7 @@ class TestCommands:
 
     @pytest.mark.parametrize("to, ballots, rule_gives, form_gives", [
         ("tree", "['0', '0']", "x", "0"),
-        ("committee", "['0', 'x']", "0", "x"),
+        ("committee", "['0', '0']", "x", "0"),
     ])
     def test_rule_convert_refuses_a_table_its_canonical_form_does_not_replay(
             self, tmp_path, square_file, square, to, ballots, rule_gives, form_gives,

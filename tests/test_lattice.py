@@ -14,6 +14,7 @@ from medianvoting.errors import (
     TooLargeError,
 )
 from medianvoting.lattice import (
+    DEFAULT_SIZE_CAP,
     Lattice,
     Valuation,
     build_boolean_hypercube,
@@ -332,9 +333,14 @@ class TestBuildFromCovers:
         assert str(err.value).endswith(f"({names[a]}, {names[b]}, {names[c]})")
 
     def test_size_cap(self):
-        with pytest.raises(TooLargeError):
-            build_from_covers(["a", "b", "c"], [("a", "b"), ("b", "c")],
-                              size_cap=2)
+        # refused before any cover is read
+        names = [f"e{i}" for i in range(DEFAULT_SIZE_CAP + 1)]
+        with pytest.raises(TooLargeError, match=f"{len(names)} elements exceeds cap 4096"):
+            build_from_covers(names, [("e0", "nowhere")])
+
+    def test_empty_carrier_rejected(self):
+        with pytest.raises(InvalidSizeError, match="at least one element"):
+            Lattice([], [])
 
 
 class TestConstructors:
@@ -385,6 +391,22 @@ class TestConstructors:
     def test_ideal_lattice_bad_poset(self):
         with pytest.raises(NotAPosetError):
             build_ideal_lattice(["p", "q"], [("p", "q"), ("q", "p")])
+        with pytest.raises(NotAPosetError, match="duplicate poset element names"):
+            build_ideal_lattice(["p", "p"], [])
+        with pytest.raises(NotAPosetError, match=r"pair \(p, r\) names an unknown element"):
+            build_ideal_lattice(["p", "q"], [("p", "r")])
+
+    def test_constructors_refuse_past_the_size_cap(self):
+        with pytest.raises(InvalidSizeError, match="dimension must be at least 1"):
+            build_boolean_hypercube(0)
+        with pytest.raises(TooLargeError, match="2\\^13 elements exceeds cap 4096"):
+            build_boolean_hypercube(13)
+        assert build_boolean_hypercube(12).m == DEFAULT_SIZE_CAP
+        with pytest.raises(TooLargeError, match="4160 elements exceeds cap 4096"):
+            build_product(build_chain(65), build_chain(64))
+        # an antichain of 13 points has 2^13 order ideals
+        with pytest.raises(TooLargeError, match="more than 4096 order ideals"):
+            build_ideal_lattice([f"p{i}" for i in range(13)], [])
 
 
 class TestOperations:

@@ -66,6 +66,8 @@ class TestTotalPreorder:
             TotalPreorder([0, 0, 1])      # two best elements
         with pytest.raises(InvalidSizeError):
             TotalPreorder([0, 2, 2])      # gap in the ranks
+        with pytest.raises(InvalidSizeError, match="empty carrier"):
+            TotalPreorder([])
         p = TotalPreorder([1, 0, 1])
         assert p.top == 1
         assert p.classes() == ((1,), (0, 2))

@@ -100,6 +100,14 @@ class TestExplicitRule:
         with pytest.raises(ArityMismatchError):
             rule.evaluate(chain4, (a,))
 
+    def test_malformed_tables_are_refused(self):
+        with pytest.raises(InvalidSizeError, match="at least one voter"):
+            ExplicitRule([], [0])
+        with pytest.raises(InvalidSizeError, match="empty ballot space"):
+            ExplicitRule([(0, 1), ()], [])
+        with pytest.raises(InvalidSizeError, match="table has 3 entries, expected 4"):
+            ExplicitRule([(0, 1), (0, 1)], [0, 1, 2])
+
     def test_projection_and_constant(self, square):
         spaces = full_spaces(square, 3)
         proj = ExplicitRule.from_function(spaces, lambda b: b[0])
@@ -162,6 +170,10 @@ class TestCommitteeRule:
     def test_arity_validation(self, square):
         with pytest.raises(ArityMismatchError):
             CommitteeRule(2, [(frozenset({5}), square.top)])
+        rule = CommitteeRule(2, [(frozenset({0}), square.top)])
+        for ballots in ((square.top,), (square.top,) * 3):
+            with pytest.raises(ArityMismatchError, match="expected 2 ballots"):
+                rule.evaluate(square, ballots)
 
     def test_evaluation_isotone(self, square):
         rng = random.Random(3)
@@ -278,6 +290,12 @@ class TestMedianTree:
         with pytest.raises(InvalidSizeError):
             MedianTree(n, (1,))
 
+    def test_evaluation_needs_one_ballot_per_voter(self, square):
+        tree = build_canonical_median_tree([0, 1, 2, 3], 2)
+        for ballots in ((0,), (0, 0, 0)):
+            with pytest.raises(ArityMismatchError, match="expected 2 ballots"):
+                tree.evaluate(square, ballots)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_fold_matches_recursive_oracle(self, square, cube3, n):
         rng = random.Random(n)
@@ -371,6 +389,21 @@ class TestCornersAndConversion:
             assert tabulate(tree, lat, spaces)[1] == table
             back = tree_to_committee(tree, lat)
             assert tabulate(back, lat, spaces)[1] == table
+
+    def test_committee_replays_trees_with_arbitrary_leaves(self, square, chain4, cube3):
+        # a tree's leaves are its corner values only when they are monotone;
+        # the committee form must follow the tree's values, not its leaves
+        rng = random.Random(2327)
+        relabelled = 0
+        for lat in (square, chain4, cube3):
+            for n in (1, 2, 3):
+                for _ in range(30):
+                    leaves = [rng.randrange(lat.m) for _ in range(2 ** n)]
+                    tree = build_canonical_median_tree(leaves, n)
+                    spaces, table = tabulate(tree, lat)
+                    assert tabulate(tree_to_committee(tree, lat), lat, spaces)[1] == table
+                    relabelled += corners(tree, lat) != tree.corner_values()
+        assert relabelled > 100
 
     def test_corner_monotonicity_for_monotone_rules(self, square):
         rule = extended_median_rule(square, 3)

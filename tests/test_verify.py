@@ -18,6 +18,7 @@ from conftest import (
 from hypothesis import assume, given, settings, strategies as st
 
 from medianvoting.errors import (
+    CarrierMismatchError,
     InvalidSizeError,
     NoSuitableSublatticeError,
     NotAChainError,
@@ -47,7 +48,7 @@ from medianvoting.rules import (
     full_spaces,
     tabulate,
 )
-from medianvoting import cli, suites, verify
+from medianvoting import cli, preorders, suites, verify
 from medianvoting.suites import (
     _diamond_labels,
     _four_chain_labels,
@@ -72,6 +73,7 @@ from medianvoting.verify import (
     check_axioms,
     check_coalition_search_size,
     find_coalitional_manipulation,
+    interval_gains,
     find_local_neutrality_violation,
     find_local_sovereignty_gap,
     find_monotonicity_violation,
@@ -168,10 +170,9 @@ def anonymity_idempotence_oracle(table, lat, n, local):
     return swapped, idle
 
 
-def assert_anonymity_and_idempotence_match_the_oracle(table, lat, n, local, pool):
+def assert_anonymity_and_idempotence_match_the_oracle(table, lat, n, local):
     """``check_axioms`` on the table against the oracle; returns the two verdicts."""
-    axioms = check_axioms(ExplicitRule(full_spaces(lat, n), table), lat, local,
-                          unimodal_pool=pool)
+    axioms = check_axioms(ExplicitRule(full_spaces(lat, n), table), lat, local)
     swapped, idle = anonymity_idempotence_oracle(table, lat, n, local)
     assert axioms.witnesses.get("anonymous") == (swapped and {
         "ballots": [lat.names[b] for b in swapped[1]], "swap": swapped[0]})
@@ -398,6 +399,15 @@ class TestDomainDescriptor:
         with pytest.raises(InvalidSizeError):
             DomainDescriptor(square, ((1, 2), (1, 2)), ((p,), (p,)))
 
+    def test_malformed_domains_rejected(self, square):
+        p = TotalPreorder([0, 1, 1, 1])
+        with pytest.raises(InvalidSizeError, match="one ballot space and one preference set"):
+            DomainDescriptor(square, ((0, 1), (0, 1)), ((p,),))
+        with pytest.raises(InvalidSizeError, match="voter 1 has an empty preference set"):
+            DomainDescriptor(square, ((0, 1), (0, 1)), ((p,), ()))
+        with pytest.raises(CarrierMismatchError, match="voter 0 has a preorder on 3 elements"):
+            DomainDescriptor(square, ((0, 1),), ((TotalPreorder([0, 1, 1]),),))
+
     @settings(max_examples=30, deadline=None)
     @given(poset=small_posets(), n=st.integers(min_value=1, max_value=2))
     def test_better_masks_and_gain_tables_match_the_ranks(self, poset, n):
@@ -446,9 +456,10 @@ class TestDomainDescriptor:
         built = []
 
         class Counting(verify.OutcomeLanes):
-            def __init__(self, domain, semantics):
-                built.append((domain, semantics))
-                super().__init__(domain, semantics)
+            def __init__(self, spaces, m, gain, literal=False):
+                # a domain passes its own spaces tuple, which names it
+                built.append((spaces, literal))
+                super().__init__(spaces, m, gain, literal)
 
         monkeypatch.setattr(verify, "OutcomeLanes", Counting)
         sweeps = [find_strategy_violation,
@@ -472,7 +483,8 @@ class TestDomainDescriptor:
                            shared.lanes("literal"), shared.lanes("literal").start)
                     kept = kept or now
                     assert all(a is b for a, b in zip(now, kept))
-            assert sorted(s for d, s in built if d is shared) == ["literal", "truthful"]
+            assert sorted(literal for spaces, literal in built
+                          if spaces is shared.spaces) == [False, True]
         # both answers occur
         assert found == 43
 
@@ -1128,6 +1140,26 @@ class TestCoalitionSearch:
                                   "preference scans exceeds the evaluation cap 20")
 
 
+class TestIntervalTable:
+    @staticmethod
+    def assert_both_full_domains_gain_the_table(lat):
+        for enumerate_family in (enumerate_unimodal, enumerate_lsu):
+            domain = DomainDescriptor(lat, full_spaces(lat, 1),
+                                      [enumerate_family(lat, cap=lat.m)])
+            assert domain.gain_masks() == (interval_gains(lat),), enumerate_family.__name__
+
+    @pytest.mark.parametrize("fixture", ["square", "chain4", "cube3", "grid3x3"])
+    def test_fixtures(self, fixture, request):
+        self.assert_both_full_domains_gain_the_table(request.getfixturevalue(fixture))
+
+    @settings(max_examples=40, deadline=None)
+    @given(poset=small_posets())
+    def test_random_lattices(self, poset):
+        lat = build_ideal_lattice(*poset)
+        assume(lat.m <= 7)
+        self.assert_both_full_domains_gain_the_table(lat)
+
+
 class TestAxioms:
     def test_majority_axioms(self, square):
         axioms = check_axioms(extended_median_rule(square, 5), square, range(4))
@@ -1160,6 +1192,33 @@ class TestAxioms:
         assert str(err.value) == ("axiom sweep of 448 evaluations exceeds the "
                                   "evaluation cap 100")
 
+    def test_interval_table_counts_against_the_cap(self, square):
+        # 4 + 16 sweep evaluations pass a cap of 63; the table's 4^3 bit tests do not
+        with pytest.raises(TooLargeError, match="interval-table sweep of 64 evaluations"):
+            check_axioms(ExplicitRule(full_spaces(square, 1), range(4)), square, [0], cap=63)
+        chain = build_chain(500)
+        with pytest.raises(TooLargeError, match="interval-table sweep of 125000000 evaluations "
+                                                "exceeds the evaluation cap 100000000"):
+            check_axioms(ExplicitRule(full_spaces(chain, 1), range(500)), chain, [0])
+
+    def test_answers_without_enumerating_preferences(self, square, cube3, monkeypatch):
+        rules = [extended_median_rule(square, 3),
+                 ExplicitRule.from_function(full_spaces(cube3, 2), lambda b: cube3.bottom)]
+        lattices = [square, cube3]
+        expected = [check_axioms(rule, lat, range(lat.m)) for rule, lat in zip(rules, lattices)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a preference pool was enumerated")
+
+        # every enumerator runs its search through this one function
+        monkeypatch.setattr(preorders, "_enumerate_layered", refuse)
+        for enumerate_family in (enumerate_topped_preorders, enumerate_unimodal, enumerate_lsu):
+            with pytest.raises(AssertionError, match="enumerated"):
+                enumerate_family(square)
+        got = [check_axioms(rule, lat, range(lat.m)) for rule, lat in zip(rules, lattices)]
+        assert got == expected
+        assert [axioms.efficient for axioms in got] == [True, False]
+
     @pytest.mark.parametrize("fixture", ["square", "chain4", "cube3", "grid3x3"])
     def test_efficiency_matches_the_dominance_set_oracle(self, fixture, request):
         lat = request.getfixturevalue(fixture)
@@ -1177,11 +1236,10 @@ class TestAxioms:
                 rules.append(ExplicitRule.from_function(
                     spaces, lambda b: b[0] if len(set(b)) == 1 else rng.randrange(lat.m)))
             for rule in rules:
-                for pool in (full_pool, rng.sample(full_pool, len(full_pool) // 2)):
-                    axioms = check_axioms(rule, lat, range(lat.m), unimodal_pool=pool)
-                    expected = efficiency_oracle(tabulate(rule, lat)[1], lat, n, pool)
-                    assert (axioms.efficient, axioms.witnesses.get("efficient")) == expected
-                    verdicts.add(axioms.efficient)
+                axioms = check_axioms(rule, lat, range(lat.m))
+                expected = efficiency_oracle(tabulate(rule, lat)[1], lat, n, full_pool)
+                assert (axioms.efficient, axioms.witnesses.get("efficient")) == expected
+                verdicts.add(axioms.efficient)
         assert verdicts == {True, False}
 
     @pytest.mark.parametrize("fixture", ["square", "chain4", "cube3", "grid3x3"])
@@ -1189,14 +1247,13 @@ class TestAxioms:
                                                                     request):
         lat = request.getfixturevalue(fixture)
         rng = random.Random(f"anonymity-{fixture}")
-        pool = enumerate_unimodal(lat, cap=lat.m)
         atom = min(lat.atoms)
         verdicts = set()
         for n in (1, 2, 3):
             for table in axiom_tables(lat, n, rng):
                 for local in (range(lat.m), [lat.top, atom, lat.bottom]):
                     verdicts.add(assert_anonymity_and_idempotence_match_the_oracle(
-                        table, lat, n, local, pool))
+                        table, lat, n, local))
         assert {anonymous for anonymous, _ in verdicts} == {True, False}
         assert {idempotent for _, idempotent in verdicts} == {True, False}
 
@@ -1208,10 +1265,9 @@ class TestAxioms:
         lat = build_ideal_lattice(*poset)
         assume(lat.m <= 6)
         rng = random.Random(seed)
-        pool = enumerate_unimodal(lat, cap=lat.m)
         for table in axiom_tables(lat, n, rng):
             local = rng.sample(range(lat.m), rng.randint(1, lat.m))
-            assert_anonymity_and_idempotence_match_the_oracle(table, lat, n, local, pool)
+            assert_anonymity_and_idempotence_match_the_oracle(table, lat, n, local)
 
     def test_anonymity_images_are_not_kept(self, square):
         # each swap's image of a 4^8-cell table is about 2 MiB of ints; one
@@ -1447,7 +1503,7 @@ class TestSuites:
 
         class Recording(CodeLanes):
             def first_failure(self, cells):
-                swept.append(self.decoder()(cells))
+                swept.append(self.decode(cells))
                 return super().first_failure(cells)
 
         monkeypatch.setattr(suites, "CodeLanes", Recording)
