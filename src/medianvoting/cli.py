@@ -309,8 +309,7 @@ def _cmd_rule(args):
     lat = parse_lattice_file(args.lattice)
     rule = parse_rule_file(args.rule, lat)
     if args.action == "eval":
-        names = [b for b in args.ballots.split(",") if b != ""]
-        ballots = tuple(_element(lat, b) for b in names)
+        ballots = tuple(_element(lat, b) for b in args.ballots.split(","))
         print(lat.names[rule.evaluate(lat, ballots)])
         return 0
     if args.action == "convert":

@@ -106,16 +106,21 @@ def spread(lanes: int, line) -> int:
 
 class _Lanes:
     """Tables over ``spaces`` as lane ints: one little-endian int per table,
-    one w-byte lane per cell in row-major order, ``lane[e]`` for element e."""
+    one w-byte lane per cell in row-major order, ``lane[e]`` for element e.
+    ``pack`` writes a table, ``constant`` one lane into every cell."""
 
     def __init__(self, spaces, lane):
         self.spaces, self.lane, self.w = spaces, lane, len(lane[0])
         self.sizes = tuple(map(len, spaces))
         self.strides, self.count = _strides(self.sizes), math.prod(self.sizes)
 
-    def pack(self, table, lane=None) -> int:
-        """The table with ``lane[e]`` (``self.lane`` by default) for element e."""
-        return int.from_bytes(b"".join(map((lane or self.lane).__getitem__, table)), "little")
+    def pack(self, table) -> int:
+        """The table with ``lane[e]`` in each cell holding element e."""
+        return int.from_bytes(b"".join(map(self.lane.__getitem__, table)), "little")
+
+    def constant(self, lane: bytes) -> int:
+        """The table with the w-byte ``lane`` in every cell."""
+        return int.from_bytes(lane * self.count, "little")
 
     def lowest(self, lanes: int) -> int:
         """The index of the lowest nonzero lane of ``lanes``."""
@@ -144,7 +149,8 @@ class CodeLanes(_Lanes):
     Birkhoff code (``Lattice._code``).
 
     Join, meet and the median act on whole tables bitwise, since no operation
-    carries a bit across lanes: med(A, B, C) = ``A&B | B&C | A&C``.  ``of``
+    carries a bit across lanes: med(A, B, C) = ``A&B | B&C | A&C``, and the
+    constant table of element e is ``constant(lane[e])``.  ``of``
     keeps the lanes of the last few (codes, spaces) pairs.  The sweep masks
     and ballot tiles (``_sweep``) are built on first use: ``tabulate`` reads
     only ``lane`` and ``decode``.
@@ -178,10 +184,6 @@ class CodeLanes(_Lanes):
         return ((1 << 8 * self.w * self.count) - 1, _line_masks((2,) + self.sizes, self.w)[1:],
                 [self.tile(i, {b: self.lane[b] for b in space})
                  for i, space in enumerate(self.spaces)])
-
-    def broadcast(self, element: int) -> int:
-        """The constant table of ``element``."""
-        return int.from_bytes(self.lane[element] * self.count, "little")
 
     def ballots(self, i: int) -> int:
         """Voter i's ballot code in every lane: the projection onto voter i."""

@@ -49,7 +49,6 @@ from .verify import (
     VerificationReport,
     _check_sweep_size,
     check_coalition_search_size,
-    check_monotonicity_sweep_size,
     find_coalitional_manipulation,
     find_local_neutrality_violation,
     find_local_sovereignty_gap,
@@ -241,10 +240,10 @@ def lemma2_suite(lat: Lattice, n: int = 3, label: str = "") -> VerificationRepor
     """
     t0 = time.perf_counter()
     check_table_size([lat.m] * n)    # before the n-entry spaces are built
-    check_monotonicity_sweep_size(lat.m ** n, [lat.m] * n)    # and any table
+    _check_sweep_size("monotonicity", lat.m ** (n + 1) * n, DEFAULT_EVAL_CAP)    # and any table
     lanes = CodeLanes.of(lat, full_spaces(lat, n))
     pool = [lanes.ballots(i) for i in range(n)]
-    pool += [lanes.broadcast(c) for c in range(lat.m)]
+    pool += [lanes.constant(lane) for lane in lanes.lane]
     pool.append(lanes.pack(tabulate(extended_median_rule(lat, n), lat)[1]))
     witness = None
     tested = 0
@@ -490,14 +489,14 @@ def _quota_tables(lat, n):
     On lanes, E[s] is the join over size-s coalitions of their meet on every
     profile at once: ``rules._held_by``, the recurrence ``extended_median``
     runs per profile, on the voters' ballot lanes (``CodeLanes.ballots``)
-    with the top broadcast as E[0].  A rule's table is then
-    ``c_0 | OR_s (E[s] & c_s)`` with each constant broadcast over the lanes,
-    decoded once to element ids (``CodeLanes.decode``).
+    with the top's constant table as E[0].  A rule's table is then
+    ``c_0 | OR_s (E[s] & c_s)`` with each c_s a constant table
+    (``CodeLanes.constant``), decoded once to element ids (``CodeLanes.decode``).
     """
     check_table_size([lat.m] * n)
     lanes = CodeLanes.of(lat, full_spaces(lat, n))
-    best = _held_by(map(lanes.ballots, range(n)), lanes.broadcast(lat.top), n)
-    constant = [lanes.broadcast(c) for c in range(lat.m)]
+    constant = [lanes.constant(lane) for lane in lanes.lane]
+    best = _held_by(map(lanes.ballots, range(n)), constant[lat.top], n)
     out = []
     for vector in nondecreasing_tuples(lat, n + 1):
         table = constant[vector[0]]

@@ -10,7 +10,8 @@ Every sweep runs on one of two shared kernels.  Lane ints, one lane per
 cell, share ``rules.spread``: monotonicity runs on Birkhoff-code lanes
 (``rules.CodeLanes``), and the strategy sweep (the size-1 case), the
 coalition search, anonymity and weak efficiency on outcome lanes
-(``OutcomeLanes``, of a domain or of Lemma 1's interval table).  Cell
+(``OutcomeLanes``, of a domain or of Lemma 1's interval table), where any
+per-outcome mask reaches a table through its outcome split only.  Cell
 images (``_local_cells``) serve local neutrality and local sovereignty.
 """
 
@@ -92,12 +93,12 @@ class DomainDescriptor:
         if semantics not in ("truthful", "literal"):
             raise ValueError(f"unknown semantics {semantics!r}")
         if semantics not in self._lanes:
-            literal, gain = semantics == "literal", self.gain_masks()
-            if literal:    # one anchor: the union over every preference
+            gain = self.gain_masks()
+            if semantics == "literal":    # one anchor: the union over every preference
                 gain = [dict.fromkeys(space, [functools.reduce(operator.or_, masks)
                                               for masks in zip(*by_top.values())])
                         for space, by_top in zip(self.spaces, gain)]
-            self._lanes[semantics] = OutcomeLanes(self.spaces, self.lattice.m, gain, literal)
+            self._lanes[semantics] = OutcomeLanes(self.spaces, self.lattice.m, gain)
         return self._lanes[semantics]
 
     @classmethod
@@ -244,14 +245,15 @@ class OutcomeLanes(_Lanes):
     Its lanes have w = ceil(m/8) bytes, one bit per outcome (``outcomes``).
     The gain tile G[i][o] holds ``gain[i][b][o]`` where voter i casts an
     anchor b, zero elsewhere.  Built on first use, ``start`` (read by the
-    coalition search) is full where every voter sits at an anchor, and
+    coalition search) is full where every voter sits at an anchor (every
+    cell for literal gain tables, which key every ballot), and
     ``cells(i, b)`` (read by its fix-up, the strategy sweep and the
     anonymity check) where voter i casts b.
     """
 
-    def __init__(self, spaces, m: int, gain, literal: bool = False):
+    def __init__(self, spaces, m: int, gain):
         super().__init__(spaces, [(1 << o).to_bytes(-(-m // 8), "little") for o in range(m)])
-        self.gain, self.literal, self._tiles, self._cells = gain, literal, [{} for _ in spaces], {}
+        self.gain, self._tiles, self._cells = gain, [{} for _ in spaces], {}
 
     @property
     def lines(self) -> tuple:
@@ -274,7 +276,7 @@ class OutcomeLanes(_Lanes):
         full lanes where the table holds o (bit o moved to each lane's lowest
         bit, then filled across the lane)."""
         onehot = self.pack(table)
-        lsb = int.from_bytes((b"\x01" + bytes(self.w - 1)) * len(table), "little")
+        lsb = self.constant(b"\x01" + bytes(self.w - 1))
         return onehot, {o: (onehot >> o & lsb) * ((1 << 8 * self.w) - 1)
                         for o in sorted(set(table))}
 
@@ -299,14 +301,7 @@ def _check_sweep_size(sweep: str, estimate: int, cap: int) -> None:
             f"{sweep} sweep of {estimate} evaluations exceeds the evaluation cap {cap}")
 
 
-def check_monotonicity_sweep_size(count: int, sizes, cap: int = DEFAULT_EVAL_CAP) -> None:
-    """Refuse a monotonicity sweep of a ``count``-cell table over spaces of
-    the given sizes beyond ``cap`` evaluations, one per cell and deviation."""
-    _check_sweep_size("monotonicity", count * sum(sizes), cap)
-
-
-def find_monotonicity_violation(rule, lat: Lattice, spaces=None,
-                                cap: int = DEFAULT_EVAL_CAP):
+def find_monotonicity_violation(rule, lat: Lattice, cap: int = DEFAULT_EVAL_CAP):
     """First (ballots, voter, deviation) whose outcome leaves the segment
     between the voter's ballot and the deviant outcome, or None.
 
@@ -328,8 +323,8 @@ def find_monotonicity_violation(rule, lat: Lattice, spaces=None,
     cell, and a rescan of its line names the deviation.  Callers holding
     lane ints call ``first_failure`` themselves.
     """
-    spaces, table = tabulate(rule, lat, spaces)
-    check_monotonicity_sweep_size(len(table), [len(s) for s in spaces], cap)
+    spaces, table = tabulate(rule, lat)
+    _check_sweep_size("monotonicity", len(table) * sum(map(len, spaces)), cap)
     lanes = CodeLanes.of(lat, spaces)
     first = lanes.first_failure(lanes.pack(table))
     if first is None:
@@ -358,9 +353,10 @@ def find_strategy_violation(rule, domain: DomainDescriptor,
     meets reach_i.  Voter i's gain lanes hold there the union of those sets
     over i's preferences with top t, so they miss reach_i iff no preference
     of i gains anywhere: skipping the voter then is exact.  Otherwise each
-    preference, in index order, ANDs its better sets at the outcomes, on the
-    cells where i casts its top, with reach_i.  Those cells, in row-major
-    order, are i's lines through t in row-major order of the other voters,
+    preference p, in index order, gains where ``reach_i & cells(i, p.top) &
+    OR_o (equal[o] & constant(p.better[o]))`` is nonzero: the coalition
+    fix-up's form, over every outcome.  The cells of p.top, in row-major
+    order, are i's lines through it in row-major order of the others,
     so the lowest set lane is on the first line where the preference gains,
     and a rescan of that line names the first deviation.
     """
@@ -375,8 +371,9 @@ def find_strategy_violation(rule, domain: DomainDescriptor,
             continue
         for pref in domain.preference_sets[i]:
             masks = pref.better
-            hit = reach & lanes.cells(i, pref.top) & lanes.pack(
-                table, [m.to_bytes(lanes.w, "little") for m in masks])
+            hit = reach & lanes.cells(i, pref.top) & sum(    # disjoint: OR
+                cells_o & lanes.constant(masks[o].to_bytes(lanes.w, "little"))
+                for o, cells_o in equal.items())
             if hit:
                 c = lanes.lowest(hit)
                 truthful, line = lanes.line(table, c, i)
@@ -420,10 +417,11 @@ def check_coalition_search_size(domain: DomainDescriptor, semantics: str = "trut
     is built.  The estimate, read off the domain's ``OutcomeLanes``, counts
     the (start, coalition, joint deviation) triples the lanes decide, each
     voter staying out or casting one of its ballots, and the (start, tried
-    preference) pairs the fix-up tests, one lane pass per preference."""
+    preference) pairs the fix-up tests, one lane pass per preference.  A
+    literal search's gain tables key every ballot, so every cell starts."""
     lanes = domain.lanes(semantics)    # refuses an unknown semantics first
-    starts = lanes.count if lanes.literal else math.prod(map(len, lanes.gain))
-    deviations = (lanes.count if lanes.literal else 1) * math.prod(k + 1 for k in lanes.sizes)
+    starts = math.prod(map(len, lanes.gain))
+    deviations = (starts if semantics == "literal" else 1) * math.prod(k + 1 for k in lanes.sizes)
     scans = starts * sum(map(len, domain.preference_sets))
     if deviations > cap or scans > cap:
         raise TooLargeError(
@@ -466,20 +464,20 @@ def find_coalitional_manipulation(rule, domain: DomainDescriptor,
     the witness.
 
     The fix-up takes voters in order, their preferences in index order.
-    Trying preference k of voter i sets ``lane_gains[i]`` to the constant
-    lane of k's better set at o_t, which inside equal[o_t] is its better set
-    at the cell's outcome, and, under truthful semantics, narrows the
-    target, start & equal[o_t], to the cells where i casts k's top; k is
-    chosen iff ``hits`` on the target is nonzero.  The lowest lane of the
-    last hits is the start.  The coalition is the lowest mask whose box,
-    the cells where the outsiders keep their start ballots, meets equal[o]
-    for an o in the members' common better set; the lowest lane of that
-    meet is the first deviation in ballot order.
+    Trying preference k of voter i sets ``lane_gains[i]`` to the
+    ``constant`` lanes of k's better set at o_t, which inside equal[o_t] is
+    its better set at the cell's outcome, and, under truthful semantics,
+    narrows the target, start & equal[o_t], to the cells where i casts k's
+    top; k is chosen iff ``hits`` on the target is nonzero.  The lowest
+    lane of the last hits is the start.  The coalition is the lowest mask
+    whose box, the cells where the outsiders keep their start ballots, meets
+    equal[o] for an o in the members' common better set; the lowest lane of
+    that meet is the first deviation in ballot order.
     """
     n = domain.n
     table = tabulate(rule, domain.lattice, domain.spaces)[1]
     check_coalition_search_size(domain, semantics, cap)
-    lanes = domain.lanes(semantics)
+    lanes, literal = domain.lanes(semantics), semantics == "literal"
     lines = lanes.lines
     onehot, equal = lanes.outcomes(table)
     lane_gains = [lanes.gains(i, equal) for i in range(n)]
@@ -511,9 +509,8 @@ def find_coalitional_manipulation(rule, domain: DomainDescriptor,
             signature = (pref.top, pref.better[o_t])
             if signature in failed:
                 continue
-            lane_gains[i] = int.from_bytes(signature[1].to_bytes(lanes.w, "little")
-                                           * lanes.count, "little")
-            trial = target if lanes.literal else target & lanes.cells(i, pref.top)
+            lane_gains[i] = lanes.constant(signature[1].to_bytes(lanes.w, "little"))
+            trial = target if literal else target & lanes.cells(i, pref.top)
             found = hits(size, common=trial)
             if found:
                 target = trial
@@ -540,7 +537,7 @@ def find_coalitional_manipulation(rule, domain: DomainDescriptor,
                 deviation=tuple(lanes.at(d)[i] for i in members),
                 outcome_truthful=o_t,
                 outcome_deviant=table[d],
-                origin_ballots=origin if lanes.literal else None)
+                origin_ballots=origin if literal else None)
 
 
 # -- structural axioms ------------------------------------------------------------------

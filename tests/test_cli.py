@@ -163,6 +163,23 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == "" and "unknown element name 'z'" in captured.err
 
+    def test_rule_eval_reads_every_comma_separated_name(self, tmp_path, square_file, capsys):
+        # an empty name is a name: unknown on the square, castable where it names an element
+        tree_file = write_json(tmp_path / "tree.json",
+                               {"kind": "tree", "n": 2, "corners": ["0", "x", "y", "1"]})
+        for ballots in ("x,,y", "x,y,", ",x,y"):
+            assert run(["rule", "eval", "--rule", tree_file, "--lattice", square_file,
+                        "--ballots", ballots]) == 2, ballots
+            captured = capsys.readouterr()
+            assert captured.out == "" and "unknown element name ''" in captured.err
+        pair = write_json(tmp_path / "pair.json", {"names": ["", "a"], "covers": [["", "a"]]})
+        projection = write_json(tmp_path / "projection.json",
+                                {"kind": "tree", "n": 1, "corners": ["", "a"]})
+        for ballots, out in (("", "\n"), ("a", "a\n")):
+            assert run(["rule", "eval", "--rule", projection, "--lattice", pair,
+                        "--ballots", ballots]) == 0
+            assert capsys.readouterr().out == out
+
     def test_rule_convert_constant_tree(self, tmp_path, square_file, square, capsys):
         bottom = square.names[square.bottom]
         tree_file = write_json(tmp_path / "tree.json",

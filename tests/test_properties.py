@@ -30,9 +30,11 @@ from medianvoting.rules import (
     full_spaces,
     tabulate,
 )
+from medianvoting.suites import _roundtrips_exact
 from medianvoting.verify import (
     DomainDescriptor,
     find_monotonicity_violation,
+    find_strategy_violation,
     random_explicit_rule,
     sample_monotone_rule,
     strategy_witness_from,
@@ -171,3 +173,30 @@ def test_monotonicity_witnesses_convert_on_random_lattices(poset, n, seed):
     rule = random_explicit_rule(lat, n, random.Random(seed))
     assume(find_monotonicity_violation(rule, lat) is not None)
     assert assert_every_violation_converts(lat, rule) > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(poset=small_posets(), n=st.integers(min_value=1, max_value=2),
+       seed=st.integers(min_value=0, max_value=2 ** 16),
+       kind=st.sampled_from(["random", "median", "mixed"]))
+def test_five_way_equivalence_on_random_lattices(poset, n, seed, kind):
+    """Theorem 1 beyond the fixtures: a rule is monotone iff the strategy
+    sweep finds no deviation on the full unimodal domain, iff it finds none
+    on the full LSU domain, iff the median-tree and the committee forms
+    replay its table.  The rules are a random table, a nested median, and
+    that median with one cell overwritten."""
+    lat = build_ideal_lattice(*poset)
+    assume(2 <= lat.m <= 6)
+    rng = random.Random(seed)
+    if kind == "random":
+        rule = random_explicit_rule(lat, n, rng)
+    else:
+        rule = sample_monotone_rule(lat, n, rng)
+    if kind == "mixed":
+        table = list(rule.table)
+        table[rng.randrange(len(table))] = rng.randrange(lat.m)
+        rule = ExplicitRule(rule.spaces, table)
+    monotone = find_monotonicity_violation(rule, lat) is None
+    for factory in (DomainDescriptor.full_unimodal, DomainDescriptor.full_lsu):
+        assert (find_strategy_violation(rule, factory(lat, n)) is None) == monotone
+    assert _roundtrips_exact(rule, lat) == (monotone, monotone)

@@ -456,10 +456,11 @@ class TestDomainDescriptor:
         built = []
 
         class Counting(verify.OutcomeLanes):
-            def __init__(self, spaces, m, gain, literal=False):
-                # a domain passes its own spaces tuple, which names it
-                built.append((spaces, literal))
-                super().__init__(spaces, m, gain, literal)
+            def __init__(self, spaces, m, gain):
+                # a domain passes its own spaces tuple, which names it, and
+                # its own gain masks only under truthful semantics
+                built.append((spaces, gain))
+                super().__init__(spaces, m, gain)
 
         monkeypatch.setattr(verify, "OutcomeLanes", Counting)
         sweeps = [find_strategy_violation,
@@ -483,7 +484,7 @@ class TestDomainDescriptor:
                            shared.lanes("literal"), shared.lanes("literal").start)
                     kept = kept or now
                     assert all(a is b for a, b in zip(now, kept))
-            assert sorted(literal for spaces, literal in built
+            assert sorted(gain is not shared.gain_masks() for spaces, gain in built
                           if spaces is shared.spaces) == [False, True]
         # both answers occur
         assert found == 43
@@ -635,7 +636,8 @@ def random_rule(rng, lat, spaces, kind):
 
 
 def assert_sweep_matches_oracle(rule, lat, spaces):
-    witness = find_monotonicity_violation(rule, lat, spaces)
+    table = tabulate(rule, lat, spaces)[1]
+    witness = find_monotonicity_violation(ExplicitRule(spaces, table), lat)
     assert witness == next(monotonicity_violations(rule, lat, spaces), None)
     return witness
 
