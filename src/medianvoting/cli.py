@@ -42,6 +42,7 @@ from .rules import (
     CommitteeRule,
     ExplicitRule,
     MedianTree,
+    _check_corner_count,
     build_canonical_median_tree,
     corners,
     tabulate,
@@ -316,10 +317,13 @@ def _cmd_rule(args):
         if args.to == "explicit":    # needs no corners: any ballot spaces will do
             converted = ExplicitRule(*tabulate(rule, lat))
         else:
+            # refuse too many corners, then too large a table, before any is evaluated
+            _check_corner_count(rule.n)
+            spaces, table = tabulate(rule, lat)
             converted = build_canonical_median_tree(corners(rule, lat), rule.n)
             if args.to == "committee":
                 converted = tree_to_committee(converted, lat)
-            ballots = suites.first_mismatch(*tabulate(rule, lat), converted, lat)
+            ballots = suites.first_mismatch(spaces, table, converted, lat)
             if ballots is not None:
                 raise NotRepresentableError(
                     f"at ballots {[lat.names[b] for b in ballots]} the rule gives "

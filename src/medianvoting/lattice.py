@@ -422,7 +422,7 @@ def build_ideal_lattice(poset_names, leq_pairs) -> Lattice:
                 ideals.add(grown)
                 frontier.append(grown)
 
-    ordered = sorted(ideals, key=lambda s: (bin(s).count("1"), s))
+    ordered = sorted(ideals, key=lambda s: (s.bit_count(), s))
     pos = {s: i for i, s in enumerate(ordered)}
 
     def ideal_name(mask):
@@ -431,6 +431,6 @@ def build_ideal_lattice(poset_names, leq_pairs) -> Lattice:
     covers = []
     for s in ordered:
         for i in range(p):
-            if not s >> i & 1 and (s | 1 << i) in pos and not below[i] & ~(s | 1 << i):
+            if not s >> i & 1 and (s | 1 << i) in pos:
                 covers.append((pos[s], pos[s | 1 << i]))
     return Lattice([ideal_name(s) for s in ordered], covers)

@@ -271,14 +271,11 @@ def enumerate_lsu(lat: Lattice, cap: int = DEFAULT_ENUM_CAP):
 
 
 def _ranked(lat: Lattice, ordered_classes) -> TotalPreorder:
-    """Total preorder from ordered element classes; leftovers share the last.
-    Empty classes take no rank, so the ranks stay dense."""
-    ranks = [len(ordered_classes)] * lat.m
-    for r, cls in enumerate(ordered_classes):
-        for e in cls:
-            ranks[e] = r
-    remap = {r: i for i, r in enumerate(sorted(set(ranks)))}
-    return TotalPreorder([remap[r] for r in ranks])
+    """``TotalPreorder.from_classes`` of the nonempty classes, best first,
+    then one last class of the elements no class lists (if any)."""
+    listed = {e for cls in ordered_classes for e in cls}
+    leftover = [e for e in range(lat.m) if e not in listed]
+    return TotalPreorder.from_classes([c for c in (*ordered_classes, leftover) if c], lat.m)
 
 
 def build_three_class_witness(lat: Lattice, peak: int, ref: int) -> TotalPreorder:

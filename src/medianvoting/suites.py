@@ -20,6 +20,7 @@ from .errors import (InvalidSizeError, NoSuitableSublatticeError, NotAChainError
 from .lattice import (Lattice, build_boolean_hypercube, build_chain, build_from_covers,
                       build_product)
 from .preorders import (
+    DEFAULT_ENUM_CAP,
     _ranked,
     enumerate_lsu,
     enumerate_topped_preorders,
@@ -368,7 +369,7 @@ def _diamond_labels(lat):
 
 
 def _dummy_pool(lat):
-    if lat.m <= 7:
+    if lat.m <= DEFAULT_ENUM_CAP:
         return enumerate_unimodal(lat)
     # indifference-except-top preorders; always unimodal, keeps big carriers cheap
     return [_ranked(lat, [[t]]) for t in range(lat.m)]

@@ -504,19 +504,14 @@ def find_coalitional_manipulation(rule, domain: DomainDescriptor,
     # fix the profile voter by voter; the lanes guarantee each voter a hit
     target, profile = lanes.start & equal[o_t], []
     for i, prefs in enumerate(domain.preference_sets):
-        failed = set()    # same top and better set: same completions
         for pref in prefs:
-            signature = (pref.top, pref.better[o_t])
-            if signature in failed:
-                continue
-            lane_gains[i] = lanes.constant(signature[1].to_bytes(lanes.w, "little"))
+            lane_gains[i] = lanes.constant(pref.better[o_t].to_bytes(lanes.w, "little"))
             trial = target if literal else target & lanes.cells(i, pref.top)
             found = hits(size, common=trial)
             if found:
                 target = trial
                 profile.append(pref)
                 break
-            failed.add(signature)
 
     origin = lanes.at(lanes.lowest(found))
     for mask in range(1 << n):
@@ -608,7 +603,8 @@ def check_axioms(rule, lat: Lattice, local_set, cap: int = DEFAULT_EVAL_CAP) -> 
     """Exhaustive anonymity / local neutrality / local sovereignty / local
     idempotence / weak efficiency check over the full carrier.
 
-    The rule must be total (evaluable on every carrier tuple).  An axiom
+    The rule must be total (evaluable on every carrier tuple), and a
+    local-set element outside ``range(lat.m)`` is refused.  An axiom
     fails iff ``witnesses`` holds its witness, the first in row-major order.
     Anonymity and efficiency read one ``outcomes`` call on outcome lanes.
     Swapping voters k and k+1 moves a cell where they cast a < b up by
@@ -622,6 +618,9 @@ def check_axioms(rule, lat: Lattice, local_set, cap: int = DEFAULT_EVAL_CAP) -> 
     """
     n, m, names = rule.n, lat.m, lat.names
     local = sorted(set(local_set))
+    outside = [z for z in local if not 0 <= z < m]
+    if outside:
+        raise InvalidSizeError(f"local-set elements {outside} are outside the {m}-element carrier")
     spaces, table = tabulate(rule, lat, full_spaces(lat, n))
     _check_sweep_size("axiom", len(table) * (n + m), cap)
     _check_sweep_size("interval-table", m ** 3, cap)

@@ -1,5 +1,6 @@
 import functools
 import json
+import random
 import subprocess
 import sys
 import time
@@ -257,6 +258,21 @@ class TestCommands:
         with within(2.0, f"rule {' '.join(argv)}"):
             assert run(["rule", *argv, "--rule", source, "--lattice", square_file]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("to", ["tree", "committee"])
+    def test_convert_refuses_an_oversized_table_before_evaluating_corners(self, tmp_path,
+                                                                          to, capsys):
+        # 4,096 corners under the corner cap, each a 4,096-leaf tree evaluation;
+        # the 4^12 table exceeds the table cap
+        rng = random.Random(0)
+        tree = {"kind": "tree", "n": 12,
+                "corners": [rng.choice("0xy1") for _ in range(1 << 12)]}
+        source = write_json(tmp_path / "tree.json", tree)
+        with within(1.0, f"rule convert --to {to} of a 12-voter tree"):
+            assert run(["rule", "convert", "--to", to, "--rule", source,
+                        "--lattice", bundled_path("boolean_square")]) == 2
+        assert (f"table of {4 ** 12} entries exceeds cap {EXPLICIT_TABLE_CAP}"
+                in capsys.readouterr().err)
 
     def test_rule_check_json_names_a_strategy_witness_that_replays(self, tmp_path,
                                                                   square_file, square,

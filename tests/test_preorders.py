@@ -4,7 +4,7 @@ import random
 import pytest
 from conftest import (bundled_lattice, lsu_witness_oracle, seeded_ideal_lattice,
                       small_posets)
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, settings, strategies as st
 
 from medianvoting.errors import (
     CarrierMismatchError,
@@ -15,6 +15,7 @@ from medianvoting.errors import (
 from medianvoting.lattice import build_boolean_hypercube, build_chain, build_ideal_lattice
 from medianvoting.preorders import (
     TotalPreorder,
+    _ranked,
     build_lsu_witness,
     build_three_class_witness,
     enumerate_lsu,
@@ -50,6 +51,20 @@ def filter_oracle(lat, cap):
     pool = enumerate_topped_preorders(lat, cap=cap)
     return ([p for p in pool if is_unimodal(p, lat)],
             [p for p in pool if is_locally_strictly_unimodal(p, lat)])
+
+
+def assert_ranked_lists_classes_then_leftovers(lat, rng):
+    """``_ranked`` of a top and up to three more classes, some empty, naming
+    part of the carrier: its classes are the nonempty ones, each sorted,
+    then the unnamed elements."""
+    order = rng.sample(range(lat.m), lat.m)
+    classes = [[order[0]]] + [[] for _ in range(rng.randint(0, 3))]
+    named = rng.randint(1, lat.m) if len(classes) > 1 else 1
+    for e in order[1:named]:
+        classes[rng.randint(1, len(classes) - 1)].append(e)
+    leftover = sorted(order[named:])
+    expected = [tuple(sorted(c)) for c in classes if c] + ([tuple(leftover)] if leftover else [])
+    assert _ranked(lat, classes).classes() == tuple(expected), classes
 
 
 def assert_direct_matches_filter(lat, cap=7, filtered=None):
@@ -295,6 +310,20 @@ class TestWitnessBuilders:
         for peak, ref in itertools.product(range(lat.m), repeat=2):
             assert build_lsu_witness(lat, peak, ref) == \
                 lsu_witness_oracle(lat, peak, ref), (peak, ref)
+
+    @pytest.mark.parametrize("fixture", ["square", "chain4", "cube3", "grid3x3"])
+    def test_ranked_lists_nonempty_classes_then_leftovers(self, fixture, request):
+        lat = request.getfixturevalue(fixture)
+        rng = random.Random(fixture)
+        for _ in range(50):
+            assert_ranked_lists_classes_then_leftovers(lat, rng)
+
+    @settings(max_examples=40, deadline=None)
+    @given(poset=small_posets(), seed=st.integers(min_value=0, max_value=2 ** 16))
+    def test_ranked_lists_nonempty_classes_then_leftovers_on_random_lattices(self, poset,
+                                                                             seed):
+        assert_ranked_lists_classes_then_leftovers(build_ideal_lattice(*poset),
+                                                   random.Random(seed))
 
     def test_lsu_witness_descending_chain(self):
         chain = build_chain(4)

@@ -14,6 +14,7 @@ from conftest import (
     monotonicity_violations,
     seeded_ideal_lattice,
     small_posets,
+    within,
 )
 from hypothesis import assume, given, settings, strategies as st
 
@@ -1131,6 +1132,20 @@ class TestCoalitionSearch:
         assert [p.ranks for p in witness.profile] == [
             (0, 1, 2, 3), (1, 0, 2, 3), (1, 0, 2, 3), (2, 1, 0, 3), (2, 1, 0, 3)]
 
+    def test_random_chain7_witnesses_within_a_second(self):
+        # the 7-chain's full domains hold many preferences with one top and
+        # one better set at a truthful outcome, so the fix-up tries each of them
+        lat = build_chain(7)
+        domains = [DomainDescriptor.full_unimodal(lat, 2), DomainDescriptor.full_lsu(lat, 2)]
+        rng = random.Random(7)
+        rules = [ExplicitRule(full_spaces(lat, 2), [rng.randrange(7) for _ in range(49)])
+                 for _ in range(6)]
+        cases = [(rule, domain) for rule in rules for domain in domains]
+        with within(1.0, "12 coalition searches on the 7-chain"):
+            witnesses = [find_coalitional_manipulation(rule, domain) for rule, domain in cases]
+        assert all(w is not None and w.validate(rule, lat)
+                   for w, (rule, _) in zip(witnesses, cases))
+
     def test_cap_refusal_names_estimate_and_cap(self, square):
         domain = DomainDescriptor.full_unimodal(square, 2)
         with pytest.raises(TooLargeError) as err:
@@ -1193,6 +1208,12 @@ class TestAxioms:
             check_axioms(extended_median_rule(square, 3), square, range(4), cap=100)
         assert str(err.value) == ("axiom sweep of 448 evaluations exceeds the "
                                   "evaluation cap 100")
+
+    @pytest.mark.parametrize("local_set", [[7], [-1]])
+    def test_refuses_local_set_elements_outside_the_carrier(self, square, local_set):
+        # unchecked, 7 would index past the table and -1 wrap around to element 3
+        with pytest.raises(InvalidSizeError, match=rf"elements \[{local_set[0]}\] are outside"):
+            check_axioms(extended_median_rule(square, 3), square, local_set)
 
     def test_interval_table_counts_against_the_cap(self, square):
         # 4 + 16 sweep evaluations pass a cap of 63; the table's 4^3 bit tests do not
