@@ -7,6 +7,8 @@ encoding and only the canonical-form conditions need checking.
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import (
     CarrierMismatchError,
     InvalidSizeError,
@@ -176,32 +178,67 @@ def _check_enum_cap(lat: Lattice, cap: int):
         raise TooLargeError(f"enumeration over {lat.m} elements exceeds cap {cap}")
 
 
-def _enumerate_layered(lat: Lattice, admissible):
-    """The topped preorders whose every rank class passes ``admissible``.
+class LayeredSearch:
+    """The topped preorders over an m-element carrier whose every rank class
+    passes ``admissible``, split by top.
 
-    Tops come in element-id order, and rank classes are placed top-down.
-    ``admissible(top, placed, rest)`` lists, in ascending order, the
-    nonempty submasks of ``rest`` (the unplaced elements) that may form the
-    next rank class below the elements of ``placed``.  Only admissible
-    classes are descended into, so a prefix-closed test yields the list of
-    ``enumerate_topped_preorders`` filtered by it, in the same order.
+    Rank classes are placed top-down.  ``admissible(top, placed, rest)``
+    lists, in ascending order, the nonempty submasks of ``rest`` (the
+    unplaced elements) that may form the next rank class below the elements
+    of ``placed``.  Only admissible classes are descended into, so for a
+    prefix-closed test ``topped(t)`` lazily generates the preorders with top
+    t of ``enumerate_topped_preorders`` that pass it, in the same order.
+    Each preorder is generated once: a later ``topped(t)`` replays those
+    generated so far, then goes on.  Iterating the search concatenates
+    ``topped`` over the tops in element-id order.  ``count(t)`` counts the
+    preorders with top t without building one, memoised per (top, placed)
+    mask.
     """
-    full = (1 << lat.m) - 1
-    out = []
 
-    def descend(top, placed, rank, ranks):
-        rest = full & ~placed
-        if not rest:
-            out.append(TotalPreorder(ranks))
-            return
-        for block in admissible(top, placed, rest):
-            for e in _bits(block):
-                ranks[e] = rank
-            descend(top, placed | block, rank + 1, ranks)
+    def __init__(self, m: int, admissible):
+        self.m, self.admissible, self._kept, self._counts = m, admissible, {}, {}
 
-    for t in range(lat.m):
-        descend(t, 1 << t, 1, [0] * lat.m)
-    return out
+    def topped(self, top: int):
+        if top not in self._kept:
+            self._kept[top] = [], self._generate(top)
+        kept, source = self._kept[top]
+        for k in itertools.count():
+            if k == len(kept):
+                pref = next(source, None)
+                if pref is None:
+                    return
+                kept.append(pref)
+            yield kept[k]
+
+    def _generate(self, top):
+        full, ranks = (1 << self.m) - 1, [0] * self.m
+
+        def descend(placed, rank):
+            rest = full & ~placed
+            if not rest:
+                yield TotalPreorder(ranks)
+                return
+            for block in self.admissible(top, placed, rest):
+                for e in _bits(block):
+                    ranks[e] = rank
+                yield from descend(placed | block, rank + 1)
+
+        return descend(1 << top, 1)
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(map(self.topped, range(self.m)))
+
+    def count(self, top: int) -> int:
+        """How many preorders ``topped(top)`` generates."""
+        return self._count(top, 1 << top)
+
+    def _count(self, top, placed):
+        if (top, placed) not in self._counts:
+            rest = (1 << self.m) - 1 & ~placed
+            self._counts[top, placed] = sum(
+                self._count(top, placed | block)
+                for block in self.admissible(top, placed, rest)) if rest else 1
+        return self._counts[top, placed]
 
 
 def enumerate_topped_preorders(lat: Lattice, cap: int = DEFAULT_ENUM_CAP):
@@ -211,13 +248,11 @@ def enumerate_topped_preorders(lat: Lattice, cap: int = DEFAULT_ENUM_CAP):
     ordered indifference classes, first block enumerated by ascending bitmask.
     """
     _check_enum_cap(lat, cap)
-    return _enumerate_layered(lat, lambda top, placed, rest: _submasks_ascending(rest))
+    return list(LayeredSearch(lat.m, lambda top, placed, rest: _submasks_ascending(rest)))
 
 
-def enumerate_unimodal(lat: Lattice, cap: int = DEFAULT_ENUM_CAP):
-    """The unimodal topped preorders, in the order of
-    ``enumerate_topped_preorders`` (the same list as filtering it with
-    ``is_unimodal``).
+def unimodal_search(lat: Lattice, cap: int = DEFAULT_ENUM_CAP) -> LayeredSearch:
+    """The layered search of the unimodal topped preorders.
 
     A preorder is unimodal iff each weak upper contour set, the elements of
     rank <= r, is convex: it holds the interval between any two of its
@@ -240,13 +275,11 @@ def enumerate_unimodal(lat: Lattice, cap: int = DEFAULT_ENUM_CAP):
         return [block for block in _submasks_ascending(rest)
                 if is_convex(placed | block)]
 
-    return _enumerate_layered(lat, admissible)
+    return LayeredSearch(lat.m, admissible)
 
 
-def enumerate_lsu(lat: Lattice, cap: int = DEFAULT_ENUM_CAP):
-    """The locally strictly unimodal topped preorders, in the order of
-    ``enumerate_topped_preorders`` (the same list as filtering it with
-    ``is_locally_strictly_unimodal``).
+def lsu_search(lat: Lattice, cap: int = DEFAULT_ENUM_CAP) -> LayeredSearch:
+    """The layered search of the locally strictly unimodal topped preorders.
 
     A preorder with top t is LSU iff every y ranks strictly below everything
     else in the interval [t, y].  So y may join a rank class only once
@@ -264,7 +297,21 @@ def enumerate_lsu(lat: Lattice, cap: int = DEFAULT_ENUM_CAP):
                 ready |= 1 << y
         return _submasks_ascending(ready)
 
-    return _enumerate_layered(lat, admissible)
+    return LayeredSearch(lat.m, admissible)
+
+
+def enumerate_unimodal(lat: Lattice, cap: int = DEFAULT_ENUM_CAP):
+    """The unimodal topped preorders, in the order of
+    ``enumerate_topped_preorders`` (the same list as filtering it with
+    ``is_unimodal``): ``unimodal_search``, top by top."""
+    return list(unimodal_search(lat, cap))
+
+
+def enumerate_lsu(lat: Lattice, cap: int = DEFAULT_ENUM_CAP):
+    """The locally strictly unimodal topped preorders, in the order of
+    ``enumerate_topped_preorders`` (the same list as filtering it with
+    ``is_locally_strictly_unimodal``): ``lsu_search``, top by top."""
+    return list(lsu_search(lat, cap))
 
 
 # -- witness constructions --------------------------------------------------------

@@ -390,8 +390,9 @@ def build_canonical_median_tree(corner_values, n: int) -> MedianTree:
 
 
 def corners(rule, lat: Lattice) -> tuple:
-    """Rule outputs on all bottom/top profiles, in binary order; more than
-    the table cap of them are refused before any is evaluated."""
+    """Rule outputs on all bottom/top profiles, in binary order: the table
+    over the bottom/top spaces.  More than the table cap of them are refused
+    before any is evaluated."""
     n = rule.n
     _check_corner_count(n)
     spaces = rule.ballot_spaces(lat)
@@ -399,8 +400,7 @@ def corners(rule, lat: Lattice) -> tuple:
         if lat.bottom not in s or lat.top not in s:
             raise CornerNotInBallotSpaceError(
                 f"voter {i} cannot cast both bottom and top")
-    return tuple(rule.evaluate(lat, bits)
-                 for bits in itertools.product((lat.bottom, lat.top), repeat=n))
+    return tabulate(rule, lat, ((lat.bottom, lat.top),) * n)[1]
 
 
 def tree_to_committee(tree: MedianTree, lat: Lattice) -> CommitteeRule:

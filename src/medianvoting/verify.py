@@ -13,6 +13,11 @@ coalition search, anonymity and weak efficiency on outcome lanes
 (``OutcomeLanes``, of a domain or of Lemma 1's interval table), where any
 per-outcome mask reaches a table through its outcome split only.  Cell
 images (``_local_cells``) serve local neutrality and local sovereignty.
+
+The sweeps decide on a domain's gain tables.  On the full single-peaked
+domains these are Lemma 1's interval table, so a verdict there generates no
+preference; the strategy sweep and the coalition fix-up walk a voter's
+preferences top by top (``DomainDescriptor.runs``) only to name a witness.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass, field
 from .errors import CarrierMismatchError, InvalidSizeError, TooLargeError
 from .lattice import Lattice
 from .preorders import (TotalPreorder, build_lsu_witness, build_three_class_witness,
-                        enumerate_lsu, enumerate_unimodal)
+                        lsu_search, unimodal_search)
 from .rules import (CodeLanes, ExplicitRule, _Lanes, _line_masks, _strides, check_table_size,
                     build_canonical_median_tree, full_spaces, spread, tabulate)
 
@@ -37,18 +42,28 @@ DEFAULT_EVAL_CAP = 10 ** 8
 
 
 class DomainDescriptor:
-    """Per-voter ballot spaces and admissible preference sets."""
+    """Per-voter ballot spaces and admissible preference sets.
 
-    __slots__ = ("lattice", "spaces", "preference_sets", "flavor", "_gains", "_held",
-                 "_lanes")
+    A custom domain is given its preference sets.  The full single-peaked
+    domains (``full_unimodal``, ``full_lsu``) enumerate nothing when built.
+    By Lemma 1 their gain tables are the rows of the interval table
+    (``interval_gains``) at each voter's tops, which decide every sweep.
+    Their preferences come from the domain's own ``LayeredSearch`` top by
+    top, generated only when a sweep names a witness and kept per top, so
+    voters and sweeps share the objects and their ``better`` masks; their
+    counts, for the cap estimates, come from the search without generating
+    any.
+    """
+
+    __slots__ = ("lattice", "spaces", "flavor", "_sets", "_search", "_tops", "_count",
+                 "_gains", "_held", "_lanes")
 
     def __init__(self, lattice: Lattice, spaces, preference_sets, flavor="custom"):
-        self.lattice = lattice
-        self.spaces = tuple(tuple(s) for s in spaces)
-        self.preference_sets = tuple(tuple(ps) for ps in preference_sets)
-        if len(self.spaces) != len(self.preference_sets):
+        self._start(lattice, spaces, flavor, None)
+        self._sets = tuple(tuple(ps) for ps in preference_sets)
+        if len(self.spaces) != len(self._sets):
             raise InvalidSizeError("one ballot space and one preference set per voter")
-        for i, (space, prefs) in enumerate(zip(self.spaces, self.preference_sets)):
+        for i, (space, prefs) in enumerate(zip(self.spaces, self._sets)):
             if not prefs:
                 raise InvalidSizeError(f"voter {i} has an empty preference set")
             for p in prefs:
@@ -59,20 +74,49 @@ class DomainDescriptor:
                     raise InvalidSizeError(
                         f"voter {i} holds a preference whose top "
                         f"{lattice.names[p.top]} is outside the ballot space")
-        self.flavor = flavor
-        self._gains = self._held = None
+
+    def _start(self, lattice, spaces, flavor, search):
+        self.lattice, self.spaces, self.flavor = lattice, tuple(map(tuple, spaces)), flavor
+        self._sets, self._search = None, search
+        self._count = self._gains = self._held = None
         self._lanes = {}
 
     @property
     def n(self) -> int:
         return len(self.spaces)
 
+    @property
+    def preference_sets(self) -> tuple:
+        """Each voter's preferences in index order, built on first read."""
+        if self._sets is None:
+            self._sets = tuple(tuple(p for _, run in self.runs(i) for p in run)
+                               for i in range(self.n))
+        return self._sets
+
+    def runs(self, i: int):
+        """Voter i's preferences in index order, as (top, preferences) runs
+        of one top each; a full domain generates a run only as it is read."""
+        if self._search is None:
+            return itertools.groupby(self._sets[i], operator.attrgetter("top"))
+        return ((t, self._search.topped(t)) for t in self._tops[i])
+
+    def preference_count(self) -> int:
+        """The number of (voter, preference) pairs, counted on first use."""
+        if self._count is None:
+            self._count = (sum(map(len, self._sets)) if self._search is None else
+                           sum(self._search.count(t) for tops in self._tops for t in tops))
+        return self._count
+
     def gain_masks(self):
         """``gain[i][t][o]``: the union of ``p.better[o]`` over voter i's
-        preferences p with top t, built on first use and kept with the domain."""
-        if self._gains is None:
+        preferences p with top t, built on first use and kept with the domain
+        (on a full domain, Lemma 1's interval table at voter i's tops)."""
+        if self._gains is None and self._search is not None:
+            rows = interval_gains(self.lattice)
+            self._gains = tuple({t: rows[t] for t in tops} for tops in self._tops)
+        elif self._gains is None:
             gain = []
-            for prefs in self.preference_sets:
+            for prefs in self._sets:
                 by_top = {}
                 for p in prefs:
                     by_top.setdefault(p.top, []).append(p.better)
@@ -103,20 +147,25 @@ class DomainDescriptor:
 
     @classmethod
     def full_unimodal(cls, lattice: Lattice, n: int, spaces=None) -> "DomainDescriptor":
-        pool = enumerate_unimodal(lattice)
-        return cls._from_pool(lattice, n, spaces, pool, "full_unimodal")
+        return cls._searched(lattice, n, spaces, unimodal_search(lattice), "full_unimodal")
 
     @classmethod
     def full_lsu(cls, lattice: Lattice, n: int, spaces=None) -> "DomainDescriptor":
-        pool = enumerate_lsu(lattice)
-        return cls._from_pool(lattice, n, spaces, pool, "full_lsu")
+        return cls._searched(lattice, n, spaces, lsu_search(lattice), "full_lsu")
 
     @classmethod
-    def _from_pool(cls, lattice, n, spaces, pool, flavor):
-        if spaces is None:
-            spaces = full_spaces(lattice, n)
-        prefs = [[p for p in pool if p.top in space] for space in spaces]
-        return cls(lattice, spaces, prefs, flavor)
+    def _searched(cls, lattice, n, spaces, search, flavor):
+        """A full domain: each voter holds the search's preferences whose
+        top lies in its ballot space, and every element tops one."""
+        domain = cls.__new__(cls)
+        domain._start(lattice, full_spaces(lattice, n) if spaces is None else spaces,
+                      flavor, search)
+        domain._tops = tuple(tuple(sorted(set(space).intersection(range(lattice.m))))
+                             for space in domain.spaces)
+        empty = next((i for i, tops in enumerate(domain._tops) if not tops), None)
+        if empty is not None:
+            raise InvalidSizeError(f"voter {empty} has an empty preference set")
+        return domain
 
 
 # -- witnesses -----------------------------------------------------------------------
@@ -352,34 +401,42 @@ def find_strategy_violation(rule, domain: DomainDescriptor,
     gains in a cell where i casts t iff its better set at the cell's outcome
     meets reach_i.  Voter i's gain lanes hold there the union of those sets
     over i's preferences with top t, so they miss reach_i iff no preference
-    of i gains anywhere: skipping the voter then is exact.  Otherwise each
-    preference p, in index order, gains where ``reach_i & cells(i, p.top) &
+    of i gains anywhere: skipping the voter then is exact, and so is
+    skipping a run of preferences with top t (``DomainDescriptor.runs``)
+    where they miss reach_i on the cells of t.  Otherwise each preference p
+    of the run, in index order, gains where ``reach_i & cells(i, p.top) &
     OR_o (equal[o] & constant(p.better[o]))`` is nonzero: the coalition
     fix-up's form, over every outcome.  The cells of p.top, in row-major
     order, are i's lines through it in row-major order of the others,
     so the lowest set lane is on the first line where the preference gains,
-    and a rescan of that line names the first deviation.
+    and a rescan of that line names the first deviation.  A full domain
+    generates preferences only in a run that gains, and counts the rest
+    for the cap estimate (``DomainDescriptor.preference_count``).
     """
     spaces, table = tabulate(rule, domain.lattice, domain.spaces)
-    _check_sweep_size("strategy-proofness", len(table) * sum(map(len, domain.preference_sets)),
-                      cap)
+    _check_sweep_size("strategy-proofness", len(table) * domain.preference_count(), cap)
     lanes = domain.lanes()
     onehot, equal = lanes.outcomes(table)
     for i, line in enumerate(lanes.lines):
-        reach = spread(onehot, line)
-        if not reach & lanes.gains(i, equal):
+        gaining = spread(onehot, line) & lanes.gains(i, equal)
+        if not gaining:
             continue
-        for pref in domain.preference_sets[i]:
-            masks = pref.better
-            hit = reach & lanes.cells(i, pref.top) & sum(    # disjoint: OR
-                cells_o & lanes.constant(masks[o].to_bytes(lanes.w, "little"))
-                for o, cells_o in equal.items())
-            if hit:
-                c = lanes.lowest(hit)
-                truthful, line = lanes.line(table, c, i)
-                q, o_d = next((q, o) for q, o in enumerate(line) if masks[table[c]] >> o & 1)
-                deviant = truthful[:i] + (spaces[i][q],) + truthful[i + 1:]
-                return StrategyWitness(i, pref, truthful, deviant, table[c], o_d)
+        for top, prefs in domain.runs(i):
+            row = gaining & lanes.cells(i, top)
+            if not row:
+                continue
+            for pref in prefs:
+                masks = pref.better
+                hit = row & sum(    # disjoint: OR
+                    cells_o & lanes.constant(masks[o].to_bytes(lanes.w, "little"))
+                    for o, cells_o in equal.items())
+                if hit:
+                    c = lanes.lowest(hit)
+                    truthful, line = lanes.line(table, c, i)
+                    q, o_d = next((q, o) for q, o in enumerate(line)
+                                  if masks[table[c]] >> o & 1)
+                    deviant = truthful[:i] + (spaces[i][q],) + truthful[i + 1:]
+                    return StrategyWitness(i, pref, truthful, deviant, table[c], o_d)
     return None
 
 
@@ -417,12 +474,14 @@ def check_coalition_search_size(domain: DomainDescriptor, semantics: str = "trut
     is built.  The estimate, read off the domain's ``OutcomeLanes``, counts
     the (start, coalition, joint deviation) triples the lanes decide, each
     voter staying out or casting one of its ballots, and the (start, tried
-    preference) pairs the fix-up tests, one lane pass per preference.  A
-    literal search's gain tables key every ballot, so every cell starts."""
+    preference) pairs the fix-up may test, one lane pass per preference,
+    with the domain's ``preference_count`` (counted, not generated, on the
+    full domains).  A literal search's gain tables key every ballot, so
+    every cell starts."""
     lanes = domain.lanes(semantics)    # refuses an unknown semantics first
     starts = math.prod(map(len, lanes.gain))
     deviations = (starts if semantics == "literal" else 1) * math.prod(k + 1 for k in lanes.sizes)
-    scans = starts * sum(map(len, domain.preference_sets))
+    scans = starts * domain.preference_count()
     if deviations > cap or scans > cap:
         raise TooLargeError(
             f"coalition search of {deviations} deviations and "
@@ -468,11 +527,16 @@ def find_coalitional_manipulation(rule, domain: DomainDescriptor,
     ``constant`` lanes of k's better set at o_t, which inside equal[o_t] is
     its better set at the cell's outcome, and, under truthful semantics,
     narrows the target, start & equal[o_t], to the cells where i casts k's
-    top; k is chosen iff ``hits`` on the target is nonzero.  The lowest
-    lane of the last hits is the start.  The coalition is the lowest mask
-    whose box, the cells where the outsiders keep their start ballots, meets
-    equal[o] for an o in the members' common better set; the lowest lane of
-    that meet is the first deviation in ballot order.
+    top; k is chosen iff ``hits`` on the target is nonzero.  ``hits`` is a
+    union over bits of ``lane_gains[i]``, so a run of preferences with top
+    t (``DomainDescriptor.runs``) is tried first with voter i's gain set at
+    (t, o_t), the union of their better sets there: where it misses, no
+    preference of the run hits, and the run is skipped without generating
+    it.  The lowest lane of the final hits is the start.  The coalition is
+    the lowest mask whose box, the cells where the outsiders keep their
+    start ballots, meets equal[o] for an o in the members' common better
+    set; the lowest lane of that meet is the first deviation in ballot
+    order.
     """
     n = domain.n
     table = tabulate(rule, domain.lattice, domain.spaces)[1]
@@ -501,17 +565,22 @@ def find_coalitional_manipulation(rule, domain: DomainDescriptor,
         return None
     o_t = next(o for o, cells_o in equal.items() if found & cells_o)
 
+    def trial_hits(i, better, trial):
+        lane_gains[i] = lanes.constant(better[o_t].to_bytes(lanes.w, "little"))
+        return hits(size, common=trial)
+
     # fix the profile voter by voter; the lanes guarantee each voter a hit
-    target, profile = lanes.start & equal[o_t], []
-    for i, prefs in enumerate(domain.preference_sets):
-        for pref in prefs:
-            lane_gains[i] = lanes.constant(pref.better[o_t].to_bytes(lanes.w, "little"))
-            trial = target if literal else target & lanes.cells(i, pref.top)
-            found = hits(size, common=trial)
-            if found:
-                target = trial
-                profile.append(pref)
-                break
+    target, profile, gain = lanes.start & equal[o_t], [], domain.gain_masks()
+    for i in range(n):
+        for top, prefs in domain.runs(i):
+            trial = target if literal else target & lanes.cells(i, top)
+            if trial_hits(i, gain[i][top], trial):
+                pref = next((p for p in prefs if trial_hits(i, p.better, trial)), None)
+                if pref is not None:
+                    break
+        target = trial
+        profile.append(pref)
+    found = hits(size, common=target)
 
     origin = lanes.at(lanes.lowest(found))
     for mask in range(1 << n):

@@ -1,4 +1,5 @@
 import functools
+import importlib
 import json
 import random
 import subprocess
@@ -26,6 +27,7 @@ from medianvoting.cli import (
 from medianvoting.errors import FormatError
 from medianvoting.lattice import build_chain
 from medianvoting.preorders import (
+    TotalPreorder,
     enumerate_topped_preorders,
     enumerate_unimodal,
     is_separable,
@@ -42,8 +44,8 @@ from medianvoting.rules import (
 from medianvoting.verify import StrategyWitness
 
 
-GOLDEN_BATTERY = (Path(__file__).resolve().parents[1]
-                  / "perfbench" / "golden" / "battery_seed0.json")
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+GOLDEN_BATTERY = PERFBENCH / "golden" / "battery_seed0.json"
 
 
 def bundled_path(name):
@@ -274,6 +276,24 @@ class TestCommands:
         assert (f"table of {4 ** 12} entries exceeds cap {EXPLICIT_TABLE_CAP}"
                 in capsys.readouterr().err)
 
+    def test_rule_convert_of_a_sixteen_voter_tree_within_budget(self, tmp_path, capsys):
+        # the corners are read off the table over the bottom/top spaces,
+        # not evaluated one 2^16-leaf tree walk each
+        chain = build_chain(2)
+        lattice = write_json(tmp_path / "chain2.json", serialize_lattice(chain))
+        rng = random.Random(16)
+        tree = build_canonical_median_tree([rng.randrange(2) for _ in range(1 << 16)], 16)
+        source = write_json(tmp_path / "tree.json", serialize_rule(tree, chain))
+        out = tmp_path / "out.json"
+        with within(2.0, "rule convert --to tree of a 16-voter tree"):
+            assert run(["rule", "convert", "--to", "tree", "--rule", source,
+                        "--lattice", lattice, "--json", str(out)]) == 0
+        capsys.readouterr()
+        converted = parse_rule(json.loads(out.read_text()), chain)
+        for _ in range(8):
+            ballots = tuple(rng.randrange(2) for _ in range(16))
+            assert converted.evaluate(chain, ballots) == tree.evaluate(chain, ballots)
+
     def test_rule_check_json_names_a_strategy_witness_that_replays(self, tmp_path,
                                                                   square_file, square,
                                                                   capsys):
@@ -316,6 +336,37 @@ class TestCommands:
         assert run(["rule", "check", "--rule", proj,
                     "--lattice", square_file]) == 0
         capsys.readouterr()
+
+    def test_rule_check_of_a_monotone_rule_builds_no_preference(self, tmp_path,
+                                                                  monkeypatch, capsys):
+        # a monotone rule on a chain is strategy-proof and coalition-proof on
+        # both full domains: the interval table decides every sweep, and no
+        # preference is generated to name a witness
+        chain = build_chain(7)
+        lattice = write_json(tmp_path / "chain7.json", serialize_lattice(chain))
+        rng = random.Random(7)
+        tree = build_canonical_median_tree([rng.randrange(7) for _ in range(4)], 2)
+        rule = write_json(tmp_path / "tree.json", serialize_rule(tree, chain))
+        built = []
+        construct = TotalPreorder.__init__
+
+        def counting(self, ranks):
+            built.append(ranks)
+            construct(self, ranks)
+
+        monkeypatch.setattr(TotalPreorder, "__init__", counting)
+        assert run(["rule", "check", "--rule", rule, "--lattice", lattice]) == 0
+        assert capsys.readouterr().out.count("ok  ") == 5
+        assert built == []
+
+    def test_rule_check_refuses_an_eight_element_carrier(self, tmp_path, capsys):
+        rule = write_json(tmp_path / "projection.json", {
+            "kind": "committee", "n": 2,
+            "terms": [{"coalition": [0], "constant": "111"}]})
+        assert run(["rule", "check", "--rule", rule,
+                    "--lattice", bundled_path("cube3")]) == 2
+        assert capsys.readouterr().err == (
+            "error: enumeration over 8 elements exceeds cap 7\n")
 
     def test_rule_check_refuses_a_huge_table_before_building_it(self, tmp_path,
                                                                  capsys):
@@ -465,6 +516,19 @@ class TestCommands:
         golden = [[tuple(c[k] for k in keys) for c in report]
                   for report in json.loads(GOLDEN_BATTERY.read_text())]
         assert got == golden
+
+    def test_rule_check_matches_golden_seed0_jobs(self, capsys, tmp_path, monkeypatch):
+        # the benchmark's seed-0 rule-check jobs, each payload against its
+        # golden record: a drifting witness fails here before the benchmark
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        workloads = importlib.import_module("workloads")
+        jobs, _ = workloads.rule_check_jobs(0, tmp_path)
+        golden = json.loads((PERFBENCH / "golden" / "rule_check_seed0.json").read_text())
+        assert sorted(job["id"] for job in jobs) == sorted(golden)
+        for job in jobs:
+            assert run(job["argv"]) in (0, 1), job["id"]
+            assert json.loads(job["out"].read_text()) == golden[job["id"]], job["id"]
+        capsys.readouterr()
 
     def test_verify_boolean_square(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"

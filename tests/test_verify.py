@@ -441,6 +441,34 @@ class TestDomainDescriptor:
         assert all(p.better is masks
                    for p, masks in zip(second.preference_sets[0][::-1], kept))
 
+    @settings(max_examples=40, deadline=None)
+    @given(poset=small_posets(), n=st.integers(min_value=1, max_value=3),
+           seed=st.integers(min_value=0, max_value=2 ** 16))
+    def test_lazy_full_domains_match_the_filtered_pools(self, poset, n, seed):
+        # a full domain generates its preferences top by top and counts them
+        # without generating; either must give the pool filtered by the
+        # spaces, in pool order, and the pool's gain tables
+        lat = build_ideal_lattice(*poset)
+        assume(lat.m <= 7)
+        rng = random.Random(seed)
+        spaces = [tuple(rng.sample(range(lat.m), rng.randint(1, lat.m))) for _ in range(n)]
+        for factory, enumerate_family in ((DomainDescriptor.full_unimodal, enumerate_unimodal),
+                                          (DomainDescriptor.full_lsu, enumerate_lsu)):
+            pool = enumerate_family(lat)
+            filtered = [tuple(p for p in pool if p.top in space) for space in spaces]
+            domain = factory(lat, n, spaces)
+            # read part of one run first: the rest is generated after it
+            top, run = next(domain.runs(n - 1))
+            assert next(run).top == top
+            assert domain.preference_count() == sum(map(len, filtered))
+            assert domain.preference_sets == tuple(filtered)
+            assert domain.gain_masks() == DomainDescriptor(lat, spaces, filtered).gain_masks()
+            # voters holding one top share its preference objects
+            first = {}
+            for prefs in domain.preference_sets:
+                for p in prefs:
+                    assert first.setdefault(p, p) is p
+
     def test_holds_is_membership(self, square):
         x = square.element("x")
         dom = DomainDescriptor.full_unimodal(square, 2, spaces=((x,), tuple(range(4))))
@@ -1233,8 +1261,8 @@ class TestAxioms:
         def refuse(*args, **kwargs):
             raise AssertionError("a preference pool was enumerated")
 
-        # every enumerator runs its search through this one function
-        monkeypatch.setattr(preorders, "_enumerate_layered", refuse)
+        # every enumerator runs its search through this one generator
+        monkeypatch.setattr(preorders.LayeredSearch, "topped", refuse)
         for enumerate_family in (enumerate_topped_preorders, enumerate_unimodal, enumerate_lsu):
             with pytest.raises(AssertionError, match="enumerated"):
                 enumerate_family(square)
