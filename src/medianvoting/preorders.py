@@ -256,24 +256,17 @@ def unimodal_search(lat: Lattice, cap: int = DEFAULT_ENUM_CAP) -> LayeredSearch:
 
     A preorder is unimodal iff each weak upper contour set, the elements of
     rank <= r, is convex: it holds the interval between any two of its
-    elements.  These sets are exactly the unions of the first rank classes,
-    so each class is admitted only if the elements placed so far, together
-    with it, form a convex set.
+    elements.  These sets are exactly the unions of the first rank classes.
+    A nonempty convex set holds the meet and the join of its elements, so it
+    is the interval between them, and every interval is convex.  So the
+    classes admitted below ``placed`` are the ``s ^ placed`` for the
+    intervals s strictly above ``placed``, ascending in s and so in class.
     """
     _check_enum_cap(lat, cap)
-    intervals = [[lat.interval_mask(x, y) for y in range(lat.m)]
-                 for x in range(lat.m)]
-    convex = {}
-
-    def is_convex(mask):
-        if mask not in convex:
-            convex[mask] = all(intervals[x][y] & ~mask == 0
-                               for x in _bits(mask) for y in _bits(mask))
-        return convex[mask]
+    intervals = sorted({lat.interval_mask(x, y) for x in range(lat.m) for y in range(x, lat.m)})
 
     def admissible(top, placed, rest):
-        return [block for block in _submasks_ascending(rest)
-                if is_convex(placed | block)]
+        return [s ^ placed for s in intervals if s & placed == placed != s]
 
     return LayeredSearch(lat.m, admissible)
 

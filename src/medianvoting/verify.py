@@ -29,7 +29,7 @@ import operator
 from dataclasses import dataclass, field
 
 from .errors import CarrierMismatchError, InvalidSizeError, TooLargeError
-from .lattice import Lattice
+from .lattice import Lattice, _bits
 from .preorders import (TotalPreorder, build_lsu_witness, build_three_class_witness,
                         lsu_search, unimodal_search)
 from .rules import (CodeLanes, ExplicitRule, _Lanes, _line_masks, _strides, check_table_size,
@@ -663,9 +663,15 @@ def find_local_neutrality_violation(table, lat: Lattice, local, n: int):
 def interval_gains(lat: Lattice) -> dict:
     """Lemma 1's interval table: ``gains[x][o]`` masks the y with o outside
     [x, y], which single-peakedness lets, and Lemma 1's witnesses make, some
-    full unimodal or full LSU preference topped at x rank above o."""
-    return {x: [sum(1 << y for y in range(lat.m) if not lat.between(x, o, y))
-                for o in range(lat.m)] for x in range(lat.m)}
+    full unimodal or full LSU preference topped at x rank above o.  Built
+    from the m^2 interval masks, clearing sum |[x, y]| <= m^3 bits."""
+    m, gains = lat.m, {}
+    for x in range(m):
+        row = gains[x] = [(1 << m) - 1] * m
+        for y in range(m):
+            for o in _bits(lat.interval_mask(x, y)):
+                row[o] ^= 1 << y
+    return gains
 
 
 def check_axioms(rule, lat: Lattice, local_set, cap: int = DEFAULT_EVAL_CAP) -> AxiomCheck:
@@ -681,8 +687,8 @@ def check_axioms(rule, lat: Lattice, local_set, cap: int = DEFAULT_EVAL_CAP) -> 
     (a, b), XORed with those where they cast (b, a) shifted down that far,
     are nonzero where the swap changes the outcome.  A mismatched pair's
     earlier cell has a < b, so the lowest such lane is the first mismatch.
-    Efficiency: every voter's gains are ``interval_gains`` (its m^3 bit tests
-    count against ``cap``), so the lowest set bit of the AND of all voters'
+    Efficiency: every voter's gains are ``interval_gains`` (m^3 bits at most,
+    counted against ``cap``), so the lowest set bit of the AND of all voters'
     ``gains`` names the first dominated cell and its lowest dominator.
     """
     n, m, names = rule.n, lat.m, lat.names

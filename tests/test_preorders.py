@@ -3,7 +3,7 @@ import random
 
 import pytest
 from conftest import (bundled_lattice, lsu_witness_oracle, seeded_ideal_lattice,
-                      small_posets)
+                      small_posets, within)
 from hypothesis import assume, given, settings, strategies as st
 
 from medianvoting.errors import (
@@ -14,6 +14,7 @@ from medianvoting.errors import (
 )
 from medianvoting.lattice import build_boolean_hypercube, build_chain, build_ideal_lattice
 from medianvoting.preorders import (
+    LayeredSearch,
     TotalPreorder,
     _ranked,
     build_lsu_witness,
@@ -24,6 +25,8 @@ from medianvoting.preorders import (
     is_locally_strictly_unimodal,
     is_separable,
     is_unimodal,
+    lsu_search,
+    unimodal_search,
 )
 
 
@@ -65,6 +68,20 @@ def assert_ranked_lists_classes_then_leftovers(lat, rng):
     leftover = sorted(order[named:])
     expected = [tuple(sorted(c)) for c in classes if c] + ([tuple(leftover)] if leftover else [])
     assert _ranked(lat, classes).classes() == tuple(expected), classes
+
+
+def assert_convex_sets_are_intervals(lat):
+    """The nonempty masks that hold the interval between any two of their
+    elements, found over all 2^m masks by that pairwise test, are exactly
+    the intervals [a, b] with a <= b."""
+    def members(mask):
+        return [e for e in range(lat.m) if mask >> e & 1]
+
+    convex = {mask for mask in range(1, 1 << lat.m)
+              if all(lat.interval_mask(x, y) & ~mask == 0
+                     for x in members(mask) for y in members(mask))}
+    assert convex == {lat.interval_mask(a, b) for a in range(lat.m)
+                      for b in range(lat.m) if lat.leq(a, b)}
 
 
 def assert_direct_matches_filter(lat, cap=7, filtered=None):
@@ -181,6 +198,37 @@ class TestDirectEnumeration:
         lat = build_ideal_lattice(*poset)
         assume(lat.m <= 6)
         assert_direct_matches_filter(lat)
+
+    @pytest.mark.parametrize("fixture,unimodal,lsu", [("cube3", 104, 1784),
+                                                      ("grid3x3", 355, 16449)])
+    def test_domain_sizes_are_counted_without_generating(self, fixture, unimodal, lsu,
+                                                         request, monkeypatch):
+        lat = request.getfixturevalue(fixture)
+
+        def refuse(self, top):
+            raise AssertionError(f"generated the preorders with top {top}")
+
+        monkeypatch.setattr(LayeredSearch, "topped", refuse)
+        for search, expected in ((unimodal_search, unimodal), (lsu_search, lsu)):
+            with within(1.0, f"{search.__name__} count on {fixture}"):
+                found = search(lat, cap=lat.m)
+                assert sum(map(found.count, range(lat.m))) == expected
+
+
+class TestConvexSets:
+    """The lemma ``unimodal_search`` rests on: in a lattice the convex sets
+    are the intervals."""
+
+    @pytest.mark.parametrize("fixture", ["square", "chain4", "cube3", "grid3x3"])
+    def test_fixtures(self, fixture, request):
+        assert_convex_sets_are_intervals(request.getfixturevalue(fixture))
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_posets())
+    def test_ideal_lattices_of_random_posets(self, poset):
+        lat = build_ideal_lattice(*poset)
+        assume(lat.m <= 10)
+        assert_convex_sets_are_intervals(lat)
 
 
 class TestSinglePeakedness:
