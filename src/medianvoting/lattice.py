@@ -81,12 +81,14 @@ class Lattice:
     maps each code back to its element.  By Birkhoff's theorem the codes are
     exactly the down-sets of the join-irreducibles, so join is ``|`` and meet
     is ``&`` on codes.  The order itself is kept as up-set and down-set
-    bitmasks over element ids.
+    bitmasks over element ids.  ``_interval_gains`` keeps Lemma 1's interval
+    table once ``verify.interval_gains`` has built it, so it goes with the
+    lattice.
     """
 
     __slots__ = ("names", "m", "covers", "bottom", "top", "atoms",
                  "join_irreducibles", "_index", "_up", "_down",
-                 "_irreducibles", "_code", "_decode")
+                 "_irreducibles", "_code", "_decode", "_interval_gains")
 
     def __init__(self, names, covers):
         names = list(names)
@@ -99,6 +101,7 @@ class Lattice:
         self.names = tuple(str(n) for n in names)
         self.m = len(names)
         self._index = {n: i for i, n in enumerate(self.names)}
+        self._interval_gains = None
 
         cover_ids = []
         for lo, hi in covers:

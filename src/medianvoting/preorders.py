@@ -7,7 +7,9 @@ encoding and only the canonical-form conditions need checking.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 
 from .errors import (
     CarrierMismatchError,
@@ -192,7 +194,7 @@ class LayeredSearch:
     generated so far, then goes on.  Iterating the search concatenates
     ``topped`` over the tops in element-id order.  ``count(t)`` counts the
     preorders with top t without building one, memoised per (top, placed)
-    mask.
+    mask; ``top_bound`` bounds every ``count(t)`` without counting.
     """
 
     def __init__(self, m: int, admissible):
@@ -227,6 +229,17 @@ class LayeredSearch:
 
     def __iter__(self):
         return itertools.chain.from_iterable(map(self.topped, range(self.m)))
+
+    @functools.cached_property
+    def top_bound(self) -> int:
+        """An upper bound on every ``count(t)``, known without counting: the
+        topped preorders with one given top, which are the ordered set
+        partitions of the other m - 1 elements (the ordered Bell number of
+        m - 1), since ``topped(t)`` generates each of them at most once."""
+        ordered = [1]    # ordered[k]: the ordered set partitions of k elements
+        for k in range(1, self.m):
+            ordered.append(sum(math.comb(k, j) * ordered[k - j] for j in range(1, k + 1)))
+        return ordered[-1]
 
     def count(self, top: int) -> int:
         """How many preorders ``topped(top)`` generates."""

@@ -47,12 +47,13 @@ class DomainDescriptor:
     A custom domain is given its preference sets.  The full single-peaked
     domains (``full_unimodal``, ``full_lsu``) enumerate nothing when built.
     By Lemma 1 their gain tables are the rows of the interval table
-    (``interval_gains``) at each voter's tops, which decide every sweep.
-    Their preferences come from the domain's own ``LayeredSearch`` top by
-    top, generated only when a sweep names a witness and kept per top, so
-    voters and sweeps share the objects and their ``better`` masks; their
-    counts, for the cap estimates, come from the search without generating
-    any.
+    (``interval_gains``, one per lattice, so both full domains on a lattice
+    share it) at each voter's tops, which decide every sweep.  Their
+    preferences come from the domain's own ``LayeredSearch`` top by top,
+    generated only when a sweep names a witness and kept per top, so voters
+    and sweeps share the objects and their ``better`` masks.  The cap
+    estimates read ``preference_bound`` first and count the preferences,
+    without generating any, only where that bound could exceed the cap.
     """
 
     __slots__ = ("lattice", "spaces", "flavor", "_sets", "_search", "_tops", "_count",
@@ -101,11 +102,22 @@ class DomainDescriptor:
         return ((t, self._search.topped(t)) for t in self._tops[i])
 
     def preference_count(self) -> int:
-        """The number of (voter, preference) pairs, counted on first use."""
+        """The number of (voter, preference) pairs, counted on first use; on
+        a full domain the search counts them per top without generating any,
+        which the cap estimates ask for only where ``preference_bound`` could
+        exceed the cap (``_preference_estimate``)."""
         if self._count is None:
             self._count = (sum(map(len, self._sets)) if self._search is None else
                            sum(self._search.count(t) for tops in self._tops for t in tops))
         return self._count
+
+    def preference_bound(self) -> int:
+        """An upper bound on ``preference_count()`` known without counting:
+        on a full domain, each voter's tops times the search's
+        ``top_bound``; on a custom domain, the count itself."""
+        if self._search is None:
+            return self.preference_count()
+        return self._search.top_bound * sum(map(len, self._tops))
 
     def gain_masks(self):
         """``gain[i][t][o]``: the union of ``p.better[o]`` over voter i's
@@ -350,6 +362,15 @@ def _check_sweep_size(sweep: str, estimate: int, cap: int) -> None:
             f"{sweep} sweep of {estimate} evaluations exceeds the evaluation cap {cap}")
 
 
+def _preference_estimate(domain: DomainDescriptor, factor: int, cap: int) -> int:
+    """``factor`` times the domain's preference count where that may exceed
+    ``cap``, else ``factor * domain.preference_bound()``, which fits ``cap``.
+    So a full domain counts its preferences only where a refusal may follow,
+    and a result beyond ``cap`` is always the exact product."""
+    bound = factor * domain.preference_bound()
+    return bound if bound <= cap else factor * domain.preference_count()
+
+
 def find_monotonicity_violation(rule, lat: Lattice, cap: int = DEFAULT_EVAL_CAP):
     """First (ballots, voter, deviation) whose outcome leaves the segment
     between the voter's ballot and the deviant outcome, or None.
@@ -410,11 +431,14 @@ def find_strategy_violation(rule, domain: DomainDescriptor,
     order, are i's lines through it in row-major order of the others,
     so the lowest set lane is on the first line where the preference gains,
     and a rescan of that line names the first deviation.  A full domain
-    generates preferences only in a run that gains, and counts the rest
-    for the cap estimate (``DomainDescriptor.preference_count``).
+    generates preferences only in a run that gains.  The cap estimate is
+    the table size times the domain's preference count, which a full
+    domain counts, without generating, only where its bound times the table
+    size exceeds ``cap`` (``_preference_estimate``); a refusal names the
+    exact estimate.
     """
     spaces, table = tabulate(rule, domain.lattice, domain.spaces)
-    _check_sweep_size("strategy-proofness", len(table) * domain.preference_count(), cap)
+    _check_sweep_size("strategy-proofness", _preference_estimate(domain, len(table), cap), cap)
     lanes = domain.lanes()
     onehot, equal = lanes.outcomes(table)
     for i, line in enumerate(lanes.lines):
@@ -475,17 +499,19 @@ def check_coalition_search_size(domain: DomainDescriptor, semantics: str = "trut
     the (start, coalition, joint deviation) triples the lanes decide, each
     voter staying out or casting one of its ballots, and the (start, tried
     preference) pairs the fix-up may test, one lane pass per preference,
-    with the domain's ``preference_count`` (counted, not generated, on the
-    full domains).  A literal search's gain tables key every ballot, so
-    every cell starts."""
+    with the domain's ``preference_count``.  A full domain counts its
+    preferences, without generating any, only where the deviations exceed
+    ``cap`` or the scans may by its ``preference_bound``, so a refusal
+    names the exact scan count.  A literal search's gain tables key every
+    ballot, so every cell starts."""
     lanes = domain.lanes(semantics)    # refuses an unknown semantics first
     starts = math.prod(map(len, lanes.gain))
     deviations = (starts if semantics == "literal" else 1) * math.prod(k + 1 for k in lanes.sizes)
-    scans = starts * domain.preference_count()
-    if deviations > cap or scans > cap:
+    if deviations > cap or _preference_estimate(domain, starts, cap) > cap:
         raise TooLargeError(
             f"coalition search of {deviations} deviations and "
-            f"{scans} preference scans exceeds the evaluation cap {cap}")
+            f"{starts * domain.preference_count()} preference scans exceeds the "
+            f"evaluation cap {cap}")
 
 
 def find_coalitional_manipulation(rule, domain: DomainDescriptor,
@@ -664,7 +690,18 @@ def interval_gains(lat: Lattice) -> dict:
     """Lemma 1's interval table: ``gains[x][o]`` masks the y with o outside
     [x, y], which single-peakedness lets, and Lemma 1's witnesses make, some
     full unimodal or full LSU preference topped at x rank above o.  Built
-    from the m^2 interval masks, clearing sum |[x, y]| <= m^3 bits."""
+    on first use per lattice object and kept in the lattice
+    (``Lattice._interval_gains``), so the full domains on a lattice and
+    ``check_axioms`` share one table, freed with the lattice; callers only
+    read it."""
+    if lat._interval_gains is None:
+        lat._interval_gains = _interval_table(lat)
+    return lat._interval_gains
+
+
+def _interval_table(lat: Lattice) -> dict:
+    """``interval_gains``' table, built from the m^2 interval masks,
+    clearing sum |[x, y]| <= m^3 bits."""
     m, gains = lat.m, {}
     for x in range(m):
         row = gains[x] = [(1 << m) - 1] * m

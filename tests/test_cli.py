@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from conftest import bundled_lattice, within
 
-from medianvoting import cli, suites
+from medianvoting import cli, preorders, suites, verify
 from medianvoting.cli import (
     SUITE_NAMES,
     canonical_order,
@@ -41,11 +41,24 @@ from medianvoting.rules import (
     full_spaces,
     tabulate,
 )
-from medianvoting.verify import StrategyWitness
+from medianvoting.verify import StrategyWitness, check_axioms
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 GOLDEN_BATTERY = PERFBENCH / "golden" / "battery_seed0.json"
+
+
+def assert_seed0_jobs_match_golden(tmp_path, monkeypatch):
+    """Run the benchmark's seed-0 rule-check jobs, each payload against its
+    golden record."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    jobs, _ = workloads.rule_check_jobs(0, tmp_path)
+    golden = json.loads((PERFBENCH / "golden" / "rule_check_seed0.json").read_text())
+    assert sorted(job["id"] for job in jobs) == sorted(golden)
+    for job in jobs:
+        assert run(job["argv"]) in (0, 1), job["id"]
+        assert json.loads(job["out"].read_text()) == golden[job["id"]], job["id"]
 
 
 def bundled_path(name):
@@ -520,14 +533,51 @@ class TestCommands:
     def test_rule_check_matches_golden_seed0_jobs(self, capsys, tmp_path, monkeypatch):
         # the benchmark's seed-0 rule-check jobs, each payload against its
         # golden record: a drifting witness fails here before the benchmark
-        monkeypatch.syspath_prepend(str(PERFBENCH))
-        workloads = importlib.import_module("workloads")
-        jobs, _ = workloads.rule_check_jobs(0, tmp_path)
-        golden = json.loads((PERFBENCH / "golden" / "rule_check_seed0.json").read_text())
-        assert sorted(job["id"] for job in jobs) == sorted(golden)
-        for job in jobs:
-            assert run(job["argv"]) in (0, 1), job["id"]
-            assert json.loads(job["out"].read_text()) == golden[job["id"]], job["id"]
+        assert_seed0_jobs_match_golden(tmp_path, monkeypatch)
+        capsys.readouterr()
+
+    def test_rule_check_seed0_jobs_count_no_preference(self, capsys, tmp_path, monkeypatch):
+        # at m <= 7 with n = 2 and at m <= 5 with n = 3 the cap estimates'
+        # bounds fit the default cap, so no job counts a domain's preferences
+        def refuse(self, top):
+            raise AssertionError(f"counted the preorders with top {top}")
+
+        monkeypatch.setattr(preorders.LayeredSearch, "count", refuse)
+        assert_seed0_jobs_match_golden(tmp_path, monkeypatch)
+        capsys.readouterr()
+
+    def test_rule_check_builds_one_interval_table_per_lattice(self, capsys, tmp_path,
+                                                              monkeypatch):
+        # both full domains of a job share their lattice's table, and so does
+        # check_axioms on that lattice object; another job parses another one
+        built, parsed = [], []
+        table, parse = verify._interval_table, cli.parse_lattice_file
+
+        def building(lat):
+            built.append(lat)
+            return table(lat)
+
+        def parsing(path):
+            parsed.append(parse(path))
+            return parsed[-1]
+
+        monkeypatch.setattr(verify, "_interval_table", building)
+        monkeypatch.setattr(cli, "parse_lattice_file", parsing)
+        lattice = bundled_path("boolean_square")
+        rule = extended_median_rule(parse(lattice), 2)
+        argv = ["rule", "check", "--rule", write_json(tmp_path / "rule.json",
+                                                      serialize_rule(rule, parse(lattice))),
+                "--lattice", lattice]
+        # strategy-proof on both full domains, but a coalition of two manipulates
+        assert run(argv) == 1
+        assert capsys.readouterr().out.count("ok  ") == 3
+        assert len(parsed) == 1 and built == parsed
+        # weak efficiency reads the table: tops x and y give 0, which 1 dominates
+        assert check_axioms(rule, parsed[0], range(4)).witnesses == {
+            "efficient": {"tops": ["x", "y"], "outcome": "0", "dominated_by": "1"}}
+        assert built == parsed
+        assert run(argv) == 1
+        assert len(parsed) == 2 and built == parsed
         capsys.readouterr()
 
     def test_verify_boolean_square(self, capsys, tmp_path):

@@ -215,6 +215,40 @@ class TestDirectEnumeration:
                 assert sum(map(found.count, range(lat.m))) == expected
 
 
+def assert_counts_within_the_top_bound(lat):
+    for search in (unimodal_search(lat, cap=lat.m), lsu_search(lat, cap=lat.m)):
+        bound = search.top_bound
+        counts = [search.count(t) for t in range(lat.m)]
+        assert all(count <= bound for count in counts), (counts, bound)
+
+
+class TestTopBound:
+    """``LayeredSearch.top_bound`` against the counts it stands in for in
+    the cap estimates."""
+
+    def test_bound_is_the_topped_count_per_top(self):
+        # the ordered Bell numbers of m - 1: every topped preorder with one top
+        bounds = [LayeredSearch(m, None).top_bound for m in range(1, 8)]
+        assert bounds == [1, 1, 3, 13, 75, 541, 4683]
+        for m in range(1, 6):
+            assert len(topped_preorder_oracle(m)) == m * bounds[m - 1]
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_chains(self, m):
+        assert_counts_within_the_top_bound(build_chain(m))
+
+    @pytest.mark.parametrize("fixture", ["square", "chain4", "cube3", "grid3x3"])
+    def test_fixtures(self, fixture, request):
+        assert_counts_within_the_top_bound(request.getfixturevalue(fixture))
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_posets())
+    def test_ideal_lattices_of_random_posets(self, poset):
+        lat = build_ideal_lattice(*poset)
+        assume(lat.m <= 7)
+        assert_counts_within_the_top_bound(lat)
+
+
 class TestConvexSets:
     """The lemma ``unimodal_search`` rests on: in a lattice the convex sets
     are the intervals."""

@@ -880,6 +880,18 @@ class TestStrategyProofness:
         find_strategy_violation(rule, domain)
         assert domain.gain_masks() is masks
 
+    @pytest.mark.parametrize("factory", [DomainDescriptor.full_unimodal,
+                                         DomainDescriptor.full_lsu])
+    def test_cap_at_the_exact_estimate_is_accepted(self, square, factory):
+        # 16 cells times 12 + 12 preferences; the bound, 16 * 8 * 13, exceeds
+        # both caps, so the domain counts and the refusal names the count
+        rule = extended_median_rule(square, 2)
+        assert find_strategy_violation(rule, factory(square, 2), cap=384) is None
+        with pytest.raises(TooLargeError) as err:
+            find_strategy_violation(rule, factory(square, 2), cap=383)
+        assert str(err.value) == ("strategy-proofness sweep of 384 evaluations "
+                                  "exceeds the evaluation cap 383")
+
 
 class TestCoalitionSearch:
     def test_majority_witness_shape(self, square):
@@ -1183,6 +1195,38 @@ class TestCoalitionSearch:
         # each scanned over the 4 * 4 pairs of distinct tops
         assert str(err.value) == ("coalition search of 25 deviations and 384 "
                                   "preference scans exceeds the evaluation cap 20")
+
+    def test_cap_at_the_exact_scan_count_is_accepted(self, square):
+        rule = extended_median_rule(square, 2)
+        domain = DomainDescriptor.full_unimodal(square, 2)
+        assert find_coalitional_manipulation(rule, domain, cap=384) is not None
+        with pytest.raises(TooLargeError) as err:
+            check_coalition_search_size(DomainDescriptor.full_unimodal(square, 2), cap=383)
+        assert str(err.value) == ("coalition search of 25 deviations and 384 "
+                                  "preference scans exceeds the evaluation cap 383")
+
+    @pytest.mark.parametrize("factory, scans", [(DomainDescriptor.full_unimodal, 10),
+                                                (DomainDescriptor.full_lsu, 5)])
+    def test_deviation_refusal_names_the_exact_scan_count(self, factory, scans,
+                                                          monkeypatch):
+        # five voters whose one ballot is the bottom of a 3-chain: 2^5
+        # deviations, and 2 unimodal (1 LSU) preferences per voter where the
+        # bound, 3, would claim 15 scans
+        lat = build_chain(3)
+        spaces = [(0,)] * 5
+        assert [len(prefs) for prefs in factory(lat, 5, spaces).preference_sets] == \
+            [scans // 5] * 5
+        for semantics in ("truthful", "literal"):
+            with pytest.raises(TooLargeError) as err:
+                check_coalition_search_size(factory(lat, 5, spaces), semantics, cap=20)
+            assert str(err.value) == (f"coalition search of 32 deviations and {scans} "
+                                      "preference scans exceeds the evaluation cap 20")
+        # once the deviations fit, the bound settles the scans without a count
+        def refuse(self, top):
+            raise AssertionError(f"counted the preorders with top {top}")
+
+        monkeypatch.setattr(preorders.LayeredSearch, "count", refuse)
+        check_coalition_search_size(factory(lat, 5, spaces), cap=32)
 
 
 class TestIntervalTable:
