@@ -12,13 +12,14 @@ golden values.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 import time
 
 from .errors import (InvalidSizeError, NoSuitableSublatticeError, NotAChainError,
-                     NotEnoughAtomsError)
-from .lattice import (Lattice, build_boolean_hypercube, build_chain, build_from_covers,
-                      build_product)
+                     NotALatticeError, NotEnoughAtomsError)
+from .lattice import (Lattice, _bits, build_boolean_hypercube, build_chain,
+                      build_from_covers, build_product)
 from .preorders import (
     DEFAULT_ENUM_CAP,
     _ranked,
@@ -73,64 +74,128 @@ def _names(lat, elements):
 # -- betweenness and median axioms -----------------------------------------------------
 
 
+_ASCII_BITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _mask(flags: bytes) -> int:
+    """The bitmask whose bit i is ``flags[i]``, for a string of 0/1 bytes."""
+    return int(flags[::-1].translate(_ASCII_BITS), 2)
+
+
 def claim1_suite(lat: Lattice, label: str = "") -> VerificationReport:
     """Exhaustive betweenness axioms, median laws, and the metric picture.
 
-    Each check scans its tuples in ``itertools.product`` order and reports
-    the first that fails, by element names.  The largest scan visits m^5
-    tuples, refused beyond the evaluation cap before any table is built."""
+    Each check reports the first tuple in ``itertools.product`` order that
+    fails, by element names.  The scans read tables built once: ``between``
+    is asked once per triple (x, z, y), and its answers are kept as
+    bitmasks over one coordinate with the other two fixed (``last``,
+    ``mid``, ``first``); ``median`` is asked once per triple into ``med``,
+    with its byte rows ``flat[u]`` (med(u, d, e) over (d, e)) and
+    ``gather[u*m + v]`` (med(u, b, v) over b); the rank distance is one
+    m x m table.  A triple scan walks its two leading coordinates in
+    product order and reads the failing mask over the third, so its first
+    witness is the lowest set bit of the first nonzero mask, the tuple the
+    naive loop would stop at.  Convexity ANDs each interval(u, v) mask with
+    the complement of {z : between(x, z, y)}, in the same (x, y, u, v)
+    order.  Redistribution compares, per (a, c), the m^3 bytes
+    med(med(a, b, c), d, e) with med(med(a, d, e), b, med(c, d, e)) over
+    (d, e, b): the left side is m slices of ``flat``, the right side one
+    join of ``gather`` rows.  Ids fit in a byte, as the cap admits only
+    m <= 39.  Only the first failing a is rescanned tuple by tuple, so its
+    witness is still the first in product order.  The m^5 scan is refused
+    beyond the evaluation cap before any table is built.  A code
+    assignment that breaks the rank valuation fails the geodesic check
+    with the valuation's witness pair instead of raising."""
     t0 = time.perf_counter()
     m = lat.m
     _check_sweep_size("claim1", m ** 5, DEFAULT_EVAL_CAP)
     rng = range(m)
-    between = lat.between
+    sq = m * m
     checks = []
 
-    def add(claim, failures):
-        witness = next(failures, None)
+    def add(claim, witness):
         if witness is not None:
             witness = _names(lat, witness)
         checks.append(CheckResult(claim, witness is None,
                                   witness=witness, detail=f"{m} elements"))
 
+    def first_set(rows):
+        """(i // m, i % m, lowest set bit) of the first nonzero ``rows[i]``."""
+        for i, row in enumerate(rows):
+            if row:
+                return (*divmod(i, m), (row & -row).bit_length() - 1)
+        return None
+
     def tuples(k):
         return itertools.product(rng, repeat=k)
 
+    # btw[(x*m + z)*m + y] = between(x, z, y)
+    btw = bytes(lat.between(x, z, y) for x, z, y in tuples(3))
+    last = [_mask(btw[i * m:i * m + m]) for i in range(sq)]    # [x*m + z]: y
+    mid = [_mask(btw[x * sq + y:x * sq + sq:m]) for x, y in tuples(2)]    # [x*m + y]: z
+    first = [_mask(btw[i::sq]) for i in range(sq)]    # [z*m + y]: x
     add("betweenness-symmetry",
-        ((x, z, y) for x, z, y in tuples(3) if between(x, z, y) and not between(y, z, x)))
-    add("betweenness-closure",
-        ((x, y) for x, y in tuples(2) if not (between(x, x, y) and between(x, y, y))))
-    add("betweenness-idempotence",
-        ((x, y) for x, y in tuples(2) if between(x, y, x) and y != x))
-    add("betweenness-convexity",
-        ((x, u, v, z, y) for x, y in tuples(2)
-         for u, v in itertools.product(lat.interval(x, y), repeat=2)
-         for z in lat.interval(u, v) if not between(x, z, y)))
+        first_set([last[x * m + z] & ~first[z * m + x] for x, z in tuples(2)]))
+    add("betweenness-closure", next(
+        ((x, y) for x, y in tuples(2) if not last[x * m + x] >> y & last[x * m + y] >> y & 1),
+        None))
+    add("betweenness-idempotence", next(
+        ((x, y) for x, y in tuples(2) if last[x * m + y] >> x & 1 and y != x), None))
+    interval = [lat.interval_mask(u, v) for u, v in tuples(2)]
+    add("betweenness-convexity", next(
+        ((x, u, v, (bad & -bad).bit_length() - 1, y) for x, y in tuples(2)
+         for outside in [~mid[x * m + y]]
+         for u, v in itertools.product(_bits(interval[x * m + y]), repeat=2)
+         for bad in [interval[u * m + v] & outside] if bad), None))
     add("betweenness-antisymmetry",
-        ((x, y, z) for x, y, z in tuples(3)
-         if between(x, y, z) and between(y, x, z) and x != y))
+        first_set([last[x * m + y] & last[y * m + x] if x != y else 0
+                   for x, y in tuples(2)]))
 
     med = [[[lat.median(a, b, c) for c in rng] for b in rng] for a in rng]
+    rows = [bytes(row) for plane in med for row in plane]    # [a*m + b]: c
+    flat = [b"".join(rows[u * m:u * m + m]) for u in rng]    # [u]: (d, e)
+    gather = [flat[u][v::m] for u, v in tuples(2)]    # [u*m + v]: b
     add("median-absorbs-bounds",
-        ((a,) for a in rng if med[lat.bottom][a][lat.top] != a))
+        next(((a,) for a in rng if med[lat.bottom][a][lat.top] != a), None))
     add("median-majority-of-repeats",
-        ((a, b) for a, b in tuples(2) if med[a][b][a] != a))
-    add("median-symmetry",
-        ((a, b, c) for a, b, c in tuples(3)
-         if not med[a][b][c] == med[b][a][c] == med[b][c][a]))
-    add("median-redistribution",
-        ((a, b, c, d, e) for a, b, c in tuples(3)
-         for ma, mc, mabc in [(med[a], med[c], med[med[a][b][c]])]
-         for d, e in tuples(2) if mabc[d][e] != med[ma[d][e]][b][mc[d][e]]))
+        next(((a, b) for a, b in tuples(2) if med[a][b][a] != a), None))
+    add("median-symmetry", next(
+        ((a, b, c) for a, b in tuples(2)
+         if not rows[a * m + b] == rows[b * m + a] == gather[b * m + a]
+         for c in rng if not med[a][b][c] == med[b][a][c] == med[b][c][a]), None))
+
+    def redistribution():
+        scaled = [[m * e for e in flat[a]] for a in rng]    # m*med(a, d, e)
+        lhs = bytearray(m ** 3)
+        for a, c in tuples(2):
+            for b in rng:
+                lhs[b::m] = flat[med[a][b][c]]
+            pair = map(operator.add, scaled[a], flat[c])
+            if lhs != b"".join(map(gather.__getitem__, pair)):
+                return next((a, b, c, d, e) for b, c, d, e in tuples(4)
+                            if med[med[a][b][c]][d][e] != med[med[a][d][e]][b][med[c][d][e]])
+        return None
+
+    add("median-redistribution", redistribution())
+    marks = [bytes(z) + b"\1" + bytes(255 - z) for z in rng]    # byte z -> 1, else 0
     add("median-defines-betweenness",
-        ((x, z, y) for x, z, y in tuples(3) if between(x, z, y) != (med[x][y][z] == z)))
-    add("join-meet-are-medians",
+        first_set([last[x * m + z] ^ _mask(gather[x * m + z].translate(marks[z]))
+                   for x, z in tuples(2)]))
+    add("join-meet-are-medians", next(
         ((a, b) for a, b in tuples(2)
-         if med[a][b][lat.top] != lat.join(a, b) or med[a][b][lat.bottom] != lat.meet(a, b)))
-    dist = lat.rank_valuation().distance
-    add("valuation-metric-geodesics",
-        ((x, y, z) for x, y, z in tuples(3)
-         if between(x, y, z) != (dist(x, z) == dist(x, y) + dist(y, z))))
+         if med[a][b][lat.top] != lat.join(a, b) or med[a][b][lat.bottom] != lat.meet(a, b)),
+        None))
+    try:
+        distance = lat.rank_valuation().distance
+    except NotALatticeError as error:
+        checks.append(CheckResult("valuation-metric-geodesics", False,
+                                  _names(lat, error.witness), str(error)))
+    else:
+        dist = [[distance(x, y) for y in rng] for x in rng]
+        add("valuation-metric-geodesics",
+            first_set([last[x * m + y] ^ sum(1 << z for z in rng
+                                             if dist[x][z] == dist[x][y] + dist[y][z])
+                       for x, y in tuples(2)]))
 
     name = f"claim1:{label}" if label else "claim1"
     return _finish(name, checks, t0)
@@ -393,7 +458,7 @@ def _sp_yet_manipulable(rule, lat, domains, name, scope=""):
     return checks
 
 
-def theorem2_suite(lat: Lattice) -> VerificationReport:
+def theorem2_suite(lat: Lattice, label: str = "") -> VerificationReport:
     """Constructions that are strategy-proof yet coalitionally manipulable:
     a restricted two-ballot rule over a blocked pair, and (off chains) the
     diamond-sublattice rule built from its corner values.
@@ -401,8 +466,10 @@ def theorem2_suite(lat: Lattice) -> VerificationReport:
     There is no construction-failure check: a distributive lattice with at
     least four elements and no four-element cover path has height 2, so it
     is the Boolean square, whose two atoms form a diamond.  Every carrier
-    the suite accepts therefore has one labelling or the other."""
+    the suite accepts therefore has one labelling or the other.  A
+    ``label`` names the report ``theorem2:<label>``."""
     t0 = time.perf_counter()
+    name = f"theorem2:{label}" if label else "theorem2"
     if lat.m < 4:
         raise NoSuitableSublatticeError("need at least four elements")
     checks = []
@@ -449,7 +516,7 @@ def theorem2_suite(lat: Lattice) -> VerificationReport:
         checks.append(CheckResult(
             "diamond-rule", True,
             detail="chain carrier: coalition equivalence holds, construction exempt"))
-        return _finish("theorem2", checks, t0)
+        return _finish(name, checks, t0)
 
     dd, bb, cc, aa = _diamond_labels(lat)
     sub = lat.sublattice([dd, bb, cc, aa])
@@ -464,7 +531,7 @@ def theorem2_suite(lat: Lattice) -> VerificationReport:
         "diamond-rule-interval-monotone",
         find_monotonicity_violation(tree, sub) is None))
     checks += _sp_yet_manipulable(tree, sub, _full_domains(sub, 2), "diamond-rule")
-    return _finish("theorem2", checks, t0)
+    return _finish(name, checks, t0)
 
 
 # -- impossibility for anonymous rules --------------------------------------------------------
@@ -603,7 +670,7 @@ def theorem3_suite(lat: Lattice, n: int = 5) -> VerificationReport:
                 None if passed else "no witness or fallback needed at majority quota",
                 f"{how}; constants {_names(lat, constants)}"
                 + (f"; {witness.describe(lat)}" if witness else "")))
-    return _finish("theorem3", checks, t0)
+    return _finish(f"theorem3:n{n}", checks, t0)
 
 
 # -- chains: individual and coalitional strategy-proofness coincide ----------------------------
@@ -643,7 +710,7 @@ def chain_equivalence_suite(lat: Lattice, n: int = 2, samples: int = 100,
         checks.append(CheckResult(
             f"no-coalition-witness-{domain}", witnesses[domain] is None,
             witnesses[domain], detail))
-    return _finish("corollary1", checks, t0)
+    return _finish(f"corollary1:n{n}", checks, t0)
 
 
 # -- the Boolean-square walkthrough ------------------------------------------------------------
@@ -813,9 +880,9 @@ BATTERY = (
     ("lemma2", "square", {"n": 3, "label": "square"}),
     ("lemma2", "cube", {"n": 3, "label": "cube"}),
     ("theorem1", "square", {"n": 2, "samples": 200, "seed": 0}),
-    ("theorem2", "square", {}),
-    ("theorem2", "chain4", {}),
-    ("theorem2", "cube", {}),
+    ("theorem2", "square", {"label": "square"}),
+    ("theorem2", "chain4", {"label": "chain4"}),
+    ("theorem2", "cube", {"label": "cube"}),
     ("theorem3", "square", {"n": 3}),
     ("theorem3", "square", {"n": 4}),
     ("theorem3", "square", {"n": 5}),

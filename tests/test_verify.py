@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import operator
@@ -23,10 +24,12 @@ from medianvoting.errors import (
     InvalidSizeError,
     NoSuitableSublatticeError,
     NotAChainError,
+    NotALatticeError,
     NotEnoughAtomsError,
     TooLargeError,
 )
 from medianvoting.lattice import (
+    Lattice,
     build_boolean_hypercube,
     build_chain,
     build_ideal_lattice,
@@ -206,8 +209,10 @@ def axiom_tables(lat, n, rng):
 
 
 class SkewedLattice:
-    """A lattice whose ``between`` (flipped) or ``median`` (shifted) answers
-    wrong on the chosen tuples; everything else is the wrapped lattice's."""
+    """A lattice whose ``between`` (flipped), ``median`` (shifted) or
+    ``interval_mask`` (bit z of [u, v] flipped, for a chosen (u, v, z))
+    answers wrong on the chosen tuples; ``interval`` lists the skewed mask,
+    and everything else is the wrapped lattice's."""
 
     def __init__(self, lat, method, bad):
         self._lat, self._method, self._bad = lat, method, set(bad)
@@ -224,6 +229,17 @@ class SkewedLattice:
         if self._method == "median" and (a, b, c) in self._bad:
             return (truth + 1) % self._lat.m
         return truth
+
+    def interval_mask(self, u, v):
+        mask = self._lat.interval_mask(u, v)
+        if self._method == "interval_mask":
+            for z in range(self._lat.m):
+                mask ^= ((u, v, z) in self._bad) << z
+        return mask
+
+    def interval(self, u, v):
+        mask = self.interval_mask(u, v)
+        return tuple(e for e in range(self._lat.m) if mask >> e & 1)
 
 
 def first_failure(lat, arity, fails):
@@ -1704,13 +1720,17 @@ class TestSuites:
             assert find_monotonicity_violation(rule, lat) is None
             assert _roundtrips_exact(rule, lat) == (True, True)
 
-    @pytest.mark.parametrize("fixture", ["square", "chain4"])
+    @pytest.mark.parametrize("fixture", ["square", "chain4", "cube3", "grid3x3"])
     @pytest.mark.parametrize("method, bad", [
         ("between", [(0, 1, 3)]), ("between", [(0, 1, 3), (3, 2, 0)]),
         ("between", [(1, 0, 2), (2, 3, 1)]), ("between", [(3, 3, 0), (0, 2, 2)]),
         ("between", [(0, 1, 0), (2, 0, 2)]), ("median", [(0, 1, 3)]),
         ("median", [(1, 2, 3), (3, 1, 0)]), ("median", [(2, 2, 0), (0, 3, 3)]),
-        ("median", [(3, 0, 1), (1, 3, 2)]), ("median", [(1, 0, 1), (0, 2, 0)])])
+        ("median", [(3, 0, 1), (1, 3, 2)]), ("median", [(1, 0, 1), (0, 2, 0)]),
+        # on chain4 the first failing redistribution tuple has a > 0
+        ("median", [(3, 2, 1)]), ("median", [(2, 0, 1), (3, 0, 1)]),
+        # an interval that gains an element breaks only convexity
+        ("interval_mask", [(0, 1, 2)]), ("interval_mask", [(3, 0, 1), (2, 3, 0)])])
     def test_claim1_witnesses_are_the_first_failing_tuples(self, fixture, method,
                                                            bad, request):
         lat = SkewedLattice(request.getfixturevalue(fixture), method, bad)
@@ -1720,6 +1740,48 @@ class TestSuites:
         assert {c.claim: c.witness for c in report.checks} == expected
         assert all(c.passed == (c.witness is None) for c in report.checks)
         assert not report.passed()
+
+    @settings(max_examples=60, deadline=None)
+    @given(poset=small_posets(), data=st.data())
+    def test_claim1_witnesses_match_the_oracle_on_random_lattices(self, poset, data):
+        lat = build_ideal_lattice(*poset)
+        assume(lat.m <= 8)
+        method = data.draw(st.sampled_from(["between", "median", "interval_mask"]))
+        element = st.integers(min_value=0, max_value=lat.m - 1)
+        bad = data.draw(st.lists(st.tuples(element, element, element), max_size=3))
+        skewed = SkewedLattice(lat, method, bad)
+        report = claim1_suite(skewed)
+        expected = claim1_oracle(skewed)
+        assert {c.claim: c.witness for c in report.checks} == expected
+        assert all(c.passed == (c.witness is None) for c in report.checks)
+
+    def test_claim1_asks_between_and_median_once_per_triple(self, grid3x3, monkeypatch):
+        # a bound on calls, not on time: scanning tuple by tuple asks more
+        calls = collections.Counter()
+        for name in ("between", "median"):
+            def counted(self, *args, name=name, original=getattr(Lattice, name)):
+                calls[name] += 1
+                return original(self, *args)
+            monkeypatch.setattr(Lattice, name, counted)
+        assert claim1_suite(grid3x3).passed()
+        assert 0 < calls["between"] <= 9 ** 3
+        assert 0 < calls["median"] <= 9 ** 3
+
+    def test_claim1_reports_a_code_swap_instead_of_raising(self):
+        # the codes of 0 and x traded: the order masks still say 0 < x
+        lat = boolean_square()
+        o, x = lat.element("0"), lat.element("x")
+        lat._code[o], lat._code[x] = lat._code[x], lat._code[o]
+        lat._decode = {code: e for e, code in enumerate(lat._code)}
+        with pytest.raises(NotALatticeError) as raised:
+            lat.rank_valuation()
+        report = claim1_suite(lat)
+        failed = {c.claim: c for c in report.checks if not c.passed}
+        assert list(failed) == ["betweenness-convexity", "median-absorbs-bounds",
+                                "join-meet-are-medians", "valuation-metric-geodesics"]
+        geodesics = failed["valuation-metric-geodesics"]
+        assert geodesics.witness == ["0", "x"]
+        assert geodesics.detail == str(raised.value) == "valuation is not strictly increasing"
 
     def test_battery_looks_suites_up_when_called(self, monkeypatch):
         # the benchmark's tracer patches the suites.*_suite attributes
@@ -1736,6 +1798,15 @@ class TestSuites:
         assert len(calls) == 3
         names = tuple(dict.fromkeys(suite for suite, _, _ in suites.BATTERY))
         assert cli.SUITE_NAMES == names + ("all",)
+
+    def test_run_all_names_every_report_once(self):
+        names = [report.suite for report in suites.run_all()]
+        assert len(set(names)) == len(names) == 17
+        assert names[8:16] == ["theorem2:square", "theorem2:chain4", "theorem2:cube",
+                               "theorem3:n3", "theorem3:n4", "theorem3:n5",
+                               "corollary1:n2", "corollary1:n3"]
+        # a label is its lattice's key, as the benchmark's tracer names reports
+        assert all(kwargs.get("label", key) == key for _, key, kwargs in suites.BATTERY)
 
     def test_quota_rules_are_monotone(self, square):
         for constants, rule in enumerate_quota_rules(square, 2):
