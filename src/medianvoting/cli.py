@@ -44,7 +44,7 @@ from .rules import (
     MedianTree,
     _check_corner_count,
     build_canonical_median_tree,
-    corners,
+    table_corners,
     tabulate,
     tree_to_committee,
 )
@@ -320,7 +320,7 @@ def _cmd_rule(args):
             # refuse too many corners, then too large a table, before any is evaluated
             _check_corner_count(rule.n)
             spaces, table = tabulate(rule, lat)
-            converted = build_canonical_median_tree(corners(rule, lat), rule.n)
+            converted = build_canonical_median_tree(table_corners(spaces, table, lat), rule.n)
             if args.to == "committee":
                 converted = tree_to_committee(converted, lat)
             ballots = suites.first_mismatch(spaces, table, converted, lat)

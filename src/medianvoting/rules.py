@@ -152,8 +152,10 @@ class CodeLanes(_Lanes):
     carries a bit across lanes: med(A, B, C) = ``A&B | B&C | A&C``, and the
     constant table of element e is ``constant(lane[e])``.  ``of``
     keeps the lanes of the last few (codes, spaces) pairs.  The sweep masks
-    and ballot tiles (``_sweep``) are built on first use: ``tabulate`` reads
-    only ``lane`` and ``decode``.
+    and ballot tiles (``_sweep``) and the fold's ballot ints
+    (``_fold_ballots``) are built on first use: ``tabulate`` reads only
+    ``lane``, ``_fold_ballots`` and ``decode``, so every rule tabulated over
+    one pair shares them.
     """
 
     _kept: dict = {}
@@ -184,6 +186,17 @@ class CodeLanes(_Lanes):
         return ((1 << 8 * self.w * self.count) - 1, _line_masks((2,) + self.sizes, self.w)[1:],
                 [self.tile(i, {b: self.lane[b] for b in space})
                  for i, space in enumerate(self.spaces)])
+
+    @functools.cached_property
+    def _fold_ballots(self) -> tuple:
+        """Per voter, from the last to the first, ``_fold``'s x at that
+        voter's level: each of its ballots' code repeated over the cells of
+        the later voters' spaces, in space order."""
+        out, cells = [], 1
+        for space in reversed(self.spaces):
+            out.append(int.from_bytes(b"".join([self.lane[b] * cells for b in space]), "little"))
+            cells *= len(space)
+        return tuple(out)
 
     def ballots(self, i: int) -> int:
         """Voter i's ballot code in every lane: the projection onto voter i."""
@@ -389,28 +402,51 @@ def build_canonical_median_tree(corner_values, n: int) -> MedianTree:
     return MedianTree(n, corner_values)
 
 
+def _corner_positions(spaces, lat: Lattice) -> list:
+    """Per voter the positions of bottom and top in its space, refused with
+    ``CornerNotInBallotSpaceError`` where it lacks either."""
+    out = []
+    for i, s in enumerate(spaces):
+        if lat.bottom not in s or lat.top not in s:
+            raise CornerNotInBallotSpaceError(
+                f"voter {i} cannot cast both bottom and top")
+        out.append((s.index(lat.bottom), s.index(lat.top)))
+    return out
+
+
 def corners(rule, lat: Lattice) -> tuple:
     """Rule outputs on all bottom/top profiles, in binary order: the table
     over the bottom/top spaces.  More than the table cap of them are refused
     before any is evaluated."""
     n = rule.n
     _check_corner_count(n)
-    spaces = rule.ballot_spaces(lat)
-    for i, s in enumerate(spaces):
-        if lat.bottom not in s or lat.top not in s:
-            raise CornerNotInBallotSpaceError(
-                f"voter {i} cannot cast both bottom and top")
+    _corner_positions(rule.ballot_spaces(lat), lat)
     return tabulate(rule, lat, ((lat.bottom, lat.top),) * n)[1]
 
 
-def tree_to_committee(tree: MedianTree, lat: Lattice) -> CommitteeRule:
-    """Committee normal form: one term per coalition S, with constant equal to
-    the tree's value where exactly S votes top (voter i is bit n-1-i of the
-    corner's index).  That is its leaf only when the leaves are monotone, so
-    the values come from ``corners``."""
-    n = tree.n
+def table_corners(spaces, table, lat: Lattice) -> tuple:
+    """``corners`` read off a table over ``spaces`` (bottom and top anywhere
+    in each space): its cells at the bottom/top profiles, in binary order."""
+    _check_corner_count(len(spaces))
+    cells = [0]
+    for (lo, hi), s in zip(_corner_positions(spaces, lat), _strides(tuple(map(len, spaces)))):
+        cells = [c + p * s for c in cells for p in (lo, hi)]
+    return tuple(map(table.__getitem__, cells))
+
+
+def committee_from_corners(values, n: int) -> CommitteeRule:
+    """The committee with one term per coalition S whose constant is
+    ``values`` at the corner where exactly S votes top (voter i is bit
+    n-1-i of the corner's index)."""
     return CommitteeRule(n, [(frozenset(i for i in range(n) if c >> (n - 1 - i) & 1), v)
-                             for c, v in enumerate(corners(tree, lat))])
+                             for c, v in enumerate(values)])
+
+
+def tree_to_committee(tree: MedianTree, lat: Lattice) -> CommitteeRule:
+    """Committee normal form: ``committee_from_corners`` of the tree's
+    value at each corner.  That is its leaf only when the leaves are
+    monotone, so the values come from ``corners``."""
+    return committee_from_corners(corners(tree, lat), tree.n)
 
 
 def _fold(leaves, lanes: CodeLanes, pair) -> tuple:
@@ -422,11 +458,11 @@ def _fold(leaves, lanes: CodeLanes, pair) -> tuple:
     (p, q) = ``pair(l, h)``, the node over voters k..n-1 is p | x&q, where p
     and q are copied once per ballot of voter k by bytes repetition (a
     multiplication by a sparse int would be superlinear) and x holds each
-    ballot's code over its copy.
+    ballot's code over its copy.  The x of every level depends only on the
+    lanes, so it is read from ``lanes._fold_ballots``, built once per lanes.
     """
     tables, cells = leaves, 1
-    for space in reversed(lanes.spaces):
-        x = int.from_bytes(b"".join([lanes.lane[b] * cells for b in space]), "little")
+    for space, x in zip(reversed(lanes.spaces), lanes._fold_ballots):
         size, rows = lanes.w * cells, len(space)
         tables = [int.from_bytes(p.to_bytes(size, "little") * rows, "little")
                   | x & int.from_bytes(q.to_bytes(size, "little") * rows, "little")

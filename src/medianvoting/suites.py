@@ -36,12 +36,12 @@ from .rules import (
     _held_by,
     build_canonical_median_tree,
     check_table_size,
-    corners,
+    committee_from_corners,
     extended_median,
     extended_median_rule,
     full_spaces,
+    table_corners,
     tabulate,
-    tree_to_committee,
 )
 from .verify import (
     DEFAULT_EVAL_CAP,
@@ -234,12 +234,19 @@ def first_mismatch(spaces, table, form, lat):
 
 
 def _roundtrips_exact(rule, lat):
-    """Whether the median-tree and committee normal forms replay the table."""
+    """Whether the median-tree and committee normal forms replay the table.
+
+    Both forms are built from the corner cells of the rule's one table
+    (``table_corners``).  Where the tree replays the table its corners are
+    the table's, so its committee form (``tree_to_committee``) is the
+    committee of those same values, built without folding the tree again.
+    Each form's table is compared whole; no mismatching ballots are named.
+    """
     spaces, table = tabulate(rule, lat)
-    tree = build_canonical_median_tree(corners(rule, lat), rule.n)
-    if first_mismatch(spaces, table, tree, lat) is not None:
+    values = table_corners(spaces, table, lat)
+    if tabulate(build_canonical_median_tree(values, rule.n), lat, spaces)[1] != table:
         return False, False
-    return True, first_mismatch(spaces, table, tree_to_committee(tree, lat), lat) is None
+    return True, tabulate(committee_from_corners(values, rule.n), lat, spaces)[1] == table
 
 
 def _strategy_proof(rule, violation, domain):

@@ -54,10 +54,13 @@ class DomainDescriptor:
     and sweeps share the objects and their ``better`` masks.  The cap
     estimates read ``preference_bound`` first and count the preferences,
     without generating any, only where that bound could exceed the cap.
+    Lemma 1's witness preorders (``strategy_witness_from``) are kept per
+    (peak, ref), at most m^2 of them, so every rule whose violations share
+    a pair shares the preorder and its ``better`` masks.
     """
 
     __slots__ = ("lattice", "spaces", "flavor", "_sets", "_search", "_tops", "_count",
-                 "_gains", "_held", "_lanes")
+                 "_gains", "_held", "_lanes", "_witnesses")
 
     def __init__(self, lattice: Lattice, spaces, preference_sets, flavor="custom"):
         self._start(lattice, spaces, flavor, None)
@@ -80,7 +83,7 @@ class DomainDescriptor:
         self.lattice, self.spaces, self.flavor = lattice, tuple(map(tuple, spaces)), flavor
         self._sets, self._search = None, search
         self._count = self._gains = self._held = None
-        self._lanes = {}
+        self._lanes, self._witnesses = {}, {}
 
     @property
     def n(self) -> int:
@@ -474,7 +477,8 @@ def strategy_witness_from(violation: MonotonicityWitness,
     the LSU witness on ``full_lsu``), so d beats the truthful outcome, which
     lies outside [x_i, d].  Once validated, the witness proves "not monotone
     implies not strategy-proof" without a sweep; the converse is left to
-    ``find_strategy_violation``.
+    ``find_strategy_violation``.  The preorder depends only on the domain
+    and (x_i, d), so the domain builds it once per pair and keeps it.
     """
     builders = {"full_unimodal": build_three_class_witness,
                 "full_lsu": build_lsu_witness}
@@ -483,9 +487,10 @@ def strategy_witness_from(violation: MonotonicityWitness,
     i = violation.voter
     truthful = violation.ballots
     deviant = truthful[:i] + (violation.deviation,) + truthful[i + 1:]
-    pref = builders[domain.flavor](domain.lattice, truthful[i],
-                                   violation.deviant_outcome)
-    return StrategyWitness(i, pref, truthful, deviant, violation.outcome,
+    key = (truthful[i], violation.deviant_outcome)
+    if key not in domain._witnesses:
+        domain._witnesses[key] = builders[domain.flavor](domain.lattice, *key)
+    return StrategyWitness(i, domain._witnesses[key], truthful, deviant, violation.outcome,
                            violation.deviant_outcome)
 
 

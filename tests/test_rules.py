@@ -1,6 +1,7 @@
 import gc
 import itertools
 import json
+import math
 import random
 import signal
 import time
@@ -37,6 +38,7 @@ from medianvoting.rules import (
     extended_median,
     extended_median_rule,
     full_spaces,
+    table_corners,
     tabulate,
     tree_to_committee,
 )
@@ -414,6 +416,63 @@ class TestCornersAndConversion:
             for big, other in by_coalition.items():
                 if small < big:
                     assert square.leq(value, other)
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_table_corners_match_corners_and_evaluation(self, fixture, request):
+        lat = request.getfixturevalue(fixture)
+        rng = random.Random(lat.m * 31 + len(fixture))
+        relabelled = 0
+        for n in (1, 2, 3):
+            for _ in range(6):
+                relabelled += assert_table_corners_match(lat, n, rng)
+        assert relabelled > 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(poset=small_posets(), n=st.integers(min_value=1, max_value=3),
+           seed=st.integers(min_value=0, max_value=2 ** 16))
+    def test_table_corners_match_on_random_lattices(self, poset, n, seed):
+        lat = build_ideal_lattice(*poset)
+        assume(2 <= lat.m and lat.m ** n <= 1000)
+        assert_table_corners_match(lat, n, random.Random(seed))
+
+    def test_table_corners_need_bounds_in_every_space(self, chain4, square):
+        a, b, d, c = range(4)    # chain4: a < b < d < c
+        for spaces in (((a, c), (a, b)), ((b, c), (c, a)), ((c, d, b),)):
+            table = (0,) * math.prod(map(len, spaces))
+            with pytest.raises(CornerNotInBallotSpaceError, match="cannot cast both"):
+                table_corners(spaces, table, chain4)
+        # a shuffled space: top (3) is cast first and bottom (0) third
+        assert table_corners(((3, 1, 0, 2),), (2, 1, 0, 3), square) == (0, 2)
+
+
+def assert_table_corners_match(lat, n, rng):
+    """``table_corners`` of a naive table equals ``corners`` and the naive
+    evaluation at every corner profile, for a random explicit rule over
+    full, shuffled and restricted spaces (each holding both bounds), a tree
+    with random leaves and a random committee rule.  Returns 1 when the
+    tree's corners differ from its leaves."""
+    bounds = ((lat.bottom, lat.top),) * n
+    middle = [e for e in range(lat.m) if e not in (lat.bottom, lat.top)]
+
+    def restricted():
+        space = [lat.bottom, lat.top] + rng.sample(middle, rng.randint(0, len(middle)))
+        rng.shuffle(space)
+        return tuple(space)
+
+    tree = build_canonical_median_tree([rng.randrange(lat.m) for _ in range(1 << n)], n)
+    forms = [(tree, full_spaces(lat, n)),
+             (CommitteeRule(n, random_terms(rng, lat, n, rng.randint(0, 4))),
+              tuple(restricted() for _ in range(n)))]
+    for spaces in (full_spaces(lat, n), tuple(tuple(rng.sample(range(lat.m), lat.m))
+                                              for _ in range(n)),
+                   tuple(restricted() for _ in range(n))):
+        forms.append((ExplicitRule(spaces, [rng.randrange(lat.m)
+                                            for _ in itertools.product(*spaces)]), spaces))
+    for rule, spaces in forms:
+        naive = evaluate_table(rule, lat, bounds)
+        assert table_corners(spaces, evaluate_table(rule, lat, spaces), lat) == naive
+        assert corners(rule, lat) == naive
+    return int(corners(tree, lat) != tree.corner_values())
 
 
 class TestBulkTabulate:

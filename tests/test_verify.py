@@ -48,9 +48,11 @@ from medianvoting.rules import (
     CommitteeRule,
     ExplicitRule,
     build_canonical_median_tree,
+    corners,
     extended_median_rule,
     full_spaces,
     tabulate,
+    tree_to_committee,
 )
 from medianvoting import cli, preorders, suites, verify
 from medianvoting.suites import (
@@ -73,6 +75,7 @@ from medianvoting.verify import (
     CodeLanes,
     DomainDescriptor,
     ManipulationWitness,
+    MonotonicityWitness,
     StrategyWitness,
     check_axioms,
     check_coalition_search_size,
@@ -748,6 +751,40 @@ class TestStrategyProofness:
                 assert not tampered.validate(rule, chain4)
         with pytest.raises(ValueError, match="'custom' domain"):
             strategy_witness_from(violation, remark3_domains(chain4)[0])
+
+    @pytest.mark.parametrize("fixture", ["square", "chain4", "cube3"])
+    def test_witness_preorders_are_built_once_per_pair(self, fixture, request):
+        # Lemma 1's preorder depends only on (peak, ref): a domain keeps one
+        # per pair, equal to a fresh build, and shares it between conversions
+        lat = request.getfixturevalue(fixture)
+        pool = [build_three_class_witness(lat, top, top) for top in range(lat.m)]
+
+        def full(flavor):
+            # past the enumeration cap (cube3) a domain of that flavor with
+            # a given pool: the conversion reads only the flavor
+            if lat.m > preorders.DEFAULT_ENUM_CAP:
+                return DomainDescriptor(lat, full_spaces(lat, 2), [pool] * 2, flavor)
+            return getattr(DomainDescriptor, flavor)(lat, 2)
+
+        for flavor, build in (("full_unimodal", build_three_class_witness),
+                              ("full_lsu", build_lsu_witness)):
+            domain, fresh = full(flavor), full(flavor)
+            for peak, ref in itertools.product(range(lat.m), repeat=2):
+                first = strategy_witness_from(
+                    MonotonicityWitness((peak, lat.bottom), 0, lat.top, lat.top, ref), domain)
+                again = strategy_witness_from(
+                    MonotonicityWitness((ref, peak), 1, lat.bottom, peak, ref), domain)
+                other = strategy_witness_from(
+                    MonotonicityWitness((peak, peak), 0, ref, lat.bottom, ref), fresh)
+                assert first.preference == build(lat, peak, ref) == other.preference
+                assert again.preference is first.preference
+                assert other.preference is not first.preference
+                assert (first.voter, again.voter) == (0, 1)
+                assert again.truthful_ballots == (ref, peak)
+        custom = DomainDescriptor(lat, full_spaces(lat, 2), [pool] * 2)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="'custom' domain"):
+                strategy_witness_from(MonotonicityWitness((0, 0), 0, 1, 0, 1), custom)
 
     def test_matches_brute_force_oracle(self, square, chain4):
         rng = random.Random(5120)
@@ -1446,6 +1483,34 @@ class TestAxioms:
         assert {broken for _, broken in seen} == {True, False}
 
 
+def roundtrips_oracle(rule, lat):
+    """``_roundtrips_exact`` by the naive two-form replay: the tree of the
+    rule's ``corners`` and that tree's ``tree_to_committee``, each evaluated
+    cell by cell against the rule's own evaluation."""
+    spaces = rule.ballot_spaces(lat)
+    table = evaluate_table(rule, lat, spaces)
+    tree = build_canonical_median_tree(corners(rule, lat), rule.n)
+    if evaluate_table(tree, lat, spaces) != table:
+        return False, False
+    return True, evaluate_table(tree_to_committee(tree, lat), lat, spaces) == table
+
+
+def assert_roundtrips_match_oracle(lat, n, rng):
+    """``_roundtrips_exact`` equals ``roundtrips_oracle`` on a random table,
+    a tree with random leaves (it replays its own canonical tree even where
+    its corners differ from its leaves), a random committee rule and up to
+    three quota rules; returns the answers."""
+    quota = enumerate_quota_rules(lat, n)
+    pool = [random_explicit_rule(lat, n, rng),
+            build_canonical_median_tree([rng.randrange(lat.m) for _ in range(1 << n)], n),
+            CommitteeRule(n, [(frozenset(rng.sample(range(n), rng.randint(0, n))),
+                               rng.randrange(lat.m)) for _ in range(rng.randint(0, 4))])]
+    pool += [rule for _, rule in rng.sample(quota, min(3, len(quota)))]
+    answers = [_roundtrips_exact(rule, lat) for rule in pool]
+    assert answers == [roundtrips_oracle(rule, lat) for rule in pool]
+    return answers
+
+
 class TestSuites:
     def test_claim1_all_lattices(self, square, chain4, cube3, grid3x3):
         for lat in (square, chain4, cube3, grid3x3):
@@ -1456,6 +1521,36 @@ class TestSuites:
 
     def test_lemma2(self, square):
         assert lemma2_suite(square).passed()
+
+    @pytest.mark.parametrize("fixture", ["square", "chain4", "cube3", "grid3x3"])
+    def test_roundtrips_match_the_naive_replay(self, fixture, request):
+        lat = request.getfixturevalue(fixture)
+        rng = random.Random(lat.m * 7 + len(fixture))
+        seen = collections.Counter()
+        for n in (1, 2, 3):
+            seen.update(assert_roundtrips_match_oracle(lat, n, rng))
+        assert set(seen) == {(True, True), (False, False)}
+
+    @settings(max_examples=30, deadline=None)
+    @given(poset=small_posets(), n=st.integers(min_value=1, max_value=3),
+           seed=st.integers(min_value=0, max_value=2 ** 16))
+    def test_roundtrips_match_the_naive_replay_on_random_lattices(self, poset, n, seed):
+        lat = build_ideal_lattice(*poset)
+        assume(2 <= lat.m and lat.m ** n <= 1000)
+        assert_roundtrips_match_oracle(lat, n, random.Random(seed))
+
+    def test_lemma1_builds_each_witness_once_per_pair(self, square, monkeypatch):
+        # at most m^2 = 16 (peak, ref) pairs per domain; one build per
+        # converted rule would make about 120 calls of each builder here
+        calls = collections.Counter()
+        for name in ("build_three_class_witness", "build_lsu_witness"):
+            def counted(*args, name=name, build=getattr(verify, name)):
+                calls[name] += 1
+                return build(*args)
+            monkeypatch.setattr(verify, name, counted)
+        assert lemma1_suite(square).passed()
+        assert set(calls) == {"build_three_class_witness", "build_lsu_witness"}
+        assert max(calls.values()) <= square.m ** 2
 
     def test_theorem1(self, square):
         report = theorem1_suite(square, samples=60, seed=3)
