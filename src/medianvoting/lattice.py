@@ -5,9 +5,9 @@ as the bitmask of the join-irreducibles below it; by Birkhoff's
 representation theorem these codes are the down-sets of the join-irreducibles,
 so join, meet, medians and betweenness are set operations on codes.  The order
 is kept as one up-set and one down-set bitmask per element.  Every
-constructor validates the poset, bounds and distributivity in one O(m*|J|)
-pass over the codes (|J| join-irreducibles) and raises a witness-carrying
-error on a violation.
+constructor validates the poset, bounds and distributivity in one
+topological pass along the covers, O(covers + |J|^2) big-int operations
+(|J| join-irreducibles), and raises a witness-carrying error on a violation.
 """
 
 from __future__ import annotations
@@ -36,8 +36,9 @@ class Valuation:
 
     On a distributive lattice these are exactly the valuations
     v(x) = v(bottom) + sum of w_j over the join-irreducibles j <= x, with every
-    weight w_j = v(j) - v(lower cover of j) positive, so the check costs
-    O(m*|J|).  Only when it fails are the pairs scanned for the first witness.
+    weight w_j = v(j) - v(lower cover of j) positive: v(b) - v(a) = w_j on each
+    cover (a, b) adding j, O(covers).  Only when that fails are the pairs
+    scanned for the first witness.
     """
 
     __slots__ = ("lattice", "values")
@@ -46,12 +47,12 @@ class Valuation:
         values = tuple(int(v) for v in values)
         if len(values) != lattice.m:
             raise InvalidSizeError("valuation must assign a value to every element")
-        weights = [values[j] - values[lattice.lower_covers(j)[0]]
-                   for j in lattice._irreducibles]
-        base = values[lattice.bottom]
+        code, decode = lattice._code, lattice._decode
+        weights = [values[j] - values[decode[code[j] ^ 1 << k]]
+                   for k, j in enumerate(lattice._irreducibles)]
         if not (all(w > 0 for w in weights) and all(
-                values[x] == base + sum(weights[k] for k in _bits(code))
-                for x, code in enumerate(lattice._code))):
+                values[b] - values[a] == weights[(code[a] ^ code[b]).bit_length() - 1]
+                for a, b in lattice.covers)):
             for a in range(lattice.m):
                 for b in range(lattice.m):
                     j, m = lattice.join(a, b), lattice.meet(a, b)
@@ -81,9 +82,10 @@ class Lattice:
     maps each code back to its element.  By Birkhoff's theorem the codes are
     exactly the down-sets of the join-irreducibles, so join is ``|`` and meet
     is ``&`` on codes.  The order itself is kept as up-set and down-set
-    bitmasks over element ids.  ``_interval_gains`` keeps Lemma 1's interval
-    table once ``verify.interval_gains`` has built it, so it goes with the
-    lattice.
+    bitmasks over element ids; the constructor fills both, and the codes, in
+    one topological pass (``_encode``).  ``_interval_gains`` keeps Lemma 1's
+    interval table once ``verify.interval_gains`` has built it, so it goes
+    with the lattice.
     """
 
     __slots__ = ("names", "m", "covers", "bottom", "top", "atoms",
@@ -96,15 +98,17 @@ class Lattice:
             raise InvalidSizeError("a lattice needs at least one element")
         if len(names) > DEFAULT_SIZE_CAP:
             raise TooLargeError(f"{len(names)} elements exceeds cap {DEFAULT_SIZE_CAP}")
-        if len(set(names)) != len(names):
-            raise NotAPosetError("duplicate element names")
         self.names = tuple(str(n) for n in names)
+        if len(set(self.names)) != len(names):
+            raise NotAPosetError("duplicate element names")
         self.m = len(names)
         self._index = {n: i for i, n in enumerate(self.names)}
         self._interval_gains = None
 
         cover_ids = []
         for lo, hi in covers:
+            if type(lo) is bool or type(hi) is bool:
+                raise NotAPosetError(f"cover ({lo}, {hi}) has a bool endpoint")
             a = lo if isinstance(lo, int) else self._index.get(str(lo))
             b = hi if isinstance(hi, int) else self._index.get(str(hi))
             if a is None or b is None or not (0 <= a < self.m and 0 <= b < self.m):
@@ -116,41 +120,46 @@ class Lattice:
             raise NotAPosetError("duplicate cover")
         self.covers = tuple(cover_ids)
 
-        self._up = self._close(cover_ids)
-        self._down = self._close([(b, a) for a, b in cover_ids])
+        topology = self._close(cover_ids)
         self._reject_redundant_covers()
         self._find_bounds()
-        self._encode()
+        self._encode(*topology)
 
     # -- construction internals -------------------------------------------
 
     def _close(self, cover_ids):
+        """Fill the up-sets in reverse topological order and the down-sets in
+        order; returns it, the upper covers and the join-irreducibles."""
         succ = [[] for _ in range(self.m)]
         indeg = [0] * self.m
         for a, b in cover_ids:
             succ[a].append(b)
             indeg[b] += 1
+        irreducibles = [v for v in range(self.m) if indeg[v] == 1]
         order = [v for v in range(self.m) if indeg[v] == 0]
-        queue = list(order)
-        while queue:
-            v = queue.pop()
+        for v in order:  # Kahn's algorithm; the order grows as it is read
             for w in succ[v]:
                 indeg[w] -= 1
                 if indeg[w] == 0:
                     order.append(w)
-                    queue.append(w)
         if len(order) != self.m:
             cyc = [self.names[v] for v in range(self.m) if indeg[v] > 0]
             raise NotAPosetError("cover relation has a cycle", witness=cyc)
         up = [1 << v for v in range(self.m)]
+        down = up[:]
         for v in reversed(order):
             for w in succ[v]:
                 up[v] |= up[w]
-        return up
+        for v in order:
+            for w in succ[v]:
+                down[w] |= down[v]
+        self._up, self._down = up, down
+        return order, succ, irreducibles
 
     def _reject_redundant_covers(self):
+        up, down = self._up, self._down
         for a, b in self.covers:
-            between = self._up[a] & self._down[b] & ~(1 << a) & ~(1 << b)
+            between = up[a] & down[b] ^ (1 << a | 1 << b)
             if between:
                 raise NotAPosetError(
                     f"({self.names[a]}, {self.names[b]}) is not a cover: "
@@ -166,27 +175,24 @@ class Lattice:
         self.bottom = bottoms[0]
         self.top = tops[0]
 
-    def _scan_irreducibles(self):
-        """Elements with exactly one lower cover, in id order."""
-        lower = [0] * self.m
-        for _, b in self.covers:
-            lower[b] += 1
-        return [x for x in range(self.m) if lower[x] == 1]
-
-    def _encode(self):
+    def _encode(self, order, succ, irreducibles):
         """Code every element and prove the codes form the down-set lattice.
 
-        The poset is a distributive lattice iff the code map is injective and,
-        for every x and join-irreducible j not below x whose lower
-        join-irreducibles all are, ``code[x] | bit(j)`` is the code of some
-        y > x: the codes are then exactly the down-sets of the
-        join-irreducibles, ordered by inclusion.  O(m*|J|) dict lookups.
+        Codes are ORed up the covers in topological order, each
+        join-irreducible adding its own bit.  The poset is a distributive
+        lattice iff the codes are injective and, for every x and
+        join-irreducible j addable to x (not below x, its lower ones all
+        below x), ``code[x] | bit(j)`` is the code of some y > x.  If each
+        cover adds one bit, the covers map one-to-one into the addable pairs,
+        so that holds iff both are as many: O(covers + |J|^2) big-int
+        operations.  Only on failure does ``_scan_addable`` name the witness.
         """
-        irreducibles = self._scan_irreducibles()
         code = [0] * self.m
         for k, j in enumerate(irreducibles):
-            for x in _bits(self._up[j]):
-                code[x] |= 1 << k
+            code[j] = 1 << k
+        for v in order:
+            for w in succ[v]:
+                code[w] |= code[v]
         decode = {c: x for x, c in enumerate(code)}
         if len(decode) != self.m:
             # every element of a lattice is the join of the join-irreducibles
@@ -195,6 +201,24 @@ class Lattice:
         self._irreducibles = tuple(irreducibles)
         self._code = code
         self._decode = decode
+        up, addable = self._up, 0
+        for k, j in enumerate(irreducibles):
+            above_lower = (1 << self.m) - 1
+            for i in _bits(code[j] ^ 1 << k):
+                above_lower &= up[irreducibles[i]]
+            addable += (above_lower & ~up[j]).bit_count()
+        if addable != len(self.covers) or any(
+                (code[a] ^ code[b]).bit_count() != 1 for a, b in self.covers):
+            self._scan_addable()
+        self.join_irreducibles = frozenset(irreducibles)
+        self.atoms = frozenset(
+            x for x in irreducibles
+            if self._down[x] == (1 << x) | (1 << self.bottom))
+
+    def _scan_addable(self):
+        """Error path: raise at the first x, in id order, and join-irreducible
+        j addable to x whose grown code is not the code of some y > x."""
+        code, decode, irreducibles = self._code, self._decode, self._irreducibles
         lower = [code[j] & ~(1 << k) for k, j in enumerate(irreducibles)]
         for x, c in enumerate(code):
             for k, j in enumerate(irreducibles):
@@ -205,10 +229,6 @@ class Lattice:
                 if y is None or not self._up[x] >> y & 1:
                     self._raise_missing_bound()
                     self._raise_not_distributive(x, j)
-        self.join_irreducibles = frozenset(irreducibles)
-        self.atoms = frozenset(
-            x for x in irreducibles
-            if self._down[x] == (1 << x) | (1 << self.bottom))
 
     def _raise_missing_bound(self):
         """Error path: raise at the first pair without a least upper bound or
@@ -365,14 +385,16 @@ def build_product(a: Lattice, b: Lattice) -> Lattice:
     if a.m * b.m > DEFAULT_SIZE_CAP:
         raise TooLargeError(f"{a.m * b.m} elements exceeds cap {DEFAULT_SIZE_CAP}")
     names = [f"{na}.{nb}" for na in a.names for nb in b.names]
+    uppers_a, uppers_b = ([[] for _ in range(f.m)] for f in (a, b))
+    for f, uppers in ((a, uppers_a), (b, uppers_b)):
+        for x, y in sorted(f.covers):  # each list ascending, as upper_covers
+            uppers[x].append(y)
     covers = []
     for i in range(a.m):
         for j in range(b.m):
             e = i * b.m + j
-            for i2 in a.upper_covers(i):
-                covers.append((e, i2 * b.m + j))
-            for j2 in b.upper_covers(j):
-                covers.append((e, i * b.m + j2))
+            covers += [(e, i2 * b.m + j) for i2 in uppers_a[i]]
+            covers += [(e, i * b.m + j2) for j2 in uppers_b[j]]
     return Lattice(names, covers)
 
 
@@ -380,8 +402,9 @@ def build_ideal_lattice(poset_names, leq_pairs) -> Lattice:
     """Lattice of order ideals (downward-closed sets) of a finite poset.
 
     ``leq_pairs`` lists (lower, upper) name pairs generating the order; the
-    reflexive-transitive closure is taken.  Join is union, meet intersection,
-    so the result is distributive by construction (still validated).
+    reflexive-transitive closure is taken.  Each search step adds a point to
+    an ideal: a cover.  Join is union, meet intersection, so the result is
+    distributive by construction (still validated).
     """
     poset_names = [str(n) for n in poset_names]
     if len(set(poset_names)) != len(poset_names):
@@ -411,14 +434,14 @@ def build_ideal_lattice(poset_names, leq_pairs) -> Lattice:
 
     ideals = {0}
     frontier = [0]
+    grows = []  # every (ideal, ideal plus one point): the covers
     while frontier:
         ideal = frontier.pop()
-        for i in range(p):
-            if ideal >> i & 1:
-                continue
+        for i in _bits((1 << p) - 1 & ~ideal):
             if below[i] & ~(ideal | 1 << i):
                 continue  # some strict predecessor of i is missing
             grown = ideal | 1 << i
+            grows.append((ideal, grown))
             if grown not in ideals:
                 if len(ideals) >= DEFAULT_SIZE_CAP:
                     raise TooLargeError(f"more than {DEFAULT_SIZE_CAP} order ideals")
@@ -431,9 +454,5 @@ def build_ideal_lattice(poset_names, leq_pairs) -> Lattice:
     def ideal_name(mask):
         return "{" + ",".join(poset_names[i] for i in _bits(mask)) + "}"
 
-    covers = []
-    for s in ordered:
-        for i in range(p):
-            if not s >> i & 1 and (s | 1 << i) in pos:
-                covers.append((pos[s], pos[s | 1 << i]))
+    covers = sorted((pos[s], pos[g]) for s, g in grows)
     return Lattice([ideal_name(s) for s in ordered], covers)

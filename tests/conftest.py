@@ -109,6 +109,40 @@ def seeded_ideal_lattice(rng, m):
             return lat
 
 
+def seeded_poset(rng, points, ideals):
+    """Names and generating (lower, upper) pairs of a random poset on
+    ``points`` points with exactly ``ideals`` order ideals.  Pairs only go
+    from a lower to a higher point index, at a random density; the ideals
+    are counted, not built, so a large target stays cheap to hit."""
+    names = [f"p{k}" for k in range(points)]
+    while True:
+        density = rng.uniform(0.0, 0.6)
+        below = [1 << k for k in range(points)]
+        above = [1 << k for k in range(points)]
+        pairs = []
+        for j in range(points):
+            for i in range(j):
+                if rng.random() < density:
+                    pairs.append((names[i], names[j]))
+                    below[j] |= below[i]
+        for j in range(points):
+            for i in range(points):
+                if below[j] >> i & 1:
+                    above[i] |= 1 << j
+        counts = {0: 1}
+
+        def count(rest):
+            # ideals within ``rest``: those without its top point x, then
+            # those with x (and so with everything below it)
+            if rest not in counts:
+                x = rest.bit_length() - 1
+                counts[rest] = count(rest & ~above[x]) + count(rest & ~below[x])
+            return counts[rest]
+
+        if count((1 << points) - 1) == ideals:
+            return names, pairs
+
+
 @contextlib.contextmanager
 def within(seconds, what):
     """Fail once ``what`` has run for ``seconds``: a SIGALRM raises

@@ -2,11 +2,12 @@ import itertools
 import random
 
 import pytest
-from conftest import small_posets
+from conftest import seeded_poset, small_posets
 from hypothesis import given, settings
 
 from medianvoting.errors import (
     InvalidSizeError,
+    MedianVotingError,
     NotALatticeError,
     NotAPosetError,
     NotBoundedError,
@@ -254,6 +255,11 @@ class TestBuildFromCovers:
         (["p", "q"], [("p", 2)], r"cover \(p, 2\) names an unknown element"),
         (["p", "q"], [("p", "p")], r"cover \(p, p\) is a self-loop"),
         (["p", "q"], [("p", "q"), ("p", "q")], "duplicate cover"),
+        # names are compared as the strings they are stored as
+        ([1, "1"], [(0, 1)], "duplicate element names"),
+        # a bool is neither an element id nor an element name
+        (["p", "q"], [(True, 0)], r"cover \(True, 0\) has a bool endpoint"),
+        (["True", "q"], [(True, "q")], r"cover \(True, q\) has a bool endpoint"),
     ])
     def test_malformed_covers_rejected(self, names, covers, message):
         with pytest.raises(NotAPosetError, match=message):
@@ -366,6 +372,18 @@ class TestConstructors:
         assert order_isomorphic(twice, square)
         trivial = build_product(build_chain(1), build_chain(3))
         assert order_isomorphic(trivial, build_chain(3))
+
+    def test_product_covers_in_upper_cover_order(self, corner_square):
+        # factors whose cover lists are not sorted by their ids
+        shuffled = build_from_covers(["d", "b", "c", "a"],
+                                     [("c", "a"), ("d", "c"), ("b", "a"), ("d", "b")])
+        vee = build_ideal_lattice(["r", "p", "q"], [("p", "q"), ("r", "q")])
+        for a, b in itertools.permutations([shuffled, vee, corner_square], 2):
+            expected = [(i * b.m + j, i2 * b.m + j2)
+                        for i in range(a.m) for j in range(b.m)
+                        for i2, j2 in [(i2, j) for i2 in a.upper_covers(i)]
+                        + [(i, j2) for j2 in b.upper_covers(j)]]
+            assert build_product(a, b).covers == tuple(expected)
 
     def test_grid_not_boolean(self, grid3x3):
         assert grid3x3.m == 9
@@ -496,3 +514,266 @@ class TestStructuralInvariants:
         build_product(build_chain(3), build_boolean_hypercube(2))
         build_ideal_lattice(["p", "q", "r", "s"],
                             [("p", "r"), ("q", "r"), ("q", "s")])
+
+
+class ScanLattice(Lattice):
+    """Test-only oracle: the constructor with the distributivity proof it had
+    before the cover count.  Each join-irreducible's bit is set on every
+    element of its up-set, and every (element, addable join-irreducible)
+    pair is checked to grow into the code of an element above."""
+
+    __slots__ = ()
+
+    def _encode(self, order, succ, irreducibles):
+        lower_count = [0] * self.m
+        for _, b in self.covers:
+            lower_count[b] += 1
+        irreducibles = [x for x in range(self.m) if lower_count[x] == 1]
+        code = [0] * self.m
+        for k, j in enumerate(irreducibles):
+            for x in range(self.m):
+                if self._up[j] >> x & 1:
+                    code[x] |= 1 << k
+        decode = {c: x for x, c in enumerate(code)}
+        if len(decode) != self.m:
+            self._raise_missing_bound()
+        self._irreducibles = tuple(irreducibles)
+        self._code = code
+        self._decode = decode
+        lower = [code[j] & ~(1 << k) for k, j in enumerate(irreducibles)]
+        for x, c in enumerate(code):
+            for k, j in enumerate(irreducibles):
+                grown = c | 1 << k
+                if grown == c or lower[k] & ~c:
+                    continue
+                y = decode.get(grown)
+                if y is None or not self._up[x] >> y & 1:
+                    self._raise_missing_bound()
+                    self._raise_not_distributive(x, j)
+        self.join_irreducibles = frozenset(irreducibles)
+        self.atoms = frozenset(
+            x for x in irreducibles
+            if self._down[x] == (1 << x) | (1 << self.bottom))
+
+
+def build_outcome(cls, names, covers):
+    """Every field of the built lattice, or the refusal's class, message
+    and witness."""
+    try:
+        lat = cls(names, covers)
+    except MedianVotingError as err:
+        return type(err), str(err), err.witness
+    return (lat.names, lat.covers, lat.bottom, lat.top, lat.atoms,
+            lat.join_irreducibles, lat._irreducibles, lat._code, lat._decode,
+            lat._up, lat._down)
+
+
+def assert_proof_matches_scan(names, covers):
+    expected = build_outcome(ScanLattice, names, covers)
+    assert build_outcome(Lattice, names, covers) == expected
+    return expected
+
+
+def bounded_hasse(names, leq_pairs):
+    """The cover relation of a small poset with a new bottom and top added:
+    a bounded poset that may or may not be a lattice."""
+    p = len(names)
+    index = {n: i for i, n in enumerate(names)}
+    below = [1 << i for i in range(p)]
+    changed = True
+    while changed:
+        changed = False
+        for lo, hi in leq_pairs:
+            merged = below[index[hi]] | below[index[lo]]
+            if merged != below[index[hi]]:
+                below[index[hi]] = merged
+                changed = True
+    strict = [below[i] & ~(1 << i) for i in range(p)]
+    covers = [(names[i], names[j]) for j in range(p) for i in range(p)
+              if strict[j] >> i & 1
+              and not any(strict[j] >> k & 1 and strict[k] >> i & 1 for k in range(p))]
+    covers += [("bot", n) for i, n in enumerate(names) if not strict[i]]
+    covers += [(n, "top") for i, n in enumerate(names)
+               if not any(strict[j] >> i & 1 for j in range(p))]
+    return ["bot", *names, "top"], covers or [("bot", "top")]
+
+
+# Hand-made cases, as (names, covers) in "lo<hi" notation.
+PENTAGON = ("0 u v w 1", "0<u u<w w<1 0<v v<1")
+DIAMOND = ("0 u v w 1", "0<u 0<v 0<w u<1 v<1 w<1")
+# a and b have two minimal upper bounds, ab and bc.  The codes are
+# injective and the addable pairs as many as the covers (10), but the cover
+# (b, bc) adds both a and c
+TWO_BIT_COVER = ("0 a b c ab bc d 1",
+                 "0<a 0<b a<c a<ab b<ab b<bc c<bc ab<d d<1 bc<1")
+# a and b have two minimal upper bounds, ab and abc.  The addable pairs are
+# as many as the covers (10), but abc and 1 have the same code {a, b, c}
+COLLIDING_CODES = ("0 a b c ab abc 1",
+                   "0<a 0<b 0<c a<ab b<ab a<abc b<abc c<abc ab<1 abc<1")
+
+
+def hand_made(case):
+    names, covers = case
+    return names.split(), [tuple(pair.split("<")) for pair in covers.split()]
+
+
+class TestCoverCountProof:
+    """The constructor's cover-count proof of distributivity against the
+    per-(element, join-irreducible) scan it replaced (``ScanLattice``): the
+    same lattice, or the same refusal with the same message and witness."""
+
+    def test_random_bounded_posets(self):
+        rng = random.Random(20140619)
+        kinds = set()
+        for _ in range(4000):
+            m = rng.randint(2, 7)
+            covers = random_bounded_poset(rng, m)
+            outcome = assert_proof_matches_scan([f"e{i}" for i in range(m)], covers)
+            kinds.add(outcome[0] if isinstance(outcome[0], type) else None)
+        assert kinds == {None, NotALatticeError, NotDistributiveError}
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_posets())
+    def test_small_posets(self, poset):
+        lat = build_ideal_lattice(*poset)
+        assert_proof_matches_scan(lat.names, lat.covers)
+        assert_proof_matches_scan(*bounded_hasse(*poset))
+
+    @pytest.mark.parametrize("case, error", [
+        (PENTAGON, NotDistributiveError),
+        (DIAMOND, NotDistributiveError),
+        (TWO_BIT_COVER, NotALatticeError),
+        (COLLIDING_CODES, NotALatticeError),
+    ])
+    def test_hand_made(self, case, error):
+        names, covers = hand_made(case)
+        assert assert_proof_matches_scan(names, covers)[0] is error
+
+    @pytest.mark.parametrize("case, injective, widest", [
+        (TWO_BIT_COVER, True, 2), (COLLIDING_CODES, False, 2)])
+    def test_hand_made_cases_pass_the_count(self, case, injective, widest):
+        names, covers = hand_made(case)
+        index = {n: i for i, n in enumerate(names)}
+        ids = [(index[a], index[b]) for a, b in covers]
+        naive = NaiveLattice(len(names), ids)
+        irreducibles = sorted(naive.join_irreducibles())
+        code = [sum(1 << k for k, j in enumerate(irreducibles) if naive.leq(j, x))
+                for x in range(len(names))]
+        addable = sum(1 for x in range(len(names)) for j in irreducibles
+                      if not naive.leq(j, x)
+                      and all(naive.leq(j2, x) for j2 in irreducibles
+                              if j2 != j and naive.leq(j2, j)))
+        assert addable == len(ids)
+        assert (len(set(code)) == len(code)) == injective
+        assert max(bin(code[a] ^ code[b]).count("1") for a, b in ids) == widest
+
+
+def valuation_oracle(lat, values):
+    """The pairwise check: the first (a, b), in id order, where the
+    valuation identity or strict increase fails, with its message; None for
+    a valuation."""
+    naive = NaiveLattice(lat.m, lat.covers)
+    for a, b in itertools.product(range(lat.m), repeat=2):
+        if values[naive.join(a, b)] + values[naive.meet(a, b)] != values[a] + values[b]:
+            return "valuation identity fails", (a, b)
+        if a != b and naive.leq(a, b) and not values[a] < values[b]:
+            return "valuation is not strictly increasing", (a, b)
+    return None
+
+
+class TestValuationAlongCovers:
+    def assert_matches_pairwise(self, lat, values):
+        expected = valuation_oracle(lat, values)
+        if expected is None:
+            assert Valuation(lat, values).values == tuple(values)
+            return True
+        with pytest.raises(NotALatticeError) as err:
+            Valuation(lat, values)
+        assert (str(err.value), err.value.witness) == expected
+        return False
+
+    def test_modular_and_perturbed_valuations(self, square, chain4, cube3, grid3x3):
+        rng = random.Random(1406)
+        lattices = [square, chain4, cube3, grid3x3]
+        lattices += [build_ideal_lattice(*seeded_poset(rng, points, m))
+                     for points, m in ((3, 5), (3, 6), (4, 7), (4, 8), (5, 10), (5, 12))]
+        verdicts = set()
+        for lat in lattices:
+            naive = NaiveLattice(lat.m, lat.covers)
+            irreducibles = sorted(naive.join_irreducibles())
+            for _ in range(30):
+                base = rng.randint(-5, 5)
+                weights = {j: rng.randint(1, 4) for j in irreducibles}
+                values = [base + sum(w for j, w in weights.items() if naive.leq(j, x))
+                          for x in range(lat.m)]
+                assert self.assert_matches_pairwise(lat, values)
+                values[rng.randrange(lat.m)] += rng.choice([-3, -2, -1, 1, 2, 3])
+                verdicts.add(self.assert_matches_pairwise(lat, values))
+        assert verdicts == {True, False}  # a chain takes any increasing map
+
+
+class TestIdealLatticeCovers:
+    @staticmethod
+    def double_loop(names, leq_pairs):
+        """The ideal lattice's names and covers as listed before the search
+        kept its steps: the ideals by size, then mask, and a cover for every
+        ideal s and point i not in s with s plus i an ideal."""
+        names = [str(n) for n in names]
+        ideals = sorted((sum(1 << i for i in ideal)
+                         for ideal in downset_oracle(names, leq_pairs)),
+                        key=lambda s: (bin(s).count("1"), s))
+        pos = {s: k for k, s in enumerate(ideals)}
+        covers = []
+        for s in ideals:
+            for i in range(len(names)):
+                if not s >> i & 1 and (s | 1 << i) in pos:
+                    covers.append((pos[s], pos[s | 1 << i]))
+        return (tuple("{" + ",".join(names[i] for i in range(len(names)) if s >> i & 1) + "}"
+                      for s in ideals), tuple(covers))
+
+    def assert_matches(self, names, leq_pairs):
+        lat = build_ideal_lattice(names, leq_pairs)
+        assert (lat.names, lat.covers) == self.double_loop(names, leq_pairs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_posets())
+    def test_small_posets(self, poset):
+        self.assert_matches(*poset)
+
+    @pytest.mark.parametrize("points, ideals", [
+        (3, 5), (4, 9), (6, 20), (8, 50), (9, 100), (10, 200), (11, 400)])
+    def test_seeded_posets(self, points, ideals):
+        rng = random.Random(points * 1000 + ideals)
+        self.assert_matches(*seeded_poset(rng, points, ideals))
+
+
+class TestScanOnlyOnFailure:
+    """The per-pair scan is the constructor's error path: a cover-count
+    check that always failed would still give every right answer through
+    it, only slower.  So count its calls."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        calls = []
+        scan = Lattice._scan_addable
+
+        def counted(lat):
+            calls.append(lat.m)
+            return scan(lat)
+
+        monkeypatch.setattr(Lattice, "_scan_addable", counted)
+        return calls
+
+    def test_never_on_a_distributive_lattice(self, scans, request):
+        for fixture in ("square", "chain4", "cube3", "grid3x3", "corner_square"):
+            lat = request.getfixturevalue(fixture)  # built once per session
+            build_from_covers(lat.names, lat.covers)
+        assert build_boolean_hypercube(9).m == 512
+        assert build_product(build_chain(16), build_chain(16)).m == 256
+        assert build_ideal_lattice(*seeded_poset(random.Random(0), 11, 400)).m == 400
+        assert scans == []
+
+    def test_once_on_the_pentagon(self, scans):
+        with pytest.raises(NotDistributiveError):
+            build_from_covers(*hand_made(PENTAGON))
+        assert scans == [5]
