@@ -23,6 +23,7 @@ import argparse
 import functools
 import heapq
 import inspect
+import itertools
 import json
 import sys
 
@@ -306,6 +307,16 @@ def _cmd_prefs(args):
     return 0
 
 
+def _first_mismatch(spaces, table, form, lat):
+    """The first ballots, row-major over ``spaces``, where ``form`` differs
+    from ``table``, or None where it replays the table."""
+    _, form_table = tabulate(form, lat, spaces)
+    if form_table == table:
+        return None
+    return next(ballots for ballots, a, b in zip(itertools.product(*spaces), table, form_table)
+                if a != b)
+
+
 def _cmd_rule(args):
     lat = parse_lattice_file(args.lattice)
     rule = parse_rule_file(args.rule, lat)
@@ -323,7 +334,7 @@ def _cmd_rule(args):
             converted = build_canonical_median_tree(table_corners(spaces, table, lat), rule.n)
             if args.to == "committee":
                 converted = tree_to_committee(converted, lat)
-            ballots = suites.first_mismatch(spaces, table, converted, lat)
+            ballots = _first_mismatch(spaces, table, converted, lat)
             if ballots is not None:
                 raise NotRepresentableError(
                     f"at ballots {[lat.names[b] for b in ballots]} the rule gives "

@@ -44,13 +44,57 @@ def check_table_size(sizes) -> int:
     for k in sizes:
         size *= k
         if size > EXPLICIT_TABLE_CAP:
-            size = math.prod(k ** e for k, e in collections.Counter(sizes).items())
-            break
-    if size > EXPLICIT_TABLE_CAP:
-        # past the int-to-str digit limit a size is named by its bit length
-        shown = size if size.bit_length() <= 4096 else f"at least 2^{size.bit_length() - 1}"
-        raise TooLargeError(f"table of {shown} entries exceeds cap {EXPLICIT_TABLE_CAP}")
+            return _counted_size(collections.Counter(sizes))
     return size
+
+
+def check_full_table_size(m: int, n: int) -> int:
+    """``check_table_size([m] * n)``, the cells of an n-voter table over an
+    m-element carrier, without building more than 21 sizes: past that a
+    carrier of two or more elements is past the cap.  A one-element carrier
+    has one cell at every n, so there more than the cap of voters, whose n
+    ballot spaces callers would build, is refused instead."""
+    if n <= EXPLICIT_TABLE_CAP.bit_length():
+        return check_table_size([m] * n)
+    size = _counted_size({m: n})
+    if n > EXPLICIT_TABLE_CAP:
+        raise TooLargeError(f"table over {n} ballot spaces exceeds cap {EXPLICIT_TABLE_CAP}")
+    return size
+
+
+def _counted_size(counts) -> int:
+    """The product of k ** e over ``counts`` ({size k: multiplicity e}),
+    refused beyond ``EXPLICIT_TABLE_CAP``.  Past the int-to-str digit limit
+    a size is named by its bit length, so a product whose bits surely pass
+    it (more than 2^16) is never built: ``_log2_floor_text`` reads the bit
+    length off the multiplicities."""
+    if 0 in counts:
+        return 0
+    counts = {k: e for k, e in counts.items() if k > 1 and e}
+    if sum(e * (k.bit_length() - 1) for k, e in counts.items()) > 1 << 16:
+        shown = f"at least 2^{_log2_floor_text(counts)}"
+    else:
+        size = math.prod(k ** e for k, e in counts.items())
+        if size <= EXPLICIT_TABLE_CAP:
+            return size
+        shown = size if size.bit_length() <= 4096 else f"at least 2^{size.bit_length() - 1}"
+    raise TooLargeError(f"table of {shown} entries exceeds cap {EXPLICIT_TABLE_CAP}")
+
+
+def _log2_floor_text(counts) -> str:
+    """floor(log2) of the product of k ** e over ``counts``, all k >= 2,
+    never too high: exact over the powers of two, and over the other k
+    summed to 60 digits and lowered by a relative 10^-40, far above the
+    rounding error, so exact for sums below 10^39 except within that margin
+    above an integer.  Written by ``Decimal``, which the int-to-str digit
+    limit does not bind."""
+    import decimal    # here: only astronomic tables need it, not every start
+    whole = sum(e * (k.bit_length() - 1) for k, e in counts.items() if not k & k - 1)
+    with decimal.localcontext() as context:
+        context.prec = 60
+        rest = sum(e * decimal.Decimal(k).ln() for k, e in counts.items() if k & k - 1)
+        rest = int(rest / decimal.Decimal(2).ln() * (1 - decimal.Decimal("1e-40")))
+    return str(decimal.Decimal(whole + rest))
 
 
 def _check_corner_count(n: int) -> None:
@@ -321,6 +365,7 @@ class CommitteeRule:
         return out
 
     def ballot_spaces(self, lat: Lattice) -> tuple:
+        check_full_table_size(lat.m, self.n)    # before the n spaces are built
         return full_spaces(lat, self.n)
 
 

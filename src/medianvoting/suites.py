@@ -35,7 +35,7 @@ from .rules import (
     ExplicitRule,
     _held_by,
     build_canonical_median_tree,
-    check_table_size,
+    check_full_table_size,
     committee_from_corners,
     extended_median,
     extended_median_rule,
@@ -212,7 +212,7 @@ def _full_domains(lat, n):
 def _rule_pool(lat, n, samples, seed):
     """``samples`` random tables, then the projections and the constants;
     more than the evaluation cap of sampled cells are refused first."""
-    _check_sweep_size("sampled-rule", samples * check_table_size([lat.m] * n),
+    _check_sweep_size("sampled-rule", samples * check_full_table_size(lat.m, n),
                       DEFAULT_EVAL_CAP)
     rng = random.Random(seed)
     pool = [("random", random_explicit_rule(lat, n, rng)) for _ in range(samples)]
@@ -221,16 +221,6 @@ def _rule_pool(lat, n, samples, seed):
     pool += [("constant", ExplicitRule.from_function(
         full_spaces(lat, n), lambda b, c=c: c)) for c in range(lat.m)]
     return pool
-
-
-def first_mismatch(spaces, table, form, lat):
-    """The first ballots, row-major over ``spaces``, where ``form`` differs
-    from ``table``, or None where it replays the table."""
-    _, form_table = tabulate(form, lat, spaces)
-    if form_table == table:
-        return None
-    return next(ballots for ballots, a, b in zip(itertools.product(*spaces), table, form_table)
-                if a != b)
 
 
 def _roundtrips_exact(rule, lat):
@@ -312,7 +302,7 @@ def lemma2_suite(lat: Lattice, n: int = 3, label: str = "") -> VerificationRepor
     swept as one; only a failing mix is decoded, to name its witness.
     """
     t0 = time.perf_counter()
-    check_table_size([lat.m] * n)    # before the n-entry spaces are built
+    check_full_table_size(lat.m, n)    # before the n-entry spaces are built
     _check_sweep_size("monotonicity", lat.m ** (n + 1) * n, DEFAULT_EVAL_CAP)    # and any table
     lanes = CodeLanes.of(lat, full_spaces(lat, n))
     pool = [lanes.ballots(i) for i in range(n)]
@@ -568,7 +558,7 @@ def _quota_tables(lat, n):
     ``c_0 | OR_s (E[s] & c_s)`` with each c_s a constant table
     (``CodeLanes.constant``), decoded once to element ids (``CodeLanes.decode``).
     """
-    check_table_size([lat.m] * n)
+    check_full_table_size(lat.m, n)
     lanes = CodeLanes.of(lat, full_spaces(lat, n))
     constant = [lanes.constant(lane) for lane in lanes.lane]
     best = _held_by(map(lanes.ballots, range(n)), constant[lat.top], n)
@@ -689,7 +679,7 @@ def chain_equivalence_suite(lat: Lattice, n: int = 2, samples: int = 100,
     t0 = time.perf_counter()
     if not lat.is_chain():
         raise NotAChainError("carrier is not a chain")
-    size = check_table_size([lat.m] * n)    # before the n-voter domains are built
+    size = check_full_table_size(lat.m, n)    # before the n-voter domains are built
     domains = _full_domains(lat, n)
     for dom in domains:    # refuse an oversized search before any table
         check_coalition_search_size(dom)

@@ -9,10 +9,10 @@ the witness (see ``find_coalitional_manipulation``), so it is reproducible.
 Every sweep runs on one of two shared kernels.  Lane ints, one lane per
 cell, share ``rules.spread``: monotonicity runs on Birkhoff-code lanes
 (``rules.CodeLanes``), and the strategy sweep (the size-1 case), the
-coalition search, anonymity and weak efficiency on outcome lanes
-(``OutcomeLanes``, of a domain or of Lemma 1's interval table), where any
-per-outcome mask reaches a table through its outcome split only.  Cell
-images (``_local_cells``) serve local neutrality and local sovereignty.
+coalition search, anonymity and weak efficiency on a domain's outcome
+lanes (``OutcomeLanes``), where any per-outcome mask reaches a table
+through its outcome split only.  Cell images (``_local_cells``) serve
+local neutrality and local sovereignty.
 
 The sweeps decide on a domain's gain tables.  On the full single-peaked
 domains these are Lemma 1's interval table, so a verdict there generates no
@@ -32,8 +32,8 @@ from .errors import CarrierMismatchError, InvalidSizeError, TooLargeError
 from .lattice import Lattice, _bits
 from .preorders import (TotalPreorder, build_lsu_witness, build_three_class_witness,
                         lsu_search, unimodal_search)
-from .rules import (CodeLanes, ExplicitRule, _Lanes, _line_masks, _strides, check_table_size,
-                    build_canonical_median_tree, full_spaces, spread, tabulate)
+from .rules import (CodeLanes, ExplicitRule, _Lanes, _line_masks, _strides, full_spaces,
+                    build_canonical_median_tree, check_full_table_size, spread, tabulate)
 
 DEFAULT_EVAL_CAP = 10 ** 8
 
@@ -51,7 +51,9 @@ class DomainDescriptor:
     share it) at each voter's tops, which decide every sweep.  Their
     preferences come from the domain's own ``LayeredSearch`` top by top,
     generated only when a sweep names a witness and kept per top, so voters
-    and sweeps share the objects and their ``better`` masks.  The cap
+    and sweeps share the objects and their ``better`` masks.  Only that and
+    the counts make the search (``_layered``), so a full domain builds on
+    any lattice and refuses past the enumeration cap only there.  The cap
     estimates read ``preference_bound`` first and count the preferences,
     without generating any, only where that bound could exceed the cap.
     Lemma 1's witness preorders (``strategy_witness_from``) are kept per
@@ -59,11 +61,11 @@ class DomainDescriptor:
     a pair shares the preorder and its ``better`` masks.
     """
 
-    __slots__ = ("lattice", "spaces", "flavor", "_sets", "_search", "_tops", "_count",
-                 "_gains", "_held", "_lanes", "_witnesses")
+    __slots__ = ("lattice", "spaces", "flavor", "_sets", "_maker", "_search", "_tops",
+                 "_count", "_gains", "_held", "_lanes", "_witnesses")
 
-    def __init__(self, lattice: Lattice, spaces, preference_sets, flavor="custom"):
-        self._start(lattice, spaces, flavor, None)
+    def __init__(self, lattice: Lattice, spaces, preference_sets):
+        self._start(lattice, spaces, "custom", None)
         self._sets = tuple(tuple(ps) for ps in preference_sets)
         if len(self.spaces) != len(self._sets):
             raise InvalidSizeError("one ballot space and one preference set per voter")
@@ -79,9 +81,9 @@ class DomainDescriptor:
                         f"voter {i} holds a preference whose top "
                         f"{lattice.names[p.top]} is outside the ballot space")
 
-    def _start(self, lattice, spaces, flavor, search):
+    def _start(self, lattice, spaces, flavor, maker):
         self.lattice, self.spaces, self.flavor = lattice, tuple(map(tuple, spaces)), flavor
-        self._sets, self._search = None, search
+        self._sets, self._maker, self._search = None, maker, None
         self._count = self._gains = self._held = None
         self._lanes, self._witnesses = {}, {}
 
@@ -100,9 +102,16 @@ class DomainDescriptor:
     def runs(self, i: int):
         """Voter i's preferences in index order, as (top, preferences) runs
         of one top each; a full domain generates a run only as it is read."""
-        if self._search is None:
+        if self._maker is None:
             return itertools.groupby(self._sets[i], operator.attrgetter("top"))
-        return ((t, self._search.topped(t)) for t in self._tops[i])
+        search = self._layered()
+        return ((t, search.topped(t)) for t in self._tops[i])
+
+    def _layered(self):
+        """A full domain's ``LayeredSearch``, made by its maker on first use."""
+        if self._search is None:
+            self._search = self._maker(self.lattice)
+        return self._search
 
     def preference_count(self) -> int:
         """The number of (voter, preference) pairs, counted on first use; on
@@ -110,23 +119,23 @@ class DomainDescriptor:
         which the cap estimates ask for only where ``preference_bound`` could
         exceed the cap (``_preference_estimate``)."""
         if self._count is None:
-            self._count = (sum(map(len, self._sets)) if self._search is None else
-                           sum(self._search.count(t) for tops in self._tops for t in tops))
+            self._count = (sum(map(len, self._sets)) if self._maker is None else
+                           sum(map(self._layered().count, itertools.chain(*self._tops))))
         return self._count
 
     def preference_bound(self) -> int:
         """An upper bound on ``preference_count()`` known without counting:
         on a full domain, each voter's tops times the search's
         ``top_bound``; on a custom domain, the count itself."""
-        if self._search is None:
+        if self._maker is None:
             return self.preference_count()
-        return self._search.top_bound * sum(map(len, self._tops))
+        return self._layered().top_bound * sum(map(len, self._tops))
 
     def gain_masks(self):
         """``gain[i][t][o]``: the union of ``p.better[o]`` over voter i's
         preferences p with top t, built on first use and kept with the domain
         (on a full domain, Lemma 1's interval table at voter i's tops)."""
-        if self._gains is None and self._search is not None:
+        if self._gains is None and self._maker is not None:
             rows = interval_gains(self.lattice)
             self._gains = tuple({t: rows[t] for t in tops} for tops in self._tops)
         elif self._gains is None:
@@ -162,19 +171,19 @@ class DomainDescriptor:
 
     @classmethod
     def full_unimodal(cls, lattice: Lattice, n: int, spaces=None) -> "DomainDescriptor":
-        return cls._searched(lattice, n, spaces, unimodal_search(lattice), "full_unimodal")
+        return cls._searched(lattice, n, spaces, unimodal_search, "full_unimodal")
 
     @classmethod
     def full_lsu(cls, lattice: Lattice, n: int, spaces=None) -> "DomainDescriptor":
-        return cls._searched(lattice, n, spaces, lsu_search(lattice), "full_lsu")
+        return cls._searched(lattice, n, spaces, lsu_search, "full_lsu")
 
     @classmethod
-    def _searched(cls, lattice, n, spaces, search, flavor):
-        """A full domain: each voter holds the search's preferences whose
-        top lies in its ballot space, and every element tops one."""
+    def _searched(cls, lattice, n, spaces, maker, flavor):
+        """A full domain: each voter holds the preferences of ``maker``'s
+        search whose top lies in its ballot space, and every element tops one."""
         domain = cls.__new__(cls)
         domain._start(lattice, full_spaces(lattice, n) if spaces is None else spaces,
-                      flavor, search)
+                      flavor, maker)
         domain._tops = tuple(tuple(sorted(set(space).intersection(range(lattice.m))))
                              for space in domain.spaces)
         empty = next((i for i, tops in enumerate(domain._tops) if not tops), None)
@@ -303,8 +312,8 @@ class ManipulationWitness:
 
 class OutcomeLanes(_Lanes):
     """Table-independent outcome lanes over ``spaces`` of an m-element
-    carrier, from voter i's gains ``gain[i][a][o]`` at each anchor a: a
-    domain's (``DomainDescriptor.lanes``) or Lemma 1's interval table.
+    carrier, from voter i's gains ``gain[i][a][o]`` at each anchor a of a
+    domain (``DomainDescriptor.lanes``).
 
     Its lanes have w = ceil(m/8) bytes, one bit per outcome (``outcomes``).
     The gain tile G[i][o] holds ``gain[i][b][o]`` where voter i casts an
@@ -696,9 +705,8 @@ def interval_gains(lat: Lattice) -> dict:
     [x, y], which single-peakedness lets, and Lemma 1's witnesses make, some
     full unimodal or full LSU preference topped at x rank above o.  Built
     on first use per lattice object and kept in the lattice
-    (``Lattice._interval_gains``), so the full domains on a lattice and
-    ``check_axioms`` share one table, freed with the lattice; callers only
-    read it."""
+    (``Lattice._interval_gains``), so the full domains on a lattice share
+    one table, freed with the lattice; callers only read it."""
     if lat._interval_gains is None:
         lat._interval_gains = _interval_table(lat)
     return lat._interval_gains
@@ -741,7 +749,7 @@ def check_axioms(rule, lat: Lattice, local_set, cap: int = DEFAULT_EVAL_CAP) -> 
     spaces, table = tabulate(rule, lat, full_spaces(lat, n))
     _check_sweep_size("axiom", len(table) * (n + m), cap)
     _check_sweep_size("interval-table", m ** 3, cap)
-    lanes = OutcomeLanes(spaces, m, [interval_gains(lat)] * n)
+    lanes = DomainDescriptor.full_unimodal(lat, n, spaces).lanes()
     strides, witnesses = lanes.strides, {}
     onehot, equal = lanes.outcomes(table)
 
@@ -841,5 +849,5 @@ def sample_monotone_rule(lat: Lattice, n: int, rng) -> ExplicitRule:
 
 
 def random_explicit_rule(lat: Lattice, n: int, rng) -> ExplicitRule:
-    size = check_table_size([lat.m] * n)
+    size = check_full_table_size(lat.m, n)
     return ExplicitRule(full_spaces(lat, n), [rng.randrange(lat.m) for _ in range(size)])

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -41,7 +42,7 @@ from medianvoting.rules import (
     full_spaces,
     tabulate,
 )
-from medianvoting.verify import StrategyWitness, check_axioms
+from medianvoting.verify import StrategyWitness, check_axioms, random_explicit_rule
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -380,6 +381,58 @@ class TestCommands:
                     "--lattice", bundled_path("cube3")]) == 2
         assert capsys.readouterr().err == (
             "error: enumeration over 8 elements exceeds cap 7\n")
+
+    @pytest.mark.parametrize("carrier", ["cube3", "grid3x3", "chain8"])
+    def test_rule_check_past_the_enumeration_cap_refuses_every_rule_kind(self, tmp_path,
+                                                                         carrier, capsys):
+        if carrier == "chain8":
+            lattice = write_json(tmp_path / "chain8.json", serialize_lattice(build_chain(8)))
+        else:
+            lattice = bundled_path(carrier)
+        lat = parse_lattice_file(lattice)
+        rng = random.Random(0)
+        rules = [serialize_rule(random_explicit_rule(lat, 2, rng), lat),
+                 serialize_rule(build_canonical_median_tree(
+                     [rng.randrange(lat.m) for _ in range(4)], 2), lat),
+                 {"kind": "committee", "n": 2,
+                  "terms": [{"coalition": [0], "constant": lat.names[lat.top]}]}]
+        for k, rule in enumerate(rules):
+            source = write_json(tmp_path / f"rule{k}.json", rule)
+            assert run(["rule", "check", "--rule", source, "--lattice", lattice]) == 2
+            assert capsys.readouterr() == (
+                "", f"error: enumeration over {lat.m} elements exceeds cap 7\n")
+
+    @pytest.mark.parametrize("suite, code", [("lemma1", 2), ("theorem1", 2), ("lemma2", 0),
+                                             ("theorem2", 0), ("theorem3", 2),
+                                             ("corollary1", 2)])
+    def test_verify_past_the_enumeration_cap(self, tmp_path, suite, code, capsys):
+        # corollary1 needs a chain: the eight-element one; the others run on cube3
+        lattice = (write_json(tmp_path / "chain8.json", serialize_lattice(build_chain(8)))
+                   if suite == "corollary1" else bundled_path("cube3"))
+        assert run(["verify", suite, "--lattice", lattice]) == code
+        assert capsys.readouterr().err == (
+            "error: enumeration over 8 elements exceeds cap 7\n" if code else "")
+
+    @pytest.mark.parametrize("path", ["verify", "rule"])
+    def test_an_astronomic_voter_count_is_refused(self, tmp_path, path, capsys):
+        # no n-long list is built: 10^30 voters exit 2, and 10^7 are refused
+        # fast and in little memory
+        for n in (10 ** 30, 10 ** 7):
+            source = write_json(tmp_path / "wide.json",
+                                {"kind": "committee", "n": n, "terms": []})
+            argv = (["verify", "lemma1", "--n", str(n)] if path == "verify" else
+                    ["rule", "check", "--rule", source, "--lattice", bundled_path("boolean_square")])
+            with within(0.2, f"refusing {n} voters"):
+                assert run(argv) == 2
+            assert capsys.readouterr().err == (
+                f"error: table of at least 2^{2 * n} entries exceeds cap {EXPLICIT_TABLE_CAP}\n")
+        tracemalloc.start()
+        try:
+            run(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_rule_check_refuses_a_huge_table_before_building_it(self, tmp_path,
                                                                  capsys):

@@ -27,7 +27,6 @@ from medianvoting.rules import (
     ExplicitRule,
     build_canonical_median_tree,
     corners,
-    full_spaces,
     tabulate,
 )
 from medianvoting.suites import _roundtrips_exact
@@ -139,11 +138,11 @@ def assert_every_violation_converts(lat, rule):
     preference is single-peaked in the domain's sense and held in it."""
     n = rule.n
     domains = []
-    for flavor, pool, single_peaked in (
-            ("full_unimodal", enumerate_unimodal(lat, cap=lat.m), is_unimodal),
-            ("full_lsu", enumerate_lsu(lat, cap=lat.m), is_locally_strictly_unimodal)):
-        domain = DomainDescriptor(lat, full_spaces(lat, n), [pool] * n, flavor)
-        domains.append((domain, set(pool), single_peaked))
+    for factory, pool, single_peaked in (
+            (DomainDescriptor.full_unimodal, enumerate_unimodal(lat, cap=lat.m), is_unimodal),
+            (DomainDescriptor.full_lsu, enumerate_lsu(lat, cap=lat.m),
+             is_locally_strictly_unimodal)):
+        domains.append((factory(lat, n), set(pool), single_peaked))
     converted = 0
     for violation in monotonicity_violations(rule, lat, rule.spaces):
         for domain, held, single_peaked in domains:

@@ -33,6 +33,7 @@ from medianvoting.rules import (
     ExplicitRule,
     MedianTree,
     build_canonical_median_tree,
+    check_full_table_size,
     check_table_size,
     corners,
     extended_median,
@@ -152,6 +153,35 @@ class TestExplicitRule:
         assert check_table_size([2] * 20) == EXPLICIT_TABLE_CAP
         with pytest.raises(TooLargeError, match=f"table of {3 ** 500 * 5 ** 500} entries"):
             check_table_size([3, 5] * 500)
+
+    def test_full_table_size_builds_no_n_long_list(self):
+        def outcome(size):
+            try:
+                return size()
+            except TooLargeError as exc:
+                return str(exc)
+
+        # the same count or message as the n sizes give, past 2^16 bits too
+        for m, n in ((1, 7), (2, 20), (2, 21), (3, 12), (3, 13), (4, 11), (9, 2000),
+                     (3, 70000), (6, 123457), (8, 50000)):
+            assert (outcome(lambda: check_full_table_size(m, n))
+                    == outcome(lambda: check_table_size([m] * n))), (m, n)
+            if n > 20000:
+                bits = (m ** n).bit_length() - 1
+                assert outcome(lambda: check_full_table_size(m, n)) == (
+                    f"table of at least 2^{bits} entries exceeds cap {EXPLICIT_TABLE_CAP}")
+        # log2(3) = 1.58496250072115618145373894394781...
+        with pytest.raises(TooLargeError,
+                           match="at least 2\\^1584962500721156181453738943947 entries"):
+            check_full_table_size(3, 10 ** 30)
+        # an exponent past the int-to-str digit limit is written out too
+        with pytest.raises(TooLargeError, match=f"at least 2\\^1{'0' * 4300} entries"):
+            check_full_table_size(4, 5 * 10 ** 4299)
+        # a one-element carrier has one cell, but its n ballot spaces are capped
+        assert check_full_table_size(1, EXPLICIT_TABLE_CAP) == 1
+        with pytest.raises(TooLargeError, match=f"table over {10 ** 30} ballot spaces "
+                                                f"exceeds cap {EXPLICIT_TABLE_CAP}"):
+            check_full_table_size(1, 10 ** 30)
 
 
 class TestCommitteeRule:

@@ -488,6 +488,57 @@ class TestDomainDescriptor:
                 for p in prefs:
                     assert first.setdefault(p, p) is p
 
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """The names of the searches made through ``verify``'s makers."""
+        made = []
+        for name in ("unimodal_search", "lsu_search"):
+            def spy(lat, maker=getattr(verify, name), name=name):
+                made.append(name)
+                return maker(lat)
+            monkeypatch.setattr(verify, name, spy)
+        return made
+
+    @pytest.mark.parametrize("fixture", ["cube3", "grid3x3", "chain8"])
+    def test_full_domains_past_the_cap_refuse_only_where_they_enumerate(
+            self, fixture, request, searches):
+        # building, the gain tables, both lanes and Lemma 1's witnesses make
+        # no search; whatever counts or generates preferences refuses
+        lat = build_chain(8) if fixture == "chain8" else request.getfixturevalue(fixture)
+        rule = random_explicit_rule(lat, 2, random.Random(0))
+        violation = find_monotonicity_violation(rule, lat)
+        message = f"enumeration over {lat.m} elements exceeds cap 7"
+        domains = DomainDescriptor.full_unimodal(lat, 2), DomainDescriptor.full_lsu(lat, 2)
+        witnesses = [strategy_witness_from(violation, domain) for domain in domains]
+        for domain, witness in zip(domains, witnesses):
+            assert domain.gain_masks()[1] == interval_gains(lat)
+            assert domain.lanes("truthful").gain is domain.gain_masks()
+            assert domain.lanes("literal").gain is not domain.gain_masks()
+            assert witness.validate(rule, lat)
+        assert searches == []
+        for domain, witness in zip(domains, witnesses):
+            for ask in (lambda: domain.runs(0), domain.preference_count,
+                        domain.preference_bound,
+                        lambda: domain.holds(0, witness.preference),
+                        lambda: find_strategy_violation(rule, domain),
+                        lambda: check_coalition_search_size(domain)):
+                with pytest.raises(TooLargeError, match=message):
+                    ask()
+
+    @pytest.mark.parametrize("fixture", ["square", "chain4"])
+    def test_a_full_domain_makes_its_search_once(self, fixture, request, searches):
+        lat = request.getfixturevalue(fixture)
+        for factory in (DomainDescriptor.full_unimodal, DomainDescriptor.full_lsu):
+            domain = factory(lat, 2)
+            for seed in range(4):
+                rule = random_explicit_rule(lat, 2, random.Random(seed))
+                find_strategy_violation(rule, domain)
+                find_coalitional_manipulation(rule, domain)
+                find_coalitional_manipulation(rule, domain, semantics="literal")
+                assert domain.preference_count() <= domain.preference_bound()
+                assert domain.holds(1, next(next(domain.runs(1))[1]))
+        assert searches == ["unimodal_search", "lsu_search"]
+
     def test_holds_is_membership(self, square):
         x = square.element("x")
         dom = DomainDescriptor.full_unimodal(square, 2, spaces=((x,), tuple(range(4))))
@@ -758,17 +809,10 @@ class TestStrategyProofness:
         # per pair, equal to a fresh build, and shares it between conversions
         lat = request.getfixturevalue(fixture)
         pool = [build_three_class_witness(lat, top, top) for top in range(lat.m)]
-
-        def full(flavor):
-            # past the enumeration cap (cube3) a domain of that flavor with
-            # a given pool: the conversion reads only the flavor
-            if lat.m > preorders.DEFAULT_ENUM_CAP:
-                return DomainDescriptor(lat, full_spaces(lat, 2), [pool] * 2, flavor)
-            return getattr(DomainDescriptor, flavor)(lat, 2)
-
-        for flavor, build in (("full_unimodal", build_three_class_witness),
-                              ("full_lsu", build_lsu_witness)):
-            domain, fresh = full(flavor), full(flavor)
+        for factory, build in ((DomainDescriptor.full_unimodal, build_three_class_witness),
+                               (DomainDescriptor.full_lsu, build_lsu_witness)):
+            # past the enumeration cap (cube3) too: the conversion makes no search
+            domain, fresh = factory(lat, 2), factory(lat, 2)
             for peak, ref in itertools.product(range(lat.m), repeat=2):
                 first = strategy_witness_from(
                     MonotonicityWitness((peak, lat.bottom), 0, lat.top, lat.top, ref), domain)
