@@ -12,6 +12,8 @@ topological pass along the covers, O(covers + |J|^2) big-int operations
 
 from __future__ import annotations
 
+from operator import itemgetter, xor
+
 from .errors import (
     InvalidSizeError,
     NotALatticeError,
@@ -121,7 +123,6 @@ class Lattice:
         self.covers = tuple(cover_ids)
 
         topology = self._close(cover_ids)
-        self._reject_redundant_covers()
         self._find_bounds()
         self._encode(*topology)
 
@@ -171,6 +172,7 @@ class Lattice:
         bottoms = [v for v in range(self.m) if self._up[v] == full]
         tops = [v for v in range(self.m) if self._down[v] == full]
         if not bottoms or not tops:
+            self._reject_redundant_covers()
             raise NotBoundedError("no global bottom or no global top")
         self.bottom = bottoms[0]
         self.top = tops[0]
@@ -185,7 +187,9 @@ class Lattice:
         below x), ``code[x] | bit(j)`` is the code of some y > x.  If each
         cover adds one bit, the covers map one-to-one into the addable pairs,
         so that holds iff both are as many: O(covers + |J|^2) big-int
-        operations.  Only on failure does ``_scan_addable`` name the witness.
+        operations, and then no cover (a, b) is redundant: a c strictly between
+        would give ``code[a] < code[c] < code[b]``.  Only on failure do
+        ``_reject_redundant_covers`` and then ``_scan_addable`` run.
         """
         code = [0] * self.m
         for k, j in enumerate(irreducibles):
@@ -197,6 +201,7 @@ class Lattice:
         if len(decode) != self.m:
             # every element of a lattice is the join of the join-irreducibles
             # below it, so two equal codes mean a missing bound
+            self._reject_redundant_covers()
             self._raise_missing_bound()
         self._irreducibles = tuple(irreducibles)
         self._code = code
@@ -207,8 +212,11 @@ class Lattice:
             for i in _bits(code[j] ^ 1 << k):
                 above_lower &= up[irreducibles[i]]
             addable += (above_lower & ~up[j]).bit_count()
-        if addable != len(self.covers) or any(
-                (code[a] ^ code[b]).bit_count() != 1 for a, b in self.covers):
+        # with injective codes, every cover adds at least one bit
+        steps = map(xor, map(code.__getitem__, map(itemgetter(0), self.covers)),
+                    map(code.__getitem__, map(itemgetter(1), self.covers)))
+        if addable != len(self.covers) or sum(map(int.bit_count, steps)) != len(self.covers):
+            self._reject_redundant_covers()
             self._scan_addable()
         self.join_irreducibles = frozenset(irreducibles)
         self.atoms = frozenset(
@@ -402,8 +410,10 @@ def build_ideal_lattice(poset_names, leq_pairs) -> Lattice:
     """Lattice of order ideals (downward-closed sets) of a finite poset.
 
     ``leq_pairs`` lists (lower, upper) name pairs generating the order; the
-    reflexive-transitive closure is taken.  Each search step adds a point to
-    an ideal: a cover.  Join is union, meet intersection, so the result is
+    reflexive-transitive closure is taken.  Ideals are listed by size, then
+    mask, and named by their members in point order.  The search goes level
+    by level; each step adds an addable point to an ideal: a cover, found in
+    sorted order.  Join is union, meet intersection, so the result is
     distributive by construction (still validated).
     """
     poset_names = [str(n) for n in poset_names]
@@ -412,11 +422,15 @@ def build_ideal_lattice(poset_names, leq_pairs) -> Lattice:
     p = len(poset_names)
     index = {n: i for i, n in enumerate(poset_names)}
     below = [1 << i for i in range(p)]  # below[i]: everything <= i, as a mask
+    # upper[i] includes i's upper covers, the only points adding i can free
+    upper = [set() for _ in range(p)]
     edges = []
     for lo, hi in leq_pairs:
         if str(lo) not in index or str(hi) not in index:
             raise NotAPosetError(f"pair ({lo}, {hi}) names an unknown element")
-        edges.append((index[str(lo)], index[str(hi)]))
+        lo, hi = index[str(lo)], index[str(hi)]
+        edges.append((lo, hi))
+        upper[lo].add(hi)
     changed = True
     while changed:
         changed = False
@@ -425,34 +439,39 @@ def build_ideal_lattice(poset_names, leq_pairs) -> Lattice:
             if merged != below[hi]:
                 below[hi] = merged
                 changed = True
-    for i in range(p):
-        for j in range(p):
-            if i != j and below[i] >> j & 1 and below[j] >> i & 1:
-                raise NotAPosetError(
-                    "relation is not antisymmetric",
-                    witness=(poset_names[i], poset_names[j]))
+    if len(set(below)) < p:  # i <= j <= i iff both close to the same mask
+        i, j = next((i, j) for i in range(p) for j in range(p)
+                    if i != j and below[i] == below[j])
+        raise NotAPosetError("relation is not antisymmetric",
+                             witness=(poset_names[i], poset_names[j]))
 
-    ideals = {0}
-    frontier = [0]
-    grows = []  # every (ideal, ideal plus one point): the covers
-    while frontier:
-        ideal = frontier.pop()
-        for i in _bits((1 << p) - 1 & ~ideal):
-            if below[i] & ~(ideal | 1 << i):
-                continue  # some strict predecessor of i is missing
-            grown = ideal | 1 << i
-            grows.append((ideal, grown))
-            if grown not in ideals:
-                if len(ideals) >= DEFAULT_SIZE_CAP:
-                    raise TooLargeError(f"more than {DEFAULT_SIZE_CAP} order ideals")
-                ideals.add(grown)
-                frontier.append(grown)
-
-    ordered = sorted(ideals, key=lambda s: (s.bit_count(), s))
-    pos = {s: i for i, s in enumerate(ordered)}
-
-    def ideal_name(mask):
-        return "{" + ",".join(poset_names[i] for i in _bits(mask)) + "}"
-
-    covers = sorted((pos[s], pos[g]) for s, g in grows)
-    return Lattice([ideal_name(s) for s in ordered], covers)
+    names, covers = ["{}"], []
+    level = [0]  # the ideals of k points, ascending
+    parts = {0: []}  # their members' names, in point order
+    addable = {0: [i for i in range(p) if below[i] == 1 << i]}  # ascending
+    while level:
+        grown = {}  # ideal of k + 1 points -> (an ideal of k points, the point)
+        for s in level:
+            for i in addable[s]:
+                grown.setdefault(s | 1 << i, (s, i))
+            if len(names) + len(grown) > DEFAULT_SIZE_CAP:
+                raise TooLargeError(f"more than {DEFAULT_SIZE_CAP} order ideals")
+        nxt = sorted(grown)
+        pos = {g: k for k, g in enumerate(nxt, len(names))}
+        for k, s in enumerate(level, len(names) - len(level)):
+            for i in addable[s]:
+                covers.append((k, pos[s | 1 << i]))
+        nxt_parts, nxt_addable = {}, {}
+        for g in nxt:
+            s, i = grown[g]
+            nxt_parts[g] = members = parts[s].copy()
+            members.insert((s & (1 << i) - 1).bit_count(), poset_names[i])
+            names.append("{" + ",".join(members) + "}")
+            nxt_addable[g] = add = addable[s].copy()
+            add.remove(i)
+            for j in upper[i]:
+                if below[j] & ~g == 1 << j:
+                    add.append(j)
+            add.sort()
+        level, parts, addable = nxt, nxt_parts, nxt_addable
+    return Lattice(names, covers)

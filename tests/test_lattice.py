@@ -1,9 +1,11 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from conftest import seeded_poset, small_posets
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medianvoting.errors import (
     InvalidSizeError,
@@ -426,6 +428,21 @@ class TestConstructors:
         with pytest.raises(TooLargeError, match="more than 4096 order ideals"):
             build_ideal_lattice([f"p{i}" for i in range(13)], [])
 
+    def test_ideal_search_stops_at_the_cap_inside_a_level(self):
+        # a 20-point antichain has 2^20 order ideals, 184,756 of them on its
+        # widest level alone; the search refuses once it has found more than
+        # the cap, before any such level is built
+        names = [f"p{i}" for i in range(20)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLargeError, match="more than 4096 order ideals"):
+                build_ideal_lattice(names, [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2 ** 20
+        assert build_ideal_lattice(names[:12], []).m == DEFAULT_SIZE_CAP
+
 
 class TestOperations:
     def test_median_examples(self, square):
@@ -746,22 +763,36 @@ class TestIdealLatticeCovers:
         rng = random.Random(points * 1000 + ideals)
         self.assert_matches(*seeded_poset(rng, points, ideals))
 
+    @pytest.mark.parametrize("points, ideals", [(12, 13), (12, 60), (12, 300)])
+    def test_relations_against_point_order(self, points, ideals):
+        # names reversed: every pair runs from a higher point id to a lower
+        # one, and "p10" and "p11" sort before "p2" as strings
+        rng = random.Random(points * 1000 + ideals)
+        names, pairs = seeded_poset(rng, points, ideals)
+        self.assert_matches(names[::-1], pairs)
+        rng.shuffle(names)
+        self.assert_matches(names, pairs)
+
+    def test_reversed_chain(self):
+        names = [f"p{i}" for i in range(12)]
+        self.assert_matches(names, [(names[i + 1], names[i]) for i in range(11)])
+        self.assert_matches(names, [(names[i], names[i + 1]) for i in reversed(range(11))])
+
 
 class TestScanOnlyOnFailure:
-    """The per-pair scan is the constructor's error path: a cover-count
-    check that always failed would still give every right answer through
-    it, only slower.  So count its calls."""
+    """The per-pair scan and the redundant-cover scan are the constructor's
+    error paths: a cover-count check that always failed would still give
+    every right answer through them, only slower.  So count their calls."""
 
     @pytest.fixture
     def scans(self, monkeypatch):
         calls = []
-        scan = Lattice._scan_addable
+        for name in ("_reject_redundant_covers", "_scan_addable"):
+            def counted(lat, name=name, scan=getattr(Lattice, name)):
+                calls.append((name, lat.m))
+                return scan(lat)
 
-        def counted(lat):
-            calls.append(lat.m)
-            return scan(lat)
-
-        monkeypatch.setattr(Lattice, "_scan_addable", counted)
+            monkeypatch.setattr(Lattice, name, counted)
         return calls
 
     def test_never_on_a_distributive_lattice(self, scans, request):
@@ -776,4 +807,66 @@ class TestScanOnlyOnFailure:
     def test_once_on_the_pentagon(self, scans):
         with pytest.raises(NotDistributiveError):
             build_from_covers(*hand_made(PENTAGON))
-        assert scans == [5]
+        assert scans == [("_reject_redundant_covers", 5), ("_scan_addable", 5)]
+
+    @pytest.mark.parametrize("names, covers, error", [
+        ("p q r s".split(), [("p", "r"), ("q", "s")], NotBoundedError),
+        (*hand_made(COLLIDING_CODES), NotALatticeError),
+    ])
+    def test_first_on_every_other_failure_path(self, scans, names, covers, error):
+        with pytest.raises(error):
+            build_from_covers(names, covers)
+        assert scans[0] == ("_reject_redundant_covers", len(names))
+
+
+def first_redundant_cover(names, covers):
+    """The redundant-cover rule as the constructor applied it before any
+    other check on a cycle-free cover list: the first cover (a, b), in list
+    order, with some c strictly between, naming the lowest such c."""
+    naive = NaiveLattice(len(names), covers)
+    for a, b in covers:
+        between = [c for c in range(len(names))
+                   if c not in (a, b) and naive.leq(a, c) and naive.leq(c, b)]
+        if between:
+            return (f"({names[a]}, {names[b]}) is not a cover: "
+                    f"{names[between[0]]} lies strictly between", (a, b))
+    return None
+
+
+class TestRedundantCoverOnFailurePaths:
+    """A comparable non-cover pair added to the covers of a lattice is refused
+    as the redundant-cover rule says, although its scan runs only once another
+    check has failed: alone, with a lost bound and with colliding codes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_posets(), st.randoms(use_true_random=False),
+           st.sampled_from(["alone", "no top", "no bottom", "twin"]))
+    def test_same_refusal_as_the_old_rule(self, poset, rng, defect):
+        lat = build_ideal_lattice(*poset)
+        extra = [(a, b) for a in range(lat.m) for b in range(lat.m)
+                 if lat.lt(a, b) and b not in lat.upper_covers(a)]
+        twins = [x for x in range(lat.m) if len(lat.lower_covers(x)) > 1 and x != lat.top]
+        if not extra or defect == "twin" and not twins:
+            return
+        names, covers = list(lat.names), list(lat.covers)
+        new = len(names)
+        if defect == "no top":  # a second maximal element
+            names.append("new")
+            covers.append((rng.choice([y for y in range(new) if y != lat.top]), new))
+        elif defect == "no bottom":  # a second minimal element
+            names.append("new")
+            covers.append((new, rng.choice([y for y in range(new) if y != lat.bottom])))
+        elif defect == "twin":  # same lower and upper covers as x: same code
+            x = rng.choice(twins)
+            names.append("twin")
+            covers += [(y, new) for y in lat.lower_covers(x)]
+            covers += [(new, y) for y in lat.upper_covers(x)]
+        if defect != "alone":  # the defect alone is refused
+            with pytest.raises(NotALatticeError if defect == "twin" else NotBoundedError):
+                Lattice(names, covers)
+        for pair in rng.sample(extra, min(len(extra), rng.randint(1, 2))):
+            covers.insert(rng.randint(0, len(covers)), pair)
+        expected = first_redundant_cover(names, covers)
+        with pytest.raises(NotAPosetError) as err:
+            Lattice(names, covers)
+        assert (str(err.value), err.value.witness) == expected
